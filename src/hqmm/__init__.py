@@ -26,14 +26,7 @@ from .cluster import (
     oracle_word_probability,
 )
 from .config import TOL, Tolerances
-from .linalg import (
-    Violation,
-    apply_kraus,
-    fixed_point,
-    matmul,
-    numerical_rank,
-    transfer_matrix,
-)
+from .linalg import Violation, fixed_point, numerical_rank, transfer_matrix
 from .modelfile import (
     BUNDLED_MODELS,
     ModelFileError,
@@ -70,7 +63,6 @@ __all__ = [
     "Violation",
     "VnModel",
     "WordDistribution",
-    "apply_kraus",
     "block_entropy",
     "build_cluster",
     "cluster_kraus",
@@ -86,7 +78,6 @@ __all__ = [
     "is_reversible",
     "length3_closed_form",
     "load_bundled",
-    "matmul",
     "mps_to_hqmm",
     "numerical_rank",
     "oracle_word_probability",

@@ -1,12 +1,15 @@
 """Process-language analytics over classical and quantum models.
 
-Exhaustive word distributions (prefix-tree evaluation), block entropy,
-finite Hankel blocks with their rank-based lower bound on hidden-state
-counts, and reproducible trajectory sampling.
+Every model is first compiled to one real linear representation (per-symbol
+matrices, an initial vector and a unit functional), on which exhaustive word
+distributions (batched level by level), finite Hankel blocks with their
+rank-based lower bound on hidden-state counts, and reproducible trajectory
+sampling all run. Block entropy works on the resulting distributions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import classical, quantum
 from .classical import HmmModel
-from .linalg import numerical_rank
+from .linalg import hermitian_basis, numerical_rank, transfer_matrix, vec
 from .quantum import HqmmModel
 
 ENUMERATION_BUDGET = 10**7
@@ -23,24 +26,33 @@ ENUMERATION_BUDGET = 10**7
 Word = tuple[str, ...]
 
 
-def _resolve(model, initial):
+def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Real ``(A, v0, d)`` with ``P(s_1 ... s_n) = <1| A_{s_n} ... A_{s_1} v0``.
+
+    ``A`` stacks one D x D matrix per symbol in alphabet order and ``<1|`` is
+    the sum of the first ``d`` coordinates. A classical model gives its
+    ``T_s`` and resolved initial distribution (``D = d``). A quantum model
+    gives its operations in the real Hermitian basis of
+    ``linalg.hermitian_basis`` (``D = d^2``), whose first ``d`` coordinates
+    are the diagonal, so ``<1|`` is the trace.
+    """
     if isinstance(model, HmmModel):
-        return classical.resolve_initial(model, initial)
+        mats = np.stack([model.transitions[s] for s in model.alphabet])
+        return mats, classical.resolve_initial(model, initial), model.n_states
     if isinstance(model, HqmmModel):
-        return quantum.resolve_initial(model, initial)
+        d = model.dim
+        c = hermitian_basis(d)
+        mats = np.stack(
+            [
+                (c @ transfer_matrix(ops) @ c.conj().T).real
+                if ops
+                else np.zeros((d * d, d * d))
+                for ops in (model.operations[s] for s in model.alphabet)
+            ]
+        )
+        v0 = (c @ vec(quantum.resolve_initial(model, initial))).real
+        return mats, v0, d
     raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _step(model, state, symbol):
-    if isinstance(model, HmmModel):
-        return model.matrix(symbol) @ state
-    return quantum.apply_symbol(model, symbol, state)
-
-
-def _mass(model, state) -> float:
-    if isinstance(model, HmmModel):
-        return float(state.sum())
-    return float(np.trace(state).real)
 
 
 @dataclass(frozen=True)
@@ -65,29 +77,31 @@ class WordDistribution:
 
 
 def enumerate_distribution(model, n: int, initial=None) -> WordDistribution:
-    """All length-n word probabilities by depth-first sharing of prefixes.
+    """All length-n word probabilities, evaluated level by level.
 
-    Each node of the prefix tree carries the unnormalized conditional state,
-    so the whole table costs one channel application per tree node instead of
-    n per word. Refuses alphabets/lengths beyond ``ENUMERATION_BUDGET`` words.
+    Level m holds the unnormalized states of all k^m prefixes in
+    ``itertools.product`` order, and one batched product per level extends
+    every prefix by every symbol, so the whole table costs one matrix-vector
+    product per prefix-tree node. Probabilities are clamped to [0, 1].
+    Refuses alphabets/lengths beyond ``ENUMERATION_BUDGET`` words.
     """
+    if n < 0:
+        raise ValueError(f"word length must be nonnegative, got {n}")
     alphabet = model.alphabet
     if len(alphabet) ** n > ENUMERATION_BUDGET:
         raise ValueError(
             f"enumeration of {len(alphabet)}^{n} words exceeds the "
             f"{ENUMERATION_BUDGET} budget"
         )
-    probs: dict[Word, float] = {}
-
-    def walk(state, prefix: Word):
-        if len(prefix) == n:
-            probs[prefix] = min(max(_mass(model, state), 0.0), 1.0)
-            return
-        for s in alphabet:
-            walk(_step(model, state, s), prefix + (s,))
-
-    walk(_resolve(model, initial), ())
-    return WordDistribution(length=n, alphabet=tuple(alphabet), probabilities=probs)
+    mats, v0, d = linear_representation(model, initial)
+    states = v0[np.newaxis]
+    for _ in range(n):
+        states = np.einsum("sij,pj->psi", mats, states).reshape(-1, v0.size)
+    probs = np.clip(states[:, :d].sum(axis=1), 0.0, 1.0)
+    words = itertools.product(alphabet, repeat=n)
+    return WordDistribution(
+        length=n, alphabet=tuple(alphabet), probabilities=dict(zip(words, probs.tolist()))
+    )
 
 
 def block_entropy(dist: WordDistribution) -> float:
@@ -134,15 +148,23 @@ def hankel_block(
     default = ((),) + tuple((s,) for s in alphabet)
     rows = _as_words(row_words, alphabet) if row_words is not None else default
     cols = _as_words(col_words, alphabet) if col_words is not None else default
-    init = _resolve(model, None)
-    if isinstance(model, HmmModel):
-        prob = lambda w: classical.word_probability(model, w, initial=init)
-    else:
-        prob = lambda w: quantum.word_probability(model, w, initial=init)
-    h = np.zeros((len(rows), len(cols)))
+    mats, v0, d = linear_representation(model)
+    index = {s: i for i, s in enumerate(alphabet)}
+    # H = B F: row u of B is <1| A_u, column v of F is A_v v0
+    back = np.zeros((len(rows), v0.size))
     for i, u in enumerate(rows):
-        for j, v in enumerate(cols):
-            h[i, j] = prob(v + u)
+        b = np.zeros(v0.size)
+        b[:d] = 1.0
+        for s in reversed(u):
+            b = b @ mats[index[s]]
+        back[i] = b
+    forward = np.zeros((v0.size, len(cols)))
+    for j, v in enumerate(cols):
+        f = v0
+        for s in v:
+            f = mats[index[s]] @ f
+        forward[:, j] = f
+    h = np.clip(back @ forward, 0.0, 1.0)
     return HankelBlock(row_words=rows, col_words=cols, matrix=h)
 
 
@@ -239,20 +261,19 @@ def _sample_loop(length, rng, alphabet, key0, masses_of, next_of) -> list[str]:
     return out
 
 
-def _sample_hmm(model: HmmModel, length, rng, v0, alphabet) -> list[str]:
+def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
     # plain-Python state tuples: the matrices are tiny and call overhead
     # dominates numpy at this size
-    mats = [[list(map(float, row)) for row in model.transitions[s]] for s in alphabet]
-    colsums = [[sum(t[i][j] for i in range(len(t))) for j in range(len(t))] for t in mats]
-    d = model.n_states
-    rng_d = range(d)
+    rows = [[list(map(float, row)) for row in a] for a in mats]
+    units = [[sum(a[i][j] for i in range(d)) for j in range(len(a))] for a in rows]
+    rng_n = range(len(v0))
 
     def masses_of(v):
-        return [sum(cs[j] * v[j] for j in rng_d) for cs in colsums]
+        return [sum(u[j] * v[j] for j in rng_n) for u in units]
 
     def next_of(v, k, mass):
-        t = mats[k]
-        return tuple(sum(t[i][j] * v[j] for j in rng_d) / mass for i in rng_d)
+        t = rows[k]
+        return tuple(sum(t[i][j] * v[j] for j in rng_n) / mass for i in rng_n)
 
     return _sample_loop(
         length, rng, alphabet, tuple(float(x) for x in v0), masses_of, next_of
@@ -306,42 +327,6 @@ def _sample_hqmm2(model: HqmmModel, length, rng, rho0, alphabet) -> list[str]:
     return _sample_loop(length, rng, alphabet, key0, masses_of, next_of)
 
 
-def _sample_hqmm(model: HqmmModel, length, rng, rho0, alphabet) -> list[str]:
-    # state key: row-major tuple of the density-matrix entries
-    d = model.dim
-    kraus = [
-        [[list(map(complex, row)) for row in k] for k in model.operations[s]]
-        for s in alphabet
-    ]
-    grams = [[list(map(complex, row)) for row in model._grams[s]] for s in alphabet]
-    rng_d = range(d)
-
-    def masses_of(key):
-        return [
-            sum(g[a][b] * key[b * d + a] for a in rng_d for b in rng_d).real
-            for g in grams
-        ]
-
-    def next_of(key, k, mass):
-        rho = [[key[a * d + b] for b in rng_d] for a in rng_d]
-        sigma = [[0j] * d for _ in rng_d]
-        for op in kraus[k]:
-            krho = [
-                [sum(op[a][c] * rho[c][b] for c in rng_d) for b in rng_d] for a in rng_d
-            ]
-            for a in rng_d:
-                row = sigma[a]
-                for b in rng_d:
-                    row[b] += sum(krho[a][c] * op[b][c].conjugate() for c in rng_d)
-        scale = 2.0 * mass
-        return tuple(
-            (sigma[a][b] + sigma[b][a].conjugate()) / scale for a in rng_d for b in rng_d
-        )
-
-    key0 = tuple(complex(x) for x in np.asarray(rho0, dtype=complex).ravel())
-    return _sample_loop(length, rng, alphabet, key0, masses_of, next_of)
-
-
 def sample_trajectory(
     model, length: int, seed: int, initial=None
 ) -> list[str]:
@@ -352,11 +337,13 @@ def sample_trajectory(
     Per-step probabilities are clamped at zero and renormalized before
     drawing, so round-off noise cannot produce invalid draws.
     """
+    if length < 0:
+        raise ValueError(f"trajectory length must be nonnegative, got {length}")
     alphabet = tuple(model.alphabet)
     rng = Xorshift64Star(seed)
-    state = _resolve(model, initial)
-    if isinstance(model, HmmModel):
-        return _sample_hmm(model, length, rng, state, alphabet)
-    if model.dim == 2:
-        return _sample_hqmm2(model, length, rng, state, alphabet)
-    return _sample_hqmm(model, length, rng, state, alphabet)
+    if isinstance(model, HqmmModel) and model.dim == 2:
+        # unrolled qubit kernel: half the time of the 4 x 4 real loop on the cluster miss path
+        rho0 = quantum.resolve_initial(model, initial)
+        return _sample_hqmm2(model, length, rng, rho0, alphabet)
+    mats, v0, d = linear_representation(model, initial)
+    return _sample_linear(mats, v0, d, length, rng, alphabet)

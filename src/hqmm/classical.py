@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import TOL, Tolerances
-from .linalg import Violation, _fixed_space, check_prob_vector
+from .linalg import Violation, _fixed_vector, check_prob_vector, checked_probability
 
 
 @dataclass(frozen=True)
@@ -111,19 +111,11 @@ def steady_state(m: HmmModel, tols: Tolerances = TOL) -> tuple[np.ndarray, bool]
     """
     t = m.total()
     d = t.shape[0]
-    evals = np.linalg.eigvals(t)
-    count = int(np.count_nonzero(np.abs(evals - 1.0) <= tols.eigenvalue_one))
-    if count == 0:
-        raise ValueError("no eigenvalue near 1; is the model stochastic?")
-    basis = _fixed_space(t.astype(complex), count)
-    if count == 1:
-        v = basis[:, 0]
-    else:
-        v = basis @ (basis.conj().T @ np.full(d, 1.0 / d, dtype=complex))
+    v, unique = _fixed_vector(t.astype(complex), np.full(d, 1.0 / d, dtype=complex), tols)
     v = v / v.sum()
     pi = np.clip(v.real, 0.0, None)
     pi = pi / pi.sum()
-    return pi, count == 1
+    return pi, unique
 
 
 def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
@@ -141,11 +133,12 @@ def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
 def word_probability(
     m: HmmModel, word: Iterable[str], initial=None
 ) -> float:
-    """``<1| T_{s_n} ... T_{s_1} |pi>`` with ``s_1`` the earliest symbol."""
+    """``<1| T_{s_n} ... T_{s_1} |pi>`` with ``s_1`` the earliest symbol,
+    clamped to [0, 1]; see ``linalg.checked_probability``."""
     v = resolve_initial(m, initial)
     for s in word:
         v = m.matrix(s) @ v
-    return min(float(v.sum()), 1.0)
+    return checked_probability(float(v.sum()), "word probability")
 
 
 def is_deterministic(

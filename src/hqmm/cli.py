@@ -79,11 +79,17 @@ def _weights(text: str, d: int) -> np.ndarray:
         w = np.array([float(p) for p in text.split(",")])
     except ValueError:
         raise UsageError(f"cannot parse initial distribution {text!r}") from None
-    if w.shape != (d,) or w.min() < 0 or w.sum() <= 0:
+    if w.shape != (d,) or not np.all(np.isfinite(w)) or w.min() < 0 or w.sum() <= 0:
         raise UsageError(
-            f"initial distribution needs {d} nonnegative weights, got {text!r}"
+            f"initial distribution needs {d} finite nonnegative weights, got {text!r}"
         )
     return w / w.sum()
+
+
+def _at_least(value: int, flag: str, least: int = 0) -> int:
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
+    return value
 
 
 def _word_list(text: str, alphabet) -> list[tuple[str, ...]]:
@@ -134,14 +140,13 @@ def cmd_validate(args, out, err) -> int:
 
 def cmd_steady(args, out, err) -> int:
     model = _operational(_load(args.file))
-    if isinstance(model, HmmModel):
-        pi, unique = classical.steady_state(model)
-        print(f"steady state ({'unique' if unique else 'non-unique, canonical'}):", file=out)
-        print(" ".join(_fmt(p) for p in pi), file=out)
+    kind = classical if isinstance(model, HmmModel) else quantum
+    state, unique = kind.steady_state(model)
+    print(f"steady state ({'unique' if unique else 'non-unique, canonical'}):", file=out)
+    if state.ndim == 1:
+        print(" ".join(_fmt(p) for p in state), file=out)
     else:
-        rho, unique = quantum.steady_state(model)
-        print(f"steady state ({'unique' if unique else 'non-unique, canonical'}):", file=out)
-        _print_matrix(rho, out)
+        _print_matrix(state, out)
     return 0
 
 
@@ -152,24 +157,21 @@ def cmd_wordprob(args, out, err) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
     initial = _parse_initial(args.initial, model)
-    if isinstance(model, HmmModel):
-        p = classical.word_probability(model, word, initial)
-    else:
-        p = quantum.word_probability(model, word, initial)
-    print(_fmt(p), file=out)
+    kind = classical if isinstance(model, HmmModel) else quantum
+    print(_fmt(kind.word_probability(model, word, initial)), file=out)
     return 0
 
 
 def cmd_dist(args, out, err) -> int:
     model = _operational(_load(args.file))
-    dist = analysis.enumerate_distribution(model, args.n)
+    dist = analysis.enumerate_distribution(model, _at_least(args.n, "-n"))
     _print_distribution(dist, model.alphabet, args.csv, out)
     return 0
 
 
 def cmd_entropy(args, out, err) -> int:
     model = _operational(_load(args.file))
-    dist = analysis.enumerate_distribution(model, args.n)
+    dist = analysis.enumerate_distribution(model, _at_least(args.n, "-n"))
     print(_fmt(analysis.block_entropy(dist)), file=out)
     return 0
 
@@ -207,7 +209,7 @@ def cmd_cluster(args, out, err) -> int:
         return 0
     if args.cluster_cmd == "dist":
         model = cluster.cluster_kraus(basis)
-        dist = analysis.enumerate_distribution(model, args.n)
+        dist = analysis.enumerate_distribution(model, _at_least(args.n, "-n"))
         _print_distribution(dist, model.alphabet, args.csv, out)
         return 0
     print(_fmt(cluster.h3_closed_form(basis)), file=out)
@@ -215,8 +217,8 @@ def cmd_cluster(args, out, err) -> int:
 
 
 def cmd_scan_entropy(args, out, err) -> int:
-    phis = np.linspace(0.0, math.pi, args.phi_steps)
-    xis = np.linspace(0.0, 2 * math.pi, args.xi_steps)
+    phis = np.linspace(0.0, math.pi, _at_least(args.phi_steps, "--phi-steps", 1))
+    xis = np.linspace(0.0, 2 * math.pi, _at_least(args.xi_steps, "--xi-steps", 1))
     with open(args.output, "w", newline="\n") as f:
         f.write("phi,xi,H3\n")
         for phi in phis:
@@ -229,7 +231,7 @@ def cmd_scan_entropy(args, out, err) -> int:
 
 def cmd_sample(args, out, err) -> int:
     model = _operational(_load(args.file))
-    symbols = analysis.sample_trajectory(model, args.n, args.seed)
+    symbols = analysis.sample_trajectory(model, _at_least(args.n, "-n"), args.seed)
     print(modelfile.format_word(symbols, model.alphabet), file=out)
     return 0
 

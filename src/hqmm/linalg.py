@@ -1,9 +1,10 @@
 """Dense complex linear algebra shared by every model type.
 
-Operator-sum (Kraus) application, superoperator transfer matrices, fixed
-points of trace-preserving maps, and SVD-based numerical rank. Vectorization
-is column-stacking throughout: ``vec(A X B) == kron(B.T, A) @ vec(X)``, so a
-channel ``rho -> sum_i K_i rho K_i^dagger`` has transfer matrix
+Superoperator transfer matrices and their real Hermitian-basis form, fixed
+points of trace-preserving maps, SVD-based numerical rank, and the shared
+validation checks. Vectorization is column-stacking throughout:
+``vec(A X B) == kron(B.T, A) @ vec(X)``, so a channel
+``rho -> sum_i K_i rho K_i^dagger`` has transfer matrix
 ``sum_i kron(conj(K_i), K_i)``.
 """
 
@@ -59,37 +60,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes for matmul: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def apply_kraus(kraus: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    """Apply the operator sum ``sum_i K_i rho K_i^dagger``.
-
-    ``rho`` is assumed Hermitian (normalized or not); the output is
-    symmetrized, which is exact for Hermitian input.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"state must be square, got shape {rho.shape}")
-    d = rho.shape[0]
-    try:
-        ks = np.asarray(kraus, dtype=complex)
-    except ValueError:
-        raise ValueError("Kraus operators have mismatched shapes") from None
-    if ks.ndim != 3 or ks.shape[1:] != (d, d):
-        raise ValueError(
-            f"Kraus operators of shape {ks.shape} do not match state dimension {d}"
-        )
-    out = (ks @ rho @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
-    return hermitize(out)
-
-
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
@@ -132,17 +102,55 @@ def transfer_matrix(kraus) -> np.ndarray:
     return out
 
 
-def _fixed_space(matrix: np.ndarray, count: int) -> np.ndarray:
-    """Orthonormal basis for the numerical null space of ``matrix - I``.
+def hermitian_basis(d: int) -> np.ndarray:
+    """Unitary change to real coordinates of Hermitian d x d matrices.
 
-    Eigenvectors from a dense eigensolve can lose many digits on non-normal
-    maps (the cluster channel's transfer matrix is defective), so the
-    fixed-point directions are taken from the SVD instead, which is
-    backward-stable; ``count`` comes from the eigenvalue multiplicity.
+    Returns the d^2 x d^2 matrix ``C`` for which ``C @ vec(rho)`` is real for
+    Hermitian ``rho``: first the d diagonal entries, then ``sqrt(2) Re`` and
+    ``sqrt(2) Im`` of each upper off-diagonal entry in row-major order. The
+    diagonal comes first, so the trace is the sum of the first d coordinates,
+    and a Hermiticity-preserving transfer matrix ``L`` becomes the real matrix
+    ``C @ L @ C^dagger``.
     """
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for a in range(d):
+        c[a, a + a * d] = 1.0
+    r = math.sqrt(0.5)
+    row = d
+    for a in range(d):
+        for b in range(a + 1, d):
+            ab, ba = a + b * d, b + a * d
+            c[row, ab], c[row, ba] = r, r
+            c[row + 1, ab], c[row + 1, ba] = -1j * r, 1j * r
+            row += 2
+    return c
+
+
+def _fixed_vector(
+    matrix: np.ndarray, target: np.ndarray, tols: Tolerances
+) -> tuple[np.ndarray, bool]:
+    """Fixed vector of ``matrix`` and whether its fixed space is one-dimensional.
+
+    Eigenvalues within ``tols.eigenvalue_one`` of 1 give the dimension of the
+    fixed space. Eigenvectors from a dense eigensolve can lose many digits on
+    non-normal maps (the cluster channel's transfer matrix is defective), so
+    the fixed directions are taken from the backward-stable SVD of
+    ``matrix - I`` instead. A degenerate space is resolved canonically by the
+    orthogonal projection of ``target`` onto it.
+    """
+    evals = np.linalg.eigvals(matrix)
+    count = int(np.count_nonzero(np.abs(evals - 1.0) <= tols.eigenvalue_one))
+    if count == 0:
+        raise ValueError(
+            "no eigenvalue within "
+            f"{tols.eigenvalue_one:g} of 1: map is not trace-preserving"
+        )
     n = matrix.shape[0]
     _, _, vh = np.linalg.svd(matrix - np.eye(n))
-    return vh[n - count :].conj().T
+    basis = vh[n - count :].conj().T
+    if count == 1:
+        return basis[:, 0], True
+    return basis @ (basis.conj().T @ target), False
 
 
 def fixed_point(
@@ -165,26 +173,25 @@ def fixed_point(
     d = math.isqrt(n)
     if transfer.shape != (n, n) or d * d != n:
         raise ValueError(f"transfer matrix must be d^2 x d^2, got {transfer.shape}")
-    evals = np.linalg.eigvals(transfer)
-    count = int(np.count_nonzero(np.abs(evals - 1.0) <= tols.eigenvalue_one))
-    if count == 0:
-        raise ValueError(
-            "no eigenvalue within "
-            f"{tols.eigenvalue_one:g} of 1: map is not trace-preserving"
-        )
-    basis = _fixed_space(transfer, count)
-    if count == 1:
-        v = basis[:, 0]
-    else:
-        target = vec(np.eye(d, dtype=complex) / d)
-        v = basis @ (basis.conj().T @ target)
+    v, unique = _fixed_vector(transfer, vec(np.eye(d, dtype=complex) / d), tols)
     rho = unvec(v)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise ValueError("fixed-point candidate has vanishing trace")
     rho = hermitize(rho / tr)
     rho = rho / np.trace(rho).real
-    return rho, count == 1
+    return rho, unique
+
+
+def checked_probability(p: float, what: str) -> float:
+    """A computed probability clamped to [0, 1].
+
+    Raises ``ValueError`` when ``p`` is negative beyond numerical noise
+    (below ``TOL.prob_floor``), which signals an invalid model or initial state.
+    """
+    if p < TOL.prob_floor:
+        raise ValueError(f"{what} = {p:.3e} is negative beyond numerical noise")
+    return min(max(p, 0.0), 1.0)
 
 
 def numerical_rank(m: np.ndarray, tol: float | None = None) -> int:
@@ -236,6 +243,14 @@ def check_prob_vector(p, tols: Tolerances = TOL) -> list[Violation]:
     if abs(s - 1.0) > tols.prob_sum:
         problems.append(Violation("normalization", f"entries sum to {s:.12g}"))
     return problems
+
+
+def check_unitary(u: np.ndarray, tols: Tolerances = TOL) -> list[Violation]:
+    """``U^dagger U == I`` within ``tols.unitary``; ``u`` must be square."""
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    if dev > tols.unitary:
+        return [Violation("unitary", f"U^dagger U deviates from identity by {dev:.3e}")]
+    return []
 
 
 def check_projector_set(

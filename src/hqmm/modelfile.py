@@ -61,6 +61,13 @@ def _number(x, path: str) -> complex:
     _fail(path, f"expected a number or [re, im] pair, got {x!r}")
 
 
+def _integer(x, path: str) -> int:
+    # bool is an int subclass, and int() would silently truncate 2.7
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        _fail(path, f"expected a positive integer, got {x!r}")
+    return x
+
+
 def _matrix(rows, path: str, real_only: bool = False) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         _fail(path, "expected a non-empty array of rows")
@@ -131,7 +138,7 @@ def parse_model(text: str, validate: bool = True):
             )
             problems = classical.validate_hmm(model) if validate else []
         elif kind == "hqmm":
-            dim = _get(doc, "dimension", "")
+            dim = _integer(_get(doc, "dimension", ""), "dimension")
             raw_ops = _get(doc, "operations", "")
             if not isinstance(raw_ops, dict) or set(raw_ops) != set(alphabet):
                 _fail("operations", "expected an object keyed by every alphabet symbol")
@@ -146,7 +153,7 @@ def parse_model(text: str, validate: bool = True):
                 ]
             model = HqmmModel(
                 alphabet=alphabet,
-                dim=int(dim),
+                dim=dim,
                 operations=operations,
                 initial=(
                     _matrix(doc["initial"], "initial")
@@ -170,8 +177,8 @@ def parse_model(text: str, validate: bool = True):
             )
             problems = quantum.validate_vn(model) if validate else []
         else:
-            bond = int(_get(doc, "bond_dimension", ""))
-            phys = int(_get(doc, "physical_dimension", ""))
+            bond = _integer(_get(doc, "bond_dimension", ""), "bond_dimension")
+            phys = _integer(_get(doc, "physical_dimension", ""), "physical_dimension")
             raw_tensors = _get(doc, "tensors", "")
             if not isinstance(raw_tensors, list):
                 _fail("tensors", "expected an array of matrices")

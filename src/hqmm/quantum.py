@@ -23,6 +23,8 @@ from .linalg import (
     as_matrix,
     check_density_matrix,
     check_projector_set,
+    check_unitary,
+    checked_probability,
     fixed_point,
     hermitize,
     transfer_matrix,
@@ -138,16 +140,10 @@ def resolve_initial(m: HqmmModel, initial=None) -> np.ndarray:
     return steady_state(m)[0]
 
 
-def _checked_probability(p: float, what: str) -> float:
-    if p < TOL.prob_floor:
-        raise ValueError(f"{what} = {p:.3e} is negative beyond numerical noise")
-    return min(max(p, 0.0), 1.0)
-
-
 def symbol_probability(m: HqmmModel, symbol: str, rho) -> float:
     """``tr[K_s rho]``, clamped to [0, 1]."""
     sigma = apply_symbol(m, symbol, np.asarray(rho, dtype=complex))
-    return _checked_probability(float(np.trace(sigma).real), f"P({symbol})")
+    return checked_probability(float(np.trace(sigma).real), f"P({symbol})")
 
 
 def conditional_update(m: HqmmModel, symbol: str, rho) -> np.ndarray:
@@ -170,7 +166,7 @@ def word_probability(m: HqmmModel, word: Iterable[str], initial=None) -> float:
     sigma = resolve_initial(m, initial)
     for s in word:
         sigma = apply_symbol(m, s, sigma)
-    return _checked_probability(float(np.trace(sigma).real), "word probability")
+    return checked_probability(float(np.trace(sigma).real), "word probability")
 
 
 def coherence_check(m: HqmmModel, words: Iterable[Iterable[str]], initial=None) -> float:
@@ -221,11 +217,7 @@ def vn_generator(
     if u.shape != (d, d):
         problems.append(Violation("shape", f"unitary is {u.shape}, expected ({d}, {d})"))
     else:
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-        if dev > tols.unitary:
-            problems.append(
-                Violation("unitary", f"U^dagger U deviates from identity by {dev:.3e}")
-            )
+        problems += check_unitary(u, tols)
     if problems:
         raise ValueError(
             "invalid projective generator: " + "; ".join(str(p) for p in problems)
@@ -336,11 +328,7 @@ def validate_vn(m: VnModel, tols: Tolerances = TOL) -> list[Violation]:
     if u.shape != (d, d) or any(p.shape != (d, d) for p in m.projectors.values()):
         problems.append(Violation("shape", "projector/unitary dimensions disagree"))
     else:
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-        if dev > tols.unitary:
-            problems.append(
-                Violation("unitary", f"U^dagger U deviates from identity by {dev:.3e}")
-            )
+        problems += check_unitary(u, tols)
     if m.initial is not None:
         for v in check_density_matrix(m.initial, tols):
             problems.append(Violation("initial-" + v.check, v.message))

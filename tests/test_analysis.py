@@ -5,18 +5,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hqmm import cluster, modelfile
+from hqmm import classical, cluster, modelfile, mps, quantum
 from hqmm.analysis import (
     Xorshift64Star,
     block_entropy,
     enumerate_distribution,
     hankel_block,
+    linear_representation,
     sample_trajectory,
     state_count_lower_bound,
 )
 from hqmm.classical import HmmModel
 
-from conftest import random_hmm
+from conftest import random_density, random_hmm, random_mps
 
 FAIR_COIN = HmmModel(
     alphabet=("0", "1"),
@@ -32,6 +33,68 @@ def test_enumerate_length_zero(even):
 def test_enumerate_budget():
     with pytest.raises(ValueError, match="budget"):
         enumerate_distribution(FAIR_COIN, 30)
+
+
+def test_enumerate_negative_length():
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_distribution(FAIR_COIN, -1)
+
+
+def test_sample_negative_length():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_trajectory(FAIR_COIN, -5, seed=1)
+
+
+def test_linear_representation_reproduces_word_probability(even, four_state, four_symbol):
+    rng = np.random.default_rng(11)
+    hmm = random_hmm(rng, 3, 2)
+    cases = [
+        (even, classical, None),
+        (hmm, classical, np.array([0.2, 0.5, 0.3])),
+        (four_symbol, quantum, None),
+        (quantum.embed_classical(four_state), quantum, None),
+        (mps.mps_to_hqmm(random_mps(rng, 3, 2)), quantum, random_density(rng, 3)),
+    ]
+    for model, kind, initial in cases:
+        mats, v0, d = linear_representation(model, initial)
+        index = {s: i for i, s in enumerate(model.alphabet)}
+        assert mats.dtype == v0.dtype == np.float64
+        assert mats.shape[1:] == (v0.size, v0.size)
+        for n in range(4):
+            for word in itertools.product(model.alphabet, repeat=n):
+                v = v0
+                for s in word:
+                    v = mats[index[s]] @ v
+                p = kind.word_probability(model, word, initial)
+                assert abs(v[:d].sum() - p) < 1e-14, (model.alphabet, word)
+
+
+def test_enumeration_and_hankel_match_word_probability(even, four_state, four_symbol):
+    # the batched enumeration and the factorized Hankel block against the
+    # per-word matrix products and Kraus applications
+    rng = np.random.default_rng(12)
+    cases = [
+        (even, classical),
+        (four_state, classical),
+        (four_symbol, quantum),
+        (quantum.embed_classical(random_hmm(rng, 3, 2)), quantum),
+        (mps.mps_to_hqmm(random_mps(rng, 3, 2)), quantum),
+    ]
+    for model, kind in cases:
+        dist = enumerate_distribution(model, 4)
+        assert list(dist.probabilities) == list(itertools.product(model.alphabet, repeat=4))
+        for word, p in dist.probabilities.items():
+            assert abs(p - kind.word_probability(model, word)) < 1e-14
+        words = [w for n in range(3) for w in itertools.product(model.alphabet, repeat=n)]
+        block = hankel_block(model, words, words)
+        for i, u in enumerate(words):
+            for j, v in enumerate(words):
+                assert abs(block.matrix[i, j] - kind.word_probability(model, v + u)) < 1e-14
+
+
+def test_linear_representation_rejects_other_types():
+    with pytest.raises(TypeError, match="unsupported model type"):
+        linear_representation(object())
 
 
 def test_enumerate_cluster_length2_uniform():
@@ -181,6 +244,19 @@ def test_sample_trajectory_cluster_frequency():
     model = cluster.cluster_kraus(cluster.MeasurementBasis(math.pi / 4, 0.0))
     seq = sample_trajectory(model, 10**5, seed=9)
     assert abs(seq.count("0") / 1e5 - 0.5) < 0.01
+
+
+def test_sampled_pairs_match_enumeration_mps_readout():
+    # a d = 3 readout whose conditional states carry coherences, unlike the
+    # bundled d >= 3 models
+    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(21), 3, 2))
+    n = 20_000
+    seq = sample_trajectory(model, n + 1, seed=4)
+    counts = Counter(zip(seq, seq[1:]))
+    stationary = enumerate_distribution(model, 2, initial=quantum.steady_state(model)[0])
+    for word, p in stationary.probabilities.items():
+        # 6 binomial sigmas leave room for the correlation of neighbouring pairs
+        assert abs(counts[word] / n - p) <= 6.0 * math.sqrt(p * (1.0 - p) / n), word
 
 
 @pytest.mark.parametrize("name", modelfile.BUNDLED_MODELS)

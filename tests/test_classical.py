@@ -97,6 +97,16 @@ def test_word_probability_explicit_initial(even):
     assert word_probability(even, "0", initial=[0.0, 1.0]) == 0.0
 
 
+def test_word_probability_negative_beyond_noise_raises(even):
+    # a negative initial weight makes P(0) = -0.5 under T_0 = diag(0.5, 0)
+    with pytest.raises(ValueError, match="negative beyond numerical noise"):
+        word_probability(even, "0", initial=[-1.0, 0.0])
+
+
+def test_word_probability_tiny_negative_clamps_to_zero(even):
+    assert word_probability(even, "0", initial=[-1e-12, 1.0]) == 0.0
+
+
 def test_is_deterministic(even, four_state):
     assert is_deterministic(even) == (True, None)
     assert is_deterministic(four_state) == (True, None)

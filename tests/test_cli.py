@@ -249,3 +249,32 @@ def test_vn_model_through_cli(paths):
     code, out, _ = run(["wordprob", paths["even_process_vn"], "010"])
     assert code == 0
     assert out.strip() == "0.000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "{even_process}", "-n", "-1"],
+        ["entropy", "{even_process}", "-n", "-1"],
+        ["cluster", "--phi", "0.4", "--xi", "1.1", "dist", "-n", "-1"],
+        ["sample", "{even_process}", "-n", "-5", "--seed", "1"],
+        ["wordprob", "{even_process}", "0", "--initial", "1,nan"],
+        ["wordprob", "{even_process}", "0", "--initial", "1,inf"],
+    ],
+)
+def test_bad_counts_and_weights_are_usage_errors(paths, argv):
+    code, out, err = run([a.format(**paths) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--phi-steps", "--xi-steps"])
+def test_scan_entropy_rejects_empty_grid(tmp_path, flag):
+    csv = tmp_path / "scan.csv"
+    argv = ["scan-entropy", "--phi-steps", "3", "--xi-steps", "3", "-o", str(csv)]
+    argv[argv.index(flag) + 1] = "0"
+    code, out, err = run(argv)
+    assert code == 2
+    assert err.startswith(f"error: {flag} must be at least 1")
+    assert not csv.exists()

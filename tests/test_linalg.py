@@ -6,12 +6,12 @@ from numpy.testing import assert_allclose
 
 from hqmm import cluster, quantum
 from hqmm.linalg import (
-    apply_kraus,
     check_density_matrix,
     check_projector_set,
     check_prob_vector,
+    check_unitary,
     fixed_point,
-    matmul,
+    hermitian_basis,
     numerical_rank,
     transfer_matrix,
     unvec,
@@ -20,33 +20,13 @@ from hqmm.linalg import (
 
 from conftest import random_density, random_unitary
 
-Z = np.diag([1.0, -1.0]).astype(complex)
 
-# projectors and unitary of the three-state even-language generator
-P0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-P1 = np.diag([0.0, 1.0, 1.0]).astype(complex)
-S = 1 / math.sqrt(2)
-U3 = np.array([[S, 0, -S], [S, 0, S], [0, -1, 0]], dtype=complex)
-
-
-def test_matmul_identity():
-    a = np.arange(6, dtype=complex).reshape(2, 3)
-    assert_allclose(matmul(np.eye(2), a), a)
-
-
-def test_matmul_projector_times_unitary():
-    t0 = matmul(P0, U3)
-    assert_allclose(t0[0], [S, 0, -S], atol=1e-15)
-    assert_allclose(t0[1:], 0, atol=1e-15)
-
-
-def test_matmul_involution():
-    assert_allclose(matmul(Z, Z), np.eye(2))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.eye(2), np.eye(3))
+def apply_kraus(kraus, rho):
+    """Operator-sum application through ``quantum.apply_symbol`` on a
+    one-symbol model whose operation is ``kraus``."""
+    d = np.asarray(kraus[0]).shape[0]
+    model = quantum.HqmmModel(alphabet=("x",), dim=d, operations={"x": list(kraus)})
+    return quantum.apply_symbol(model, "x", rho)
 
 
 def test_apply_kraus_identity_channel():
@@ -82,6 +62,28 @@ def test_apply_kraus_trace_preserving_conserves_trace():
         out = apply_kraus(kraus, rho)
         assert abs(np.trace(out).real - 1.0) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermitian_basis_is_unitary_with_real_coordinates(d):
+    rng = np.random.default_rng(d)
+    c = hermitian_basis(d)
+    assert_allclose(c @ c.conj().T, np.eye(d * d), atol=1e-15)
+    rho = random_density(rng, d)
+    x = c @ vec(rho)
+    assert np.max(np.abs(x.imag)) < 1e-15
+    assert_allclose(x[:d].real, np.diag(rho).real, atol=1e-15)
+    assert_allclose(unvec(c.conj().T @ x.real), rho, atol=1e-15)
+    u = random_unitary(rng, d)
+    real = c @ transfer_matrix([u]) @ c.conj().T
+    assert np.max(np.abs(real.imag)) < 1e-14
+
+
+def test_check_unitary():
+    rng = np.random.default_rng(7)
+    assert check_unitary(random_unitary(rng, 3)) == []
+    (v,) = check_unitary(np.diag([1.0, 0.5]).astype(complex))
+    assert v.check == "unitary"
 
 
 def test_transfer_matrix_identity():

@@ -178,3 +178,31 @@ def test_roundtrip_with_prior_and_metadata():
     again = parse_model(serialize_model(m))
     assert np.array_equal(again.prior, m.prior)
     assert again.metadata == {"name": "coin"}
+
+
+def _integer_field_docs():
+    hqmm = {
+        "kind": "hqmm",
+        "alphabet": ["0"],
+        "dimension": 1,
+        "operations": {"0": [[[1.0]]]},
+    }
+    mps = {
+        "kind": "mps",
+        "alphabet": ["0", "1"],
+        "bond_dimension": 1,
+        "physical_dimension": 2,
+        "tensors": [[[1.0]], [[0.0]]],
+        "projectors": {"0": [[1.0, 0.0], [0.0, 0.0]], "1": [[0.0, 0.0], [0.0, 1.0]]},
+    }
+    return {"dimension": hqmm, "bond_dimension": mps, "physical_dimension": mps}
+
+
+@pytest.mark.parametrize("field", ["dimension", "bond_dimension", "physical_dimension"])
+@pytest.mark.parametrize("value", [2.7, 1.0, True, "1", 0])
+def test_parse_rejects_non_integer_dimension(field, value):
+    doc = dict(_integer_field_docs()[field])
+    parse_model(json.dumps(doc))  # the unmodified document is valid
+    doc[field] = value
+    with pytest.raises(ModelFileError, match=f"^{field}: expected a positive integer"):
+        parse_model(json.dumps(doc))

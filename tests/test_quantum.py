@@ -129,6 +129,13 @@ def test_word_probability_empty_word(four_symbol):
     assert word_probability(four_symbol, ()) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_word_probability_negative_initial(four_symbol):
+    # tr[K_0 rho] = rho_00 / 2 for K_0 = |0><0| / sqrt(2)
+    with pytest.raises(ValueError, match="negative beyond numerical noise"):
+        word_probability(four_symbol, "0", initial=np.diag([-1.0, 2.0]))
+    assert word_probability(four_symbol, "0", initial=np.diag([-1e-12, 1.0])) == 0.0
+
+
 def test_vn_generator_even_language(even, even_vn):
     model = even_vn.to_hqmm()
     assert model.dim == 3

@@ -94,9 +94,9 @@ def cluster_preset(phi: float, xi: float, name: str) -> quantum.HqmmModel:
     )
 
 
-def main() -> None:
-    DATA.mkdir(parents=True, exist_ok=True)
-    models = {
+def bundled_models() -> dict:
+    """Every bundled model, keyed by its file name without ``.json``."""
+    return {
         "even_process": even_process(),
         "even_process_vn": even_process_vn(),
         "four_state": four_state(),
@@ -104,7 +104,11 @@ def main() -> None:
         "cluster_phi_pi4": cluster_preset(math.pi / 4, 0.0, "cluster readout, phi=pi/4 xi=0"),
         "cluster_phi_pi8": cluster_preset(math.pi / 8, 0.0, "cluster readout, phi=pi/8 xi=0"),
     }
-    for name, model in models.items():
+
+
+def main() -> None:
+    DATA.mkdir(parents=True, exist_ok=True)
+    for name, model in bundled_models().items():
         path = DATA / f"{name}.json"
         path.write_text(modelfile.serialize_model(model))
         reparsed = modelfile.parse_model(path.read_text())
