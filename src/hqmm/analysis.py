@@ -9,10 +9,13 @@ sampling all run. Block entropy works on the resulting distributions.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,6 +29,12 @@ ENUMERATION_BUDGET = 10**7
 Word = tuple[str, ...]
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite entries in the {what}")
+    return a
+
+
 def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Real ``(A, v0, d)`` with ``P(s_1 ... s_n) = <1| A_{s_n} ... A_{s_1} v0``.
 
@@ -34,11 +43,15 @@ def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, 
     ``T_s`` and resolved initial distribution (``D = d``). A quantum model
     gives its operations in the real Hermitian basis of
     ``linalg.hermitian_basis`` (``D = d^2``), whose first ``d`` coordinates
-    are the diagonal, so ``<1|`` is the trace.
+    are the diagonal, so ``<1|`` is the trace. Raises ``ValueError`` when
+    any entry of ``A`` or ``v0`` is not finite.
     """
     if isinstance(model, HmmModel):
-        mats = np.stack([model.transitions[s] for s in model.alphabet])
-        return mats, classical.resolve_initial(model, initial), model.n_states
+        mats = _finite(
+            np.stack([model.transitions[s] for s in model.alphabet]), "transition matrices"
+        )
+        v0 = classical.resolve_initial(model, initial)
+        return mats, _finite(v0, "initial distribution"), model.n_states
     if isinstance(model, HqmmModel):
         d = model.dim
         c = hermitian_basis(d)
@@ -51,7 +64,7 @@ def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, 
             ]
         )
         v0 = (c @ vec(quantum.resolve_initial(model, initial))).real
-        return mats, v0, d
+        return _finite(mats, "operation matrices"), _finite(v0, "initial state"), d
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -209,122 +222,101 @@ class Xorshift64Star:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def _draw(masses: Sequence[float], rng: Xorshift64Star) -> int:
-    """Index drawn from clamped, renormalized per-step masses."""
-    total = 0.0
-    for w in masses:
-        if w > 0.0:
-            total += w
-    if total <= 0.0:
-        raise ValueError("all next-symbol probabilities vanished while sampling")
-    u = rng.next_float() * total
-    acc = 0.0
-    choice = -1
-    for k, w in enumerate(masses):
-        if w > 0.0:
-            acc += w
-            choice = k
-            if u < acc:
-                break
-    return choice
-
-
 _STATE_CACHE_CAP = 1 << 16
+_STATEMENT_TERMS = 256
+_FUNCTION_TERMS = 4096
 
 
-def _sample_loop(length, rng, alphabet, key0, masses_of, next_of) -> list[str]:
-    """Shared sampling loop over hashable state keys.
+def _define(params, lines, result):
+    """Compile ``def f(*params): <lines>; return <result>``."""
+    namespace: dict = {}
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def f({', '.join(params)}):\n{body}    return {result}\n", namespace)
+    return namespace["f"]
 
-    The per-step masses and conditional successors are pure functions of the
-    state, so they are memoized on the exact state value; models whose
-    conditional states form a finite set (the usual case for the bundled
-    models) then run in amortized constant time per step. The cache is
-    size-capped; overflow just recomputes.
+
+def _compile(rows, params, tail=""):
+    """Straight-line function of ``params`` returning ``(row . x)tail`` per row.
+
+    ``x`` is the first ``len(row)`` parameters. Each sum runs left to right
+    over the row's nonzero entries: ``repr`` round-trips every float, and an
+    exact-zero term changes at most the sign of a zero sum, so the result
+    rounds exactly like the plain loop over all terms. Long sums continue in
+    further statements (``y = y + ...``, still left to right) and long row
+    lists in further functions, which bounds the compiler's recursion depth
+    and memory for large D; a small model compiles to a single function.
     """
-    cache: dict = {}
-    key = key0
-    out: list[str] = []
-    for _ in range(length):
-        entry = cache.get(key)
-        if entry is None:
-            entry = (masses_of(key), {})
-            if len(cache) < _STATE_CACHE_CAP:
-                cache[key] = entry
-        masses, nexts = entry
-        k = _draw(masses, rng)
-        nxt = nexts.get(k)
-        if nxt is None:
-            nxt = next_of(key, k, masses[k])
-            nexts[k] = nxt
-        key = nxt
-        out.append(alphabet[k])
-    return out
+    funcs, lines, outs, size = [], [], [], 0
+    for i, row in enumerate(rows):
+        terms = [f"{c!r}*{x}" for c, x in zip(row, params) if c != 0.0] or ["0.0"]
+        if outs and size + len(terms) > _FUNCTION_TERMS:
+            funcs.append(_define(params, lines, f"({''.join(outs)})"))
+            lines, outs, size = [], [], 0
+        lines += [
+            f"y{i} = {f'y{i} + ' if k else ''}{' + '.join(terms[k:k + _STATEMENT_TERMS])}"
+            for k in range(0, len(terms), _STATEMENT_TERMS)
+        ]
+        outs.append(f"y{i}{tail}, ")
+        size += len(terms)
+    funcs.append(_define(params, lines, f"({''.join(outs)})"))
+    if len(funcs) == 1:
+        return funcs[0]
+    return lambda *a: tuple(itertools.chain.from_iterable(f(*a) for f in funcs))
 
 
-def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
-    # plain-Python state tuples: the matrices are tiny and call overhead
-    # dominates numpy at this size
-    rows = [[list(map(float, row)) for row in a] for a in mats]
-    units = [[sum(a[i][j] for i in range(d)) for j in range(len(a))] for a in rows]
-    rng_n = range(len(v0))
-
-    def masses_of(v):
-        return [sum(u[j] * v[j] for j in rng_n) for u in units]
-
-    def next_of(v, k, mass):
-        t = rows[k]
-        return tuple(sum(t[i][j] * v[j] for j in rng_n) / mass for i in rng_n)
-
-    return _sample_loop(
-        length, rng, alphabet, tuple(float(x) for x in v0), masses_of, next_of
+def _running_sums(n: int):
+    """Straight-line ``(w_0, ..., w_{n-1}) -> [c_0, ..., c_{n-1}]`` with
+    ``c_k = max(w_0, 0) + ... + max(w_k, 0)`` summed left to right, so that
+    the first ``c_k`` beyond ``u * c_{n-1}`` draws symbol ``k``."""
+    lines = ["c0 = y0 if y0 > 0.0 else 0.0"] + [
+        f"c{k} = c{k - 1} + y{k} if y{k} > 0.0 else c{k - 1}" for k in range(1, n)
+    ]
+    return _define(
+        [f"y{k}" for k in range(n)], lines, f"[{', '.join(f'c{k}' for k in range(n))}]"
     )
 
 
-def _sample_hqmm2(model: HqmmModel, length, rng, rho0, alphabet) -> list[str]:
-    # unrolled qubit case; the cluster models have aperiodic conditional
-    # orbits, so the miss path is the hot path
-    ops = [
-        [
-            (complex(k[0, 0]), complex(k[0, 1]), complex(k[1, 0]), complex(k[1, 1]))
-            for k in model._stacks[s]
-        ]
-        for s in alphabet
-    ]
-    conj_ops = [[tuple(x.conjugate() for x in k) for k in sym] for sym in ops]
-    grams = [
-        (complex(g[0, 0]), complex(g[0, 1]), complex(g[1, 0]), complex(g[1, 1]))
-        for g in (model._grams[s] for s in alphabet)
-    ]
+def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
+    """Iterated conditional update ``v -> A_s v / <1| A_s v`` on plain floats.
 
-    def masses_of(key):
-        r00, r01, r10, r11 = key
-        return [
-            (g00 * r00 + g01 * r10 + g10 * r01 + g11 * r11).real
-            for g00, g01, g10, g11 in grams
-        ]
-
-    def next_of(key, k, mass):
-        r00, r01, r10, r11 = key
-        s00 = s01 = s10 = s11 = 0j
-        for (k00, k01, k10, k11), (c00, c01, c10, c11) in zip(ops[k], conj_ops[k]):
-            a00 = k00 * r00 + k01 * r10
-            a01 = k00 * r01 + k01 * r11
-            a10 = k10 * r00 + k11 * r10
-            a11 = k10 * r01 + k11 * r11
-            s00 += a00 * c00 + a01 * c01
-            s01 += a00 * c10 + a01 * c11
-            s10 += a10 * c00 + a11 * c01
-            s11 += a10 * c10 + a11 * c11
-        scale = 2.0 * mass
-        return (
-            (s00 + s00.conjugate()) / scale,
-            (s01 + s10.conjugate()) / scale,
-            (s10 + s01.conjugate()) / scale,
-            (s11 + s11.conjugate()) / scale,
-        )
-
-    key0 = tuple(complex(x) for x in np.asarray(rho0, dtype=complex).ravel())
-    return _sample_loop(length, rng, alphabet, key0, masses_of, next_of)
+    The matrices are compiled once into straight-line functions: one for all
+    symbol masses ``<1| A_s v`` and one per symbol for its successor.
+    Masses, their clamped running sums and the successors are pure functions
+    of the state, so they are memoized on the exact state tuple; models whose
+    conditional states form a finite set then run in amortized constant time
+    per step. The cache is size-capped; overflow just recomputes.
+    """
+    names = [f"x{j}" for j in range(len(v0))]
+    # reduce, not sum(): from Python 3.12 sum() of floats is compensated
+    units = [[functools.reduce(operator.add, col) for col in a[:d].T.tolist()] for a in mats]
+    masses_of = _compile(units, names)
+    successors = [_compile(a.tolist(), names + ["m"], " / m") for a in mats]
+    sums_of = _running_sums(len(mats))
+    next_float = rng.next_float
+    cache: dict = {}
+    v = tuple(v0.tolist())
+    out: list[str] = []
+    for _ in range(length):
+        entry = cache.get(v)
+        if entry is None:
+            masses = masses_of(*v)
+            sums = sums_of(*masses)
+            if sums[-1] <= 0.0:
+                raise ValueError("all next-symbol probabilities vanished while sampling")
+            entry = (masses, sums, [None] * len(masses))
+            if len(cache) < _STATE_CACHE_CAP:
+                cache[v] = entry
+        masses, sums, nexts = entry
+        k = bisect.bisect_right(sums, next_float() * sums[-1])
+        if k == len(sums):
+            # u * total rounded up to total: take the last symbol with mass
+            k = max(i for i, w in enumerate(masses) if w > 0.0)
+        nxt = nexts[k]
+        if nxt is None:
+            nxt = nexts[k] = successors[k](*v, masses[k])
+        v = nxt
+        out.append(alphabet[k])
+    return out
 
 
 def sample_trajectory(
@@ -332,18 +324,14 @@ def sample_trajectory(
 ) -> list[str]:
     """Draw a symbol sequence by iterated conditional update.
 
-    Deterministic given (model, length, seed); the generator is the
-    documented xorshift64* shift register, so sequences are reproducible.
-    Per-step probabilities are clamped at zero and renormalized before
-    drawing, so round-off noise cannot produce invalid draws.
+    Every model runs the same memoized loop on its real linear
+    representation (see ``linear_representation``). Deterministic given
+    (model, length, seed); the generator is the documented xorshift64* shift
+    register, so sequences are reproducible. Per-step probabilities are
+    clamped at zero and renormalized before drawing, so round-off noise
+    cannot produce invalid draws.
     """
     if length < 0:
         raise ValueError(f"trajectory length must be nonnegative, got {length}")
-    alphabet = tuple(model.alphabet)
-    rng = Xorshift64Star(seed)
-    if isinstance(model, HqmmModel) and model.dim == 2:
-        # unrolled qubit kernel: half the time of the 4 x 4 real loop on the cluster miss path
-        rho0 = quantum.resolve_initial(model, initial)
-        return _sample_hqmm2(model, length, rng, rho0, alphabet)
     mats, v0, d = linear_representation(model, initial)
-    return _sample_linear(mats, v0, d, length, rng, alphabet)
+    return _sample_linear(mats, v0, d, length, Xorshift64Star(seed), tuple(model.alphabet))

@@ -68,6 +68,11 @@ def _integer(x, path: str) -> int:
     return x
 
 
+def _check_dimension(dim: int, size: int):
+    if dim != size:
+        _fail("dimension", f"{dim} does not match the {size} x {size} matrices")
+
+
 def _matrix(rows, path: str, real_only: bool = False) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         _fail(path, "expected a non-empty array of rows")
@@ -128,6 +133,7 @@ def parse_model(text: str, validate: bool = True):
     alphabet = _alphabet(doc)
     try:
         if kind == "hmm":
+            dim = _integer(_get(doc, "dimension", ""), "dimension")
             model = HmmModel(
                 alphabet=alphabet,
                 transitions=_symbol_matrices(doc, "transitions", alphabet, real_only=True),
@@ -136,6 +142,7 @@ def parse_model(text: str, validate: bool = True):
                 ),
                 metadata=_metadata(doc),
             )
+            _check_dimension(dim, model.n_states)
             problems = classical.validate_hmm(model) if validate else []
         elif kind == "hqmm":
             dim = _integer(_get(doc, "dimension", ""), "dimension")
@@ -164,6 +171,7 @@ def parse_model(text: str, validate: bool = True):
             )
             problems = quantum.validate_hqmm(model) if validate else []
         elif kind == "vn":
+            dim = _integer(_get(doc, "dimension", ""), "dimension")
             model = VnModel(
                 alphabet=alphabet,
                 projectors=_symbol_matrices(doc, "projectors", alphabet),
@@ -175,6 +183,7 @@ def parse_model(text: str, validate: bool = True):
                 ),
                 metadata=_metadata(doc),
             )
+            _check_dimension(dim, model.dim)
             problems = quantum.validate_vn(model) if validate else []
         else:
             bond = _integer(_get(doc, "bond_dimension", ""), "bond_dimension")

@@ -85,6 +85,8 @@ def apply_symbol(m: HqmmModel, symbol: str, rho: np.ndarray) -> np.ndarray:
     """Unnormalized operation output ``sum_i K_i(s) rho K_i(s)^dagger``."""
     if symbol not in m._stacks:
         raise ValueError(f"unknown symbol {symbol!r}; alphabet is {m.alphabet}")
+    if np.shape(rho) != (m.dim, m.dim):
+        raise ValueError(f"state must have shape ({m.dim}, {m.dim}), got {np.shape(rho)}")
     ks = m._stacks[symbol]
     if ks.shape[0] == 0:
         return np.zeros((m.dim, m.dim), dtype=complex)

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hqmm import classical, cluster, modelfile, mps, quantum
+from hqmm import analysis, classical, cluster, modelfile, mps, quantum
 from hqmm.analysis import (
     Xorshift64Star,
     block_entropy,
@@ -244,6 +244,126 @@ def test_sample_trajectory_cluster_frequency():
     model = cluster.cluster_kraus(cluster.MeasurementBasis(math.pi / 4, 0.0))
     seq = sample_trajectory(model, 10**5, seed=9)
     assert abs(seq.count("0") / 1e5 - 0.5) < 0.01
+
+
+def test_sample_vanished_mass(even):
+    with pytest.raises(ValueError, match="all next-symbol probabilities vanished"):
+        sample_trajectory(even, 5, seed=1, initial=[0.0, 0.0])
+
+
+def test_non_finite_model_is_named_error(even):
+    bad = dict(even.transitions)
+    bad["0"] = bad["0"].copy()
+    bad["0"][0, 0] = math.nan
+    model = HmmModel(alphabet=even.alphabet, transitions=bad, prior=[0.5, 0.5])
+    with pytest.raises(ValueError, match="non-finite entries in the transition matrices"):
+        sample_trajectory(model, 5, seed=1, initial=[0.5, 0.5])
+    with pytest.raises(ValueError, match="non-finite entries in the transition matrices"):
+        enumerate_distribution(model, 2, initial=[0.5, 0.5])
+    with pytest.raises(ValueError, match="non-finite entries in the transition matrices"):
+        hankel_block(model)
+    with pytest.raises(ValueError, match="non-finite entries in the initial distribution"):
+        sample_trajectory(even, 5, seed=1, initial=[math.inf, 0.0])
+
+
+def _plain_dot(row, v):
+    total = 0.0
+    for c, x in zip(row, v):
+        total += c * x
+    return total
+
+
+def test_compiled_sums_round_like_plain_loop():
+    # 600-term rows continue over several statements and 12 of them span
+    # several functions; entries span 20 decades and a third are exact zeros
+    rng = np.random.default_rng(3)
+    shape = (12, 600)
+    rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-20, 0, shape)
+    rows *= rng.random(shape) < 0.67
+    rows[5] = 0.0
+    v = rng.normal(size=600).tolist()
+    names = [f"x{j}" for j in range(600)]
+    f = analysis._compile(rows.tolist(), names + ["m"], " / m")
+    assert f(*v, 3.0) == tuple(_plain_dot(row, v) / 3.0 for row in rows.tolist())
+
+
+def _plain_sample(model, length, seed, initial=None):
+    """Uncached per-step loop with the clamped, renormalized draw that
+    ``sample_trajectory`` must reproduce bit for bit."""
+    mats, v0, d = linear_representation(model, initial)
+    rows = mats.tolist()
+    units = [[_plain_dot([1.0] * d, col) for col in a[:d].T.tolist()] for a in mats]
+    rng = Xorshift64Star(seed)
+    v = v0.tolist()
+    out = []
+    for _ in range(length):
+        masses = [_plain_dot(u, v) for u in units]
+        total = 0.0
+        for w in masses:
+            if w > 0.0:
+                total += w
+        u = rng.next_float() * total
+        acc = 0.0
+        for k, w in enumerate(masses):
+            if w > 0.0:
+                acc += w
+                choice = k
+                if u < acc:
+                    break
+        v = [_plain_dot(row, v) / masses[choice] for row in rows[choice]]
+        out.append(model.alphabet[choice])
+    return out
+
+
+def test_sampler_matches_plain_loop():
+    rng = np.random.default_rng(8)
+    # exact zeros drop out of the compiled sums; the matrices no longer sum
+    # to a stochastic one, so this model starts from an explicit state
+    sparse = random_hmm(rng, 5, 3)
+    for s in sparse.alphabet:
+        sparse.transitions[s][rng.random((5, 5)) < 0.4] = 0.0
+    models = [
+        sparse,
+        mps.mps_to_hqmm(random_mps(rng, 3, 2)),
+        # D = 81: 6561 terms per symbol compile to more than one function
+        mps.mps_to_hqmm(random_mps(rng, 9, 2)),
+    ]
+    for seed, model in enumerate(models, start=1):
+        initial = np.full(5, 0.2) if isinstance(model, HmmModel) else model.initial
+        expected = _plain_sample(model, 1500, seed, initial)
+        assert sample_trajectory(model, 1500, seed, initial) == expected
+
+
+def test_draw_at_rounded_up_total_takes_last_symbol_with_mass():
+    # with a subnormal total of two units, u * total rounds up to the total
+    # whenever u >= 0.75; the draw then takes the last symbol with mass, not
+    # the massless last symbol
+    coin = HmmModel(
+        alphabet=("a", "b", "c"),
+        transitions={"a": [[0.5]], "b": [[0.5]], "c": [[0.0]]},
+    )
+    seeds = range(1, 41)
+    assert any(Xorshift64Star(seed).next_float() >= 0.75 for seed in seeds)
+    draws = [sample_trajectory(coin, 1, seed, initial=[1e-323])[0] for seed in seeds]
+    assert draws == [_plain_sample(coin, 1, seed, [1e-323])[0] for seed in seeds]
+    assert set(draws) == {"a", "b"}
+
+
+def test_negative_masses_are_clamped():
+    # from the quasi-distribution (1.5, -0.5) symbol b has mass -0.5: it is
+    # never drawn, and a and c split the clamped total 1.5 evenly
+    model = HmmModel(
+        alphabet=("a", "b", "c"),
+        transitions={
+            "a": [[0.5, 0.0], [0.0, 0.0]],
+            "b": [[0.0, 0.0], [0.0, 1.0]],
+            "c": [[0.5, 0.0], [0.0, 0.0]],
+        },
+    )
+    seeds = range(1, 41)
+    draws = [sample_trajectory(model, 1, seed, initial=[1.5, -0.5])[0] for seed in seeds]
+    assert draws == [_plain_sample(model, 1, seed, [1.5, -0.5])[0] for seed in seeds]
+    assert set(draws) == {"a", "c"}
 
 
 def test_sampled_pairs_match_enumeration_mps_readout():

@@ -111,6 +111,16 @@ def test_validate_reports_problems(tmp_path):
     assert "column-stochastic" in err
 
 
+def test_dimension_mismatch_is_model_error(tmp_path):
+    doc = json.loads(modelfile.serialize_model(modelfile.load_bundled("even_process")))
+    doc["dimension"] = 3
+    p = tmp_path / "mismatch.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(["sample", str(p), "-n", "5", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: dimension: 3 does not match the 2 x 2 matrices\n"
+
+
 def test_missing_file_is_usage_error():
     code, _, err = run(["steady", "/nonexistent/model.json"])
     assert code == 2

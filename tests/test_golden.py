@@ -1,8 +1,8 @@
 """Golden sampled sequences.
 
 sha256 of ``" ".join(sample_trajectory(model, 10_000, seed))`` for every
-bundled model and the diagonal embedding of ``four_state`` (d = 4, the
-generic sampler path with many Kraus operators), seeds 1-3. The sampled
+bundled model and the diagonal embedding of ``four_state`` (d = 4, with
+many Kraus operators), seeds 1-3. The sampled
 sequences are part of the package's reproducibility contract, so any change
 to the samplers must reproduce them bit for bit.
 """
@@ -67,3 +67,11 @@ def _model(name):
 def test_golden_sequence(name, seed):
     seq = analysis.sample_trajectory(_model(name), STEPS, seed)
     assert hashlib.sha256(" ".join(seq).encode()).hexdigest() == GOLDEN[name][seed]
+
+
+def test_golden_sequences_survive_cache_overflow(monkeypatch):
+    # past the cap, states are recomputed instead of cached; output must not change
+    monkeypatch.setattr(analysis, "_STATE_CACHE_CAP", 8)
+    for name in ("cluster_phi_pi8", "four_state"):
+        seq = analysis.sample_trajectory(_model(name), STEPS, 1)
+        assert hashlib.sha256(" ".join(seq).encode()).hexdigest() == GOLDEN[name][1]

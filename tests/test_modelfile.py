@@ -181,11 +181,26 @@ def test_roundtrip_with_prior_and_metadata():
 
 
 def _integer_field_docs():
+    """Valid documents keyed by test id: a field name, with a ``kind:``
+    prefix where the field's default document is of another kind."""
+    hmm = {
+        "kind": "hmm",
+        "alphabet": ["0"],
+        "dimension": 1,
+        "transitions": {"0": [[1.0]]},
+    }
     hqmm = {
         "kind": "hqmm",
         "alphabet": ["0"],
         "dimension": 1,
         "operations": {"0": [[[1.0]]]},
+    }
+    vn = {
+        "kind": "vn",
+        "alphabet": ["0"],
+        "dimension": 1,
+        "projectors": {"0": [[1.0]]},
+        "unitary": [[1.0]],
     }
     mps = {
         "kind": "mps",
@@ -195,14 +210,31 @@ def _integer_field_docs():
         "tensors": [[[1.0]], [[0.0]]],
         "projectors": {"0": [[1.0, 0.0], [0.0, 0.0]], "1": [[0.0, 0.0], [0.0, 1.0]]},
     }
-    return {"dimension": hqmm, "bond_dimension": mps, "physical_dimension": mps}
+    return {
+        "dimension": hqmm,
+        "bond_dimension": mps,
+        "physical_dimension": mps,
+        "hmm:dimension": hmm,
+        "vn:dimension": vn,
+    }
 
 
-@pytest.mark.parametrize("field", ["dimension", "bond_dimension", "physical_dimension"])
+@pytest.mark.parametrize(
+    "field",
+    ["dimension", "bond_dimension", "physical_dimension", "hmm:dimension", "vn:dimension"],
+)
 @pytest.mark.parametrize("value", [2.7, 1.0, True, "1", 0])
 def test_parse_rejects_non_integer_dimension(field, value):
     doc = dict(_integer_field_docs()[field])
     parse_model(json.dumps(doc))  # the unmodified document is valid
-    doc[field] = value
-    with pytest.raises(ModelFileError, match=f"^{field}: expected a positive integer"):
+    key = field.split(":")[-1]
+    doc[key] = value
+    with pytest.raises(ModelFileError, match=f"^{key}: expected a positive integer"):
+        parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["hmm", "vn"])
+def test_parse_rejects_dimension_mismatch(kind):
+    doc = dict(_integer_field_docs()[f"{kind}:dimension"], dimension=5)
+    with pytest.raises(ModelFileError, match=r"^dimension: 5 does not match the 1 x 1 matrices"):
         parse_model(json.dumps(doc))

@@ -112,6 +112,13 @@ def test_conditional_update_impossible_outcome(four_symbol):
         conditional_update(four_symbol, "1", up)
 
 
+def test_wrong_state_shape_is_named_error(four_symbol):
+    rho = np.eye(3) / 3
+    for fn in (symbol_probability, conditional_update):
+        with pytest.raises(ValueError, match=r"state must have shape \(2, 2\), got \(3, 3\)"):
+            fn(four_symbol, "0", rho)
+
+
 def test_word_probability_cluster_length2_uniform():
     model = cluster.cluster_kraus(cluster.MeasurementBasis(1.1, 0.4))
     rho = np.eye(2) / 2
