@@ -4,7 +4,12 @@ Classical Mealy-form hidden Markov models, hidden quantum Markov models
 built from symbol-keyed quantum operations, conversions between the two,
 sequential readout of 1D cluster states and of translationally invariant
 matrix product states, and Hankel-rank lower bounds on hidden-state counts.
+
+The package logs to the ``hqmm`` logger, which has only a ``NullHandler``:
+nothing is printed unless the application configures logging.
 """
+
+import logging
 
 from .analysis import (
     HankelBlock,
@@ -46,6 +51,8 @@ from .quantum import (
     validate_hqmm,
     vn_generator,
 )
+
+logging.getLogger("hqmm").addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"
 

@@ -24,7 +24,10 @@ from .classical import HmmModel
 from .linalg import hermitian_basis, numerical_rank, transfer_matrix, vec
 from .quantum import HqmmModel
 
-ENUMERATION_BUDGET = 10**7
+ENUMERATION_BUDGET_BYTES = 2 * 2**30
+# per word, beyond its states: the clipped probability in the array and in
+# the list, its key tuple's header, and its slots in the result dict
+_WORD_ENTRY_BYTES = 200
 
 Word = tuple[str, ...]
 
@@ -89,6 +92,18 @@ class WordDistribution:
         return WordDistribution(self.length - 1, self.alphabet, probs)
 
 
+def _enumeration_bytes(k: int, n: int, dim: int) -> int:
+    """Peak memory estimate, in bytes, of a length-``n`` enumeration over
+    ``k`` symbols of a representation with ``dim`` real coordinates.
+
+    It counts the last level of states and the ``einsum`` output built from
+    it (``8 dim`` bytes per prefix and per word), and per word the entry of
+    the result (``_WORD_ENTRY_BYTES`` plus 8 bytes per symbol of its key).
+    """
+    words = k**n
+    return 8 * dim * (words + words // k) + words * (_WORD_ENTRY_BYTES + 8 * n)
+
+
 def enumerate_distribution(model, n: int, initial=None) -> WordDistribution:
     """All length-n word probabilities, evaluated level by level.
 
@@ -96,17 +111,20 @@ def enumerate_distribution(model, n: int, initial=None) -> WordDistribution:
     ``itertools.product`` order, and one batched product per level extends
     every prefix by every symbol, so the whole table costs one matrix-vector
     product per prefix-tree node. Probabilities are clamped to [0, 1].
-    Refuses alphabets/lengths beyond ``ENUMERATION_BUDGET`` words.
+    Refuses tables whose memory estimate (``_enumeration_bytes``) exceeds
+    ``ENUMERATION_BUDGET_BYTES``, before any level is built.
     """
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
     alphabet = model.alphabet
-    if len(alphabet) ** n > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"enumeration of {len(alphabet)}^{n} words exceeds the "
-            f"{ENUMERATION_BUDGET} budget"
-        )
     mats, v0, d = linear_representation(model, initial)
+    need = _enumeration_bytes(len(alphabet), n, v0.size)
+    if need > ENUMERATION_BUDGET_BYTES:
+        raise ValueError(
+            f"enumeration of {len(alphabet)}^{n} words over {v0.size} coordinates "
+            f"needs about {need / 2**30:.3g} GiB, over the "
+            f"{ENUMERATION_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
     states = v0[np.newaxis]
     for _ in range(n):
         states = np.einsum("sij,pj->psi", mats, states).reshape(-1, v0.size)

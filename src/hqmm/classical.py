@@ -111,7 +111,8 @@ def steady_state(m: HmmModel, tols: Tolerances = TOL) -> tuple[np.ndarray, bool]
     """
     t = m.total()
     d = t.shape[0]
-    v, unique = _fixed_vector(t.astype(complex), np.full(d, 1.0 / d, dtype=complex), tols)
+    ones = np.ones(d, dtype=complex)
+    v, unique = _fixed_vector(t.astype(complex), ones, ones / d, tols)
     v = v / v.sum()
     pi = np.clip(v.real, 0.0, None)
     pi = pi / pi.sum()

@@ -10,6 +10,7 @@ validation checks. Vectorization is column-stacking throughout:
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -17,6 +18,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import TOL, Tolerances
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -126,17 +129,18 @@ def hermitian_basis(d: int) -> np.ndarray:
     return c
 
 
-def _fixed_vector(
+def _dense_fixed_vector(
     matrix: np.ndarray, target: np.ndarray, tols: Tolerances
-) -> tuple[np.ndarray, bool]:
-    """Fixed vector of ``matrix`` and whether its fixed space is one-dimensional.
+) -> tuple[np.ndarray, int]:
+    """Fixed vector of ``matrix`` and the dimension of its fixed space.
 
     Eigenvalues within ``tols.eigenvalue_one`` of 1 give the dimension of the
     fixed space. Eigenvectors from a dense eigensolve can lose many digits on
     non-normal maps (the cluster channel's transfer matrix is defective), so
     the fixed directions are taken from the backward-stable SVD of
     ``matrix - I`` instead. A degenerate space is resolved canonically by the
-    orthogonal projection of ``target`` onto it.
+    orthogonal projection of ``target`` onto it. Raises ``ValueError`` when
+    no eigenvalue lies within the window (the map is not trace-preserving).
     """
     evals = np.linalg.eigvals(matrix)
     count = int(np.count_nonzero(np.abs(evals - 1.0) <= tols.eigenvalue_one))
@@ -149,8 +153,79 @@ def _fixed_vector(
     _, _, vh = np.linalg.svd(matrix - np.eye(n))
     basis = vh[n - count :].conj().T
     if count == 1:
-        return basis[:, 0], True
-    return basis @ (basis.conj().T @ target), False
+        return basis[:, 0], count
+    return basis @ (basis.conj().T @ target), count
+
+
+def _certified_fixed_vector(
+    matrix: np.ndarray, unit: np.ndarray, target: np.ndarray, tols: Tolerances
+) -> tuple[np.ndarray, float] | None:
+    """The unique fixed vector with ``unit @ v == 1``, or ``None``.
+
+    With ``A = matrix - I`` and ``unit @ A == 0`` (checked to within
+    ``tols.completeness``), the bordered matrix ``M = A + target unit^T`` has,
+    by Brauer's theorem, the eigenvalue ``unit @ target == 1`` in place of
+    the eigenvalue 0 of ``A`` that ``unit`` belongs to, and ``lambda - 1``
+    for each other eigenvalue ``lambda`` of ``matrix``. Every eigenvalue of
+    ``M`` is at least ``1 / b`` in modulus, with
+    ``b = min(||M^-1||_1, ||M^-1||_inf)``. So ``2 b eigenvalue_one < 1``
+    keeps every other eigenvalue more than twice ``eigenvalue_one`` from 1:
+    exactly one eigenvalue of ``matrix`` lies within ``eigenvalue_one`` of 1,
+    and ``M v = target`` gives its fixed vector. Returns ``(v, b)``, or
+    ``None`` when the map leaks trace, ``M`` is singular or its inverse is
+    too large to settle the count.
+    """
+    n = matrix.shape[0]
+    bordered = matrix - np.eye(n)
+    if np.max(np.abs(unit @ bordered)) > tols.completeness:
+        return None
+    bordered += np.outer(target, unit)
+    try:
+        inv = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(inv)):
+        return None
+    bound = min(np.linalg.norm(inv, 1), np.linalg.norm(inv, np.inf))
+    if 2.0 * bound * tols.eigenvalue_one >= 1.0:
+        return None
+    return inv @ target, float(bound)
+
+
+def _fixed_vector(
+    matrix: np.ndarray, unit: np.ndarray, target: np.ndarray, tols: Tolerances
+) -> tuple[np.ndarray, bool]:
+    """Fixed vector of ``matrix`` and whether its fixed space is one-dimensional.
+
+    ``unit`` is the functional that the map preserves (``vec(I)`` for a
+    channel, all ones for a stochastic matrix) and ``target`` a state with
+    ``unit @ target == 1``. The fixed vector is first sought with the
+    one-inverse certificate of ``_certified_fixed_vector``. A map that it
+    cannot settle (one that leaks trace, has a degenerate or nearly
+    degenerate fixed space, or a singular bordered matrix) falls back to the
+    eigenvalue count and SVD of ``_dense_fixed_vector``, which also resolves
+    a degenerate space by projecting ``target`` onto it, and raises
+    ``ValueError`` when no eigenvalue lies within ``tols.eigenvalue_one``
+    of 1. One DEBUG record on the ``hqmm.linalg`` logger names the path, its
+    inverse-norm bound or fixed-space dimension and the residual
+    ``||L v - v||`` of the unit-norm vector.
+    """
+    certified = _certified_fixed_vector(matrix, unit, target, tols)
+    if certified is not None:
+        v, bound = certified
+        unique = True
+        path = f"certificate, inverse-norm bound {bound:.3e}"
+    else:
+        v, count = _dense_fixed_vector(matrix, target, tols)
+        unique = count == 1
+        path = f"eigen-count, fixed-space dimension {count}"
+    if logger.isEnabledFor(logging.DEBUG):
+        v_unit = v / (np.linalg.norm(v) or 1.0)
+        residual = float(np.linalg.norm(matrix @ v_unit - v_unit))
+        logger.debug(
+            "fixed vector of order %d by %s, residual %.3e", matrix.shape[0], path, residual
+        )
+    return v, unique
 
 
 def fixed_point(
@@ -158,12 +233,15 @@ def fixed_point(
 ) -> tuple[np.ndarray, bool]:
     """Stationary state of a trace-preserving map given its transfer matrix.
 
-    Returns ``(rho_star, unique)``. Eigenvalues within ``tols.eigenvalue_one``
-    of 1 span the fixed-point space; with a one-dimensional space the
-    (trace-normalized, symmetrized) fixed vector is returned with
-    ``unique=True``. A degenerate space is resolved canonically by the
-    orthogonal projection of the maximally mixed state onto it, renormalized,
-    with ``unique=False``.
+    Returns ``(rho_star, unique)``, trace-normalized and symmetrized. A
+    unique fixed point is usually certified by one inverse of the bordered
+    matrix ``L - I + vec(I/d) vec(I)^T``: when its inverse norm rules out a
+    second eigenvalue within ``tols.eigenvalue_one`` of 1, its solution is
+    the stationary state (see ``_certified_fixed_vector``). Otherwise,
+    eigenvalues within that window span the fixed-point space, as counted by
+    a dense eigensolve, and the state comes from an SVD of ``L - I``. A
+    degenerate space is resolved canonically by the orthogonal projection of
+    the maximally mixed state onto it, renormalized, with ``unique=False``.
 
     Raises ``ValueError`` when no eigenvalue lies within the window (the map
     is not trace-preserving).
@@ -173,7 +251,8 @@ def fixed_point(
     d = math.isqrt(n)
     if transfer.shape != (n, n) or d * d != n:
         raise ValueError(f"transfer matrix must be d^2 x d^2, got {transfer.shape}")
-    v, unique = _fixed_vector(transfer, vec(np.eye(d, dtype=complex) / d), tols)
+    unit = vec(np.eye(d, dtype=complex))
+    v, unique = _fixed_vector(transfer, unit, unit / d, tols)
     rho = unvec(v)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:

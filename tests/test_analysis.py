@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -33,6 +34,36 @@ def test_enumerate_length_zero(even):
 def test_enumerate_budget():
     with pytest.raises(ValueError, match="budget"):
         enumerate_distribution(FAIR_COIN, 30)
+
+
+def test_enumerate_budget_counts_representation_size(monkeypatch):
+    """A D = 8 readout has 64 real coordinates. At 2^21 words its table
+    exceeds the budget while a one-coordinate model's table fits, and at 2^23
+    the call is refused before any level is built. A budget shrunk to a small
+    table checks at length 10 that the call site passes the coordinate count."""
+    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(2), 8, 2))
+    budget = analysis.ENUMERATION_BUDGET_BYTES
+    assert analysis._enumeration_bytes(2, 21, 1) <= budget < analysis._enumeration_bytes(2, 21, 64)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_distribution(model, 23)
+    monkeypatch.setattr(
+        analysis, "ENUMERATION_BUDGET_BYTES", 2 * analysis._enumeration_bytes(2, 10, 1)
+    )
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_distribution(model, 10)
+    assert enumerate_distribution(FAIR_COIN, 10).total() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bond_dim, phys_dim, n", [(1, 2, 14), (4, 2, 10), (3, 3, 7)])
+def test_enumeration_bytes_bounds_traced_peak(bond_dim, phys_dim, n):
+    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(bond_dim), bond_dim, phys_dim))
+    tracemalloc.start()
+    try:
+        enumerate_distribution(model, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= analysis._enumeration_bytes(phys_dim, n, bond_dim**2)
 
 
 def test_enumerate_negative_length():

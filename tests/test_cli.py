@@ -1,9 +1,14 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hqmm
 from hqmm import classical, modelfile
 from hqmm.cli import main
 
@@ -142,6 +147,27 @@ def test_steady_cluster(paths):
     code, out, _ = run(["steady", paths["cluster_phi_pi8"]])
     assert code == 0
     assert "0.5" in out
+
+
+STEADY_STDOUT = {
+    "cluster_phi_pi4": "steady state (unique):\n  0.5    0\n    0  0.5\n",
+    "even_process": "steady state (unique):\n0.666666666667 0.333333333333\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEADY_STDOUT))
+def test_steady_prints_nothing_else_by_default(paths, name):
+    """The fixed-point DEBUG record stays off the default streams of a fresh
+    process; only the state is printed."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hqmm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hqmm.cli", "steady", paths[name]],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, STEADY_STDOUT[name], "")
 
 
 def test_dist_and_entropy(paths):

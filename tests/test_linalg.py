@@ -1,11 +1,19 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hqmm import cluster, quantum
+from hqmm import cluster, mps, quantum
+from hqmm.config import TOL
 from hqmm.linalg import (
+    _certified_fixed_vector,
+    _dense_fixed_vector,
+    _fixed_vector,
     check_density_matrix,
     check_projector_set,
     check_prob_vector,
@@ -18,7 +26,7 @@ from hqmm.linalg import (
     vec,
 )
 
-from conftest import random_density, random_unitary
+from conftest import random_density, random_hmm, random_mps, random_unitary
 
 
 def apply_kraus(kraus, rho):
@@ -156,6 +164,171 @@ def test_fixed_point_output_is_valid_density():
     rho, _ = fixed_point(l)
     assert check_density_matrix(rho) == []
     assert np.max(np.abs(unvec(l @ vec(rho)) - rho)) < 1e-10
+
+
+# The one-inverse certificate of a unique fixed point, checked against the
+# dense eigenvalue count and SVD as an oracle.
+
+CERTIFICATE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _channel_case(transfer):
+    d = math.isqrt(transfer.shape[0])
+    unit = vec(np.eye(d, dtype=complex))
+    return transfer, unit, unit / d
+
+
+def _stochastic_case(total):
+    ones = np.ones(total.shape[0], dtype=complex)
+    return total.astype(complex), ones, ones / total.shape[0]
+
+
+def _assert_matches_dense(matrix, unit, target):
+    """``_fixed_vector`` gives the dense helper's verdict and, normalized by
+    the unit functional, its state; returns whether the certificate settled it."""
+    v, unique = _fixed_vector(matrix, unit, target, TOL)
+    w, count = _dense_fixed_vector(matrix, target, TOL)
+    assert unique == (count == 1)
+    assert_allclose(v / (unit @ v), w / (unit @ w), rtol=0, atol=1e-12)
+    return _certified_fixed_vector(matrix, unit, target, TOL) is not None
+
+
+def _amplitude_damping(gamma):
+    return transfer_matrix(
+        [np.diag([1.0, math.sqrt(1 - gamma)]), np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])]
+    )
+
+
+@CERTIFICATE_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bond_dim=st.integers(2, 8),
+    phys_dim=st.integers(2, 3),
+)
+def test_certificate_matches_dense_on_mps_readouts(seed, bond_dim, phys_dim):
+    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(seed), bond_dim, phys_dim))
+    assert _assert_matches_dense(*_channel_case(transfer_matrix(model.operations)))
+
+
+@CERTIFICATE_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_states=st.integers(1, 6),
+    n_symbols=st.integers(1, 3),
+)
+def test_certificate_matches_dense_on_hmms_and_embeddings(seed, n_states, n_symbols):
+    model = random_hmm(np.random.default_rng(seed), n_states, n_symbols)
+    assert _assert_matches_dense(*_stochastic_case(model.total()))
+    assert _assert_matches_dense(*_channel_case(quantum.embed_classical(model).transfer()))
+
+
+@CERTIFICATE_SETTINGS
+@given(
+    phi=st.floats(0.0, math.pi, exclude_max=True),
+    xi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+def test_certificate_matches_dense_on_cluster_angles(phi, xi):
+    model = cluster.cluster_kraus(cluster.MeasurementBasis(phi, xi))
+    assert _assert_matches_dense(*_channel_case(model.transfer()))
+
+
+@pytest.mark.parametrize(
+    "transfer",
+    [transfer_matrix([np.eye(2)]), transfer_matrix([np.eye(3)])],
+    ids=["identity-2", "identity-3"],
+)
+def test_certificate_abstains_on_degenerate_channels(transfer):
+    case = _channel_case(transfer)
+    assert _certified_fixed_vector(*case, TOL) is None
+    assert not _assert_matches_dense(*case)
+    rho, unique = fixed_point(transfer)
+    assert not unique
+    d = rho.shape[0]
+    assert_allclose(rho, np.eye(d) / d, atol=1e-12)
+
+
+def test_certificate_abstains_on_block_diagonal_channel():
+    a = random_unitary(np.random.default_rng(5), 2)
+    transfer = transfer_matrix([np.block([[a, np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])])
+    transfer, unit, target = _channel_case(transfer)
+    assert _certified_fixed_vector(transfer, unit, target, TOL) is None
+    assert not _assert_matches_dense(transfer, unit, target)
+    rho, unique = fixed_point(transfer)
+    assert not unique
+    w, count = _dense_fixed_vector(transfer, target, TOL)
+    assert count > 1
+    expected = unvec(w) / np.trace(unvec(w))
+    assert_allclose(rho, expected, atol=1e-12)
+    assert check_density_matrix(rho) == []
+
+
+@pytest.mark.parametrize(
+    "gamma, certified, unique",
+    [(1e-9, False, False), (3e-8, False, True), (1e-7, True, True), (1e-3, True, True)],
+)
+def test_certificate_on_amplitude_damping(gamma, certified, unique):
+    """Eigenvalues 1, 1 - gamma and sqrt(1 - gamma) (twice), and an inverse
+    norm of about 2 / gamma. At 1e-9 all four lie in the 1e-8 window, so the
+    dense count reports a four-dimensional fixed space and the canonical
+    state I/2. At 3e-8 the nearest one is 1.5e-8 away, outside the window
+    but inside the certificate's margin of twice the window, so the dense
+    count decides. At 1e-7 the bound (about 2e7) certifies the decay to
+    |0><0|."""
+    case = _channel_case(_amplitude_damping(gamma))
+    assert (_certified_fixed_vector(*case, TOL) is not None) == certified
+    assert _assert_matches_dense(*case) == certified
+    rho, found_unique = fixed_point(case[0])
+    assert found_unique == unique
+    assert_allclose(rho, np.diag([1.0, 0.0]) if unique else np.eye(2) / 2, atol=1e-12)
+
+
+def test_certificate_skips_trace_decreasing_map_with_unit_eigenvalue():
+    transfer = transfer_matrix([np.diag([1.0, 0.5])])
+    case = _channel_case(transfer)
+    assert _certified_fixed_vector(*case, TOL) is None
+    rho, unique = fixed_point(transfer)
+    assert unique
+    assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-15)
+
+
+def test_certificate_skips_scaled_identity():
+    case = _channel_case(transfer_matrix([0.5 * np.eye(2)]))
+    assert _certified_fixed_vector(*case, TOL) is None
+    with pytest.raises(ValueError, match="not trace-preserving"):
+        _fixed_vector(*case, TOL)
+
+
+def test_certificate_solves_bordered_system():
+    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(8), 6, 2))
+    transfer, unit, target = _channel_case(transfer_matrix(model.operations))
+    v, bound = _certified_fixed_vector(transfer, unit, target, TOL)
+    assert unit @ v == pytest.approx(1.0, abs=1e-13)
+    assert np.max(np.abs(transfer @ v - v)) < 1e-13
+    assert 1.0 <= bound < 1.0 / (2 * TOL.eigenvalue_one)
+
+
+def _fixed_vector_records(caplog, transfer):
+    caplog.set_level(logging.DEBUG, logger="hqmm")
+    caplog.clear()
+    fixed_point(transfer)
+    return [r for r in caplog.records if r.name == "hqmm.linalg"]
+
+
+def test_fixed_vector_logs_certificate(caplog):
+    model = cluster.cluster_kraus(cluster.MeasurementBasis(1.0, 0.4))
+    (record,) = _fixed_vector_records(caplog, model.transfer())
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert "order 4 by certificate, inverse-norm bound" in message
+    residual = float(re.search(r"residual (\S+)$", message).group(1))
+    assert residual < 1e-14
+
+
+def test_fixed_vector_logs_eigen_count(caplog):
+    (record,) = _fixed_vector_records(caplog, transfer_matrix([np.eye(3)]))
+    message = record.getMessage()
+    assert "order 9 by eigen-count, fixed-space dimension 9" in message
+    assert float(re.search(r"residual (\S+)$", message).group(1)) < 1e-14
 
 
 def test_numerical_rank_zero_matrix():
