@@ -30,7 +30,7 @@ from .cluster import (
     length3_closed_form,
     oracle_word_probability,
 )
-from .config import TOL, Tolerances
+from .config import TOL
 from .linalg import Violation, fixed_point, numerical_rank, transfer_matrix
 from .modelfile import (
     BUNDLED_MODELS,
@@ -66,7 +66,6 @@ __all__ = [
     "ModelFileError",
     "MpsModel",
     "TOL",
-    "Tolerances",
     "Violation",
     "VnModel",
     "WordDistribution",

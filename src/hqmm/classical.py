@@ -10,11 +10,12 @@ given state ``j``. The probability of a word is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .linalg import Violation, _fixed_vector, check_prob_vector, checked_probability
 
 
@@ -66,8 +67,15 @@ class HmmModel:
         """The forgetful transition matrix ``sum_s T_s``."""
         return sum(self.transitions[s] for s in self.alphabet)
 
+    @cached_property
+    def _stationary(self) -> np.ndarray:
+        """``steady_state(self)[0]``, solved on first use and kept read-only."""
+        pi = steady_state(self)[0]
+        pi.flags.writeable = False
+        return pi
 
-def validate_hmm(m: HmmModel, tols: Tolerances = TOL) -> list[Violation]:
+
+def validate_hmm(m: HmmModel) -> list[Violation]:
     """Entry bounds, column stochasticity of the sum, and prior normalization."""
     problems: list[Violation] = []
     for s in m.alphabet:
@@ -75,7 +83,7 @@ def validate_hmm(m: HmmModel, tols: Tolerances = TOL) -> list[Violation]:
         if not np.all(np.isfinite(t)):
             problems.append(Violation("finite", "non-finite entries", symbol=s))
             continue
-        if t.min() < -tols.stochastic or t.max() > 1.0 + tols.stochastic:
+        if t.min() < -TOL.stochastic or t.max() > 1.0 + TOL.stochastic:
             i, j = np.unravel_index(
                 np.argmax(np.abs(t - np.clip(t, 0.0, 1.0))), t.shape
             )
@@ -88,7 +96,7 @@ def validate_hmm(m: HmmModel, tols: Tolerances = TOL) -> list[Violation]:
             )
     col_sums = m.total().sum(axis=0)
     for j, cs in enumerate(col_sums):
-        if abs(cs - 1.0) > tols.stochastic:
+        if abs(cs - 1.0) > TOL.stochastic:
             problems.append(
                 Violation(
                     "column-stochastic",
@@ -97,12 +105,12 @@ def validate_hmm(m: HmmModel, tols: Tolerances = TOL) -> list[Violation]:
                 )
             )
     if m.prior is not None:
-        for v in check_prob_vector(m.prior, tols):
+        for v in check_prob_vector(m.prior):
             problems.append(Violation("prior-" + v.check, v.message, index=v.index))
     return problems
 
 
-def steady_state(m: HmmModel, tols: Tolerances = TOL) -> tuple[np.ndarray, bool]:
+def steady_state(m: HmmModel) -> tuple[np.ndarray, bool]:
     """Stationary distribution of ``sum_s T_s``.
 
     Returns ``(pi_star, unique)``. A degenerate eigenvalue-1 space is resolved
@@ -112,7 +120,7 @@ def steady_state(m: HmmModel, tols: Tolerances = TOL) -> tuple[np.ndarray, bool]
     t = m.total()
     d = t.shape[0]
     ones = np.ones(d, dtype=complex)
-    v, unique = _fixed_vector(t.astype(complex), ones, ones / d, tols)
+    v, unique = _fixed_vector(t.astype(complex), ones, ones / d, TOL)
     v = v / v.sum()
     pi = np.clip(v.real, 0.0, None)
     pi = pi / pi.sum()
@@ -120,7 +128,10 @@ def steady_state(m: HmmModel, tols: Tolerances = TOL) -> tuple[np.ndarray, bool]
 
 
 def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
-    """Explicit argument, else the model prior, else the steady state."""
+    """Explicit argument, else the model prior, else the steady state.
+
+    The steady state is solved once per model and returned read-only.
+    """
     if initial is not None:
         p = np.asarray(initial, dtype=float)
         if p.shape != (m.n_states,):
@@ -128,7 +139,7 @@ def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
         return p
     if m.prior is not None:
         return m.prior
-    return steady_state(m)[0]
+    return m._stationary
 
 
 def word_probability(
@@ -142,32 +153,28 @@ def word_probability(
     return checked_probability(float(v.sum()), "word probability")
 
 
-def is_deterministic(
-    m: HmmModel, tols: Tolerances = TOL
-) -> tuple[bool, tuple[str, int] | None]:
+def is_deterministic(m: HmmModel) -> tuple[bool, tuple[str, int] | None]:
     """Whether every column of every ``T_s`` has at most one nonzero entry.
 
-    Entries of magnitude at most ``tols.zero_entry`` count as zero. The
+    Entries of magnitude at most ``TOL.zero_entry`` count as zero. The
     witness names the first offending ``(symbol, column)``.
     """
     for s in m.alphabet:
         t = m.transitions[s]
-        counts = (np.abs(t) > tols.zero_entry).sum(axis=0)
+        counts = (np.abs(t) > TOL.zero_entry).sum(axis=0)
         bad = np.nonzero(counts > 1)[0]
         if bad.size:
             return False, (s, int(bad[0]))
     return True, None
 
 
-def is_reversible(
-    m: HmmModel, tols: Tolerances = TOL
-) -> tuple[bool, tuple[str, int] | None]:
+def is_reversible(m: HmmModel) -> tuple[bool, tuple[str, int] | None]:
     """Whether a deterministic generator also has at most one nonzero per row.
 
     Raises ``ValueError`` for non-deterministic input; the witness names the
     first offending ``(symbol, row)``.
     """
-    det, witness = is_deterministic(m, tols)
+    det, witness = is_deterministic(m)
     if not det:
         raise ValueError(
             f"reversibility is only defined for deterministic generators; "
@@ -175,7 +182,7 @@ def is_reversible(
         )
     for s in m.alphabet:
         t = m.transitions[s]
-        counts = (np.abs(t) > tols.zero_entry).sum(axis=1)
+        counts = (np.abs(t) > TOL.zero_entry).sum(axis=1)
         bad = np.nonzero(counts > 1)[0]
         if bad.size:
             return False, (s, int(bad[0]))

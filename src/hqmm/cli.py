@@ -43,12 +43,22 @@ def _print_matrix(m: np.ndarray, out) -> None:
         print("  " + "  ".join(c.rjust(width) for c in row), file=out)
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
-    return modelfile.parse_model(text)
+
+
+def _load(path: str):
+    return modelfile.parse_model(_read(path))
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", newline="\n")
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from None
 
 
 def _operational(model):
@@ -106,7 +116,7 @@ def _basis(args) -> cluster.MeasurementBasis:
 def _print_distribution(dist: analysis.WordDistribution, alphabet, csv_path, out) -> None:
     items = sorted(dist.probabilities.items())
     if csv_path:
-        with open(csv_path, "w", newline="\n") as f:
+        with _open_output(csv_path) as f:
             f.write("word,probability\n")
             for word, p in items:
                 f.write(f"{modelfile.format_word(word, alphabet)},{_fmt(p)}\n")
@@ -117,11 +127,7 @@ def _print_distribution(dist: analysis.WordDistribution, alphabet, csv_path, out
 
 
 def cmd_validate(args, out, err) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as e:
-        raise UsageError(f"cannot read {args.file}: {e}") from None
-    model = modelfile.parse_model(text, validate=False)
+    model = modelfile.parse_model(_read(args.file), validate=False)
     if isinstance(model, HmmModel):
         problems = classical.validate_hmm(model)
     elif isinstance(model, HqmmModel):
@@ -181,8 +187,12 @@ def cmd_hankel(args, out, err) -> int:
     rows = _word_list(args.rows, model.alphabet) if args.rows is not None else None
     cols = _word_list(args.cols, model.alphabet) if args.cols is not None else None
     block = analysis.hankel_block(model, rows, cols)
+    try:
+        rank = numerical_rank(block.matrix, tol=args.tol)
+    except ValueError as e:
+        raise UsageError(f"--tol: {e}") from None
     _print_matrix(block.matrix, out)
-    print(f"rank = {numerical_rank(block.matrix, tol=args.tol)}", file=out)
+    print(f"rank = {rank}", file=out)
     return 0
 
 
@@ -194,7 +204,8 @@ def cmd_convert(args, out, err) -> int:
         converted = quantum.embed_classical(model)
     else:
         converted = quantum.pure_from_reversible(model)
-    Path(args.output).write_text(modelfile.serialize_model(converted))
+    with _open_output(args.output) as f:
+        f.write(modelfile.serialize_model(converted))
     print(f"wrote {args.output}", file=out)
     return 0
 
@@ -219,7 +230,7 @@ def cmd_cluster(args, out, err) -> int:
 def cmd_scan_entropy(args, out, err) -> int:
     phis = np.linspace(0.0, math.pi, _at_least(args.phi_steps, "--phi-steps", 1))
     xis = np.linspace(0.0, 2 * math.pi, _at_least(args.xi_steps, "--xi-steps", 1))
-    with open(args.output, "w", newline="\n") as f:
+    with _open_output(args.output) as f:
         f.write("phi,xi,H3\n")
         for phi in phis:
             for xi in xis:

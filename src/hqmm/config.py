@@ -1,8 +1,7 @@
 """Centralized numerical tolerances.
 
 Every threshold used by the validators and solvers lives in one frozen
-record so that the defaults are auditable and can be overridden wholesale
-(pass a custom ``Tolerances`` where a function accepts one).
+record, ``TOL``, so that the policy is fixed and auditable in one place.
 """
 
 from __future__ import annotations

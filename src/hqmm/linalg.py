@@ -54,10 +54,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize (M + M^dagger)/2; used to stop round-off drift on channel outputs."""
     return (m + m.conj().T) / 2.0
@@ -228,15 +224,13 @@ def _fixed_vector(
     return v, unique
 
 
-def fixed_point(
-    transfer: np.ndarray, tols: Tolerances = TOL
-) -> tuple[np.ndarray, bool]:
+def fixed_point(transfer: np.ndarray) -> tuple[np.ndarray, bool]:
     """Stationary state of a trace-preserving map given its transfer matrix.
 
     Returns ``(rho_star, unique)``, trace-normalized and symmetrized. A
     unique fixed point is usually certified by one inverse of the bordered
     matrix ``L - I + vec(I/d) vec(I)^T``: when its inverse norm rules out a
-    second eigenvalue within ``tols.eigenvalue_one`` of 1, its solution is
+    second eigenvalue within ``TOL.eigenvalue_one`` of 1, its solution is
     the stationary state (see ``_certified_fixed_vector``). Otherwise,
     eigenvalues within that window span the fixed-point space, as counted by
     a dense eigensolve, and the state comes from an SVD of ``L - I``. A
@@ -252,7 +246,7 @@ def fixed_point(
     if transfer.shape != (n, n) or d * d != n:
         raise ValueError(f"transfer matrix must be d^2 x d^2, got {transfer.shape}")
     unit = vec(np.eye(d, dtype=complex))
-    v, unique = _fixed_vector(transfer, unit, unit / d, tols)
+    v, unique = _fixed_vector(transfer, unit, unit / d, TOL)
     rho = unvec(v)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
@@ -277,8 +271,11 @@ def numerical_rank(m: np.ndarray, tol: float | None = None) -> int:
     """Number of singular values above ``tol``.
 
     ``tol=None`` uses ``max(rows, cols) * sigma_max * 2**-50``, a slightly
-    loosened variant of the usual machine-precision cutoff.
+    loosened variant of the usual machine-precision cutoff. Raises
+    ``ValueError`` for a given ``tol`` that is negative or not finite.
     """
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"rank cutoff must be finite and nonnegative, got {tol!r}")
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
@@ -288,27 +285,27 @@ def numerical_rank(m: np.ndarray, tol: float | None = None) -> int:
     return int(np.count_nonzero(s > tol))
 
 
-def check_density_matrix(rho, tols: Tolerances = TOL) -> list[Violation]:
+def check_density_matrix(rho) -> list[Violation]:
     """Hermiticity, unit trace, and positivity diagnostics for a state."""
     problems: list[Violation] = []
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return [Violation("shape", f"state must be square, got shape {rho.shape}")]
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > tols.hermitian:
+    if herm_dev > TOL.hermitian:
         problems.append(
             Violation("hermitian", f"max |rho - rho^dagger| = {herm_dev:.3e}")
         )
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tols.trace_one:
+    if abs(tr - 1.0) > TOL.trace_one:
         problems.append(Violation("trace", f"trace = {tr:.12g}, expected 1"))
     lo = float(np.linalg.eigvalsh(hermitize(rho)).min())
-    if lo < -tols.psd:
+    if lo < -TOL.psd:
         problems.append(Violation("positive", f"smallest eigenvalue = {lo:.3e}"))
     return problems
 
 
-def check_prob_vector(p, tols: Tolerances = TOL) -> list[Violation]:
+def check_prob_vector(p) -> list[Violation]:
     problems: list[Violation] = []
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
@@ -319,15 +316,15 @@ def check_prob_vector(p, tols: Tolerances = TOL) -> list[Violation]:
             Violation("negative", f"entry {p[i]:.3e} < 0", index=i)
         )
     s = float(p.sum())
-    if abs(s - 1.0) > tols.prob_sum:
+    if abs(s - 1.0) > TOL.prob_sum:
         problems.append(Violation("normalization", f"entries sum to {s:.12g}"))
     return problems
 
 
-def check_unitary(u: np.ndarray, tols: Tolerances = TOL) -> list[Violation]:
-    """``U^dagger U == I`` within ``tols.unitary``; ``u`` must be square."""
+def check_unitary(u: np.ndarray) -> list[Violation]:
+    """``U^dagger U == I`` within ``TOL.unitary``; ``u`` must be square."""
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > tols.unitary:
+    if dev > TOL.unitary:
         return [Violation("unitary", f"U^dagger U deviates from identity by {dev:.3e}")]
     return []
 
@@ -335,7 +332,6 @@ def check_unitary(u: np.ndarray, tols: Tolerances = TOL) -> list[Violation]:
 def check_projector_set(
     projectors: Sequence[np.ndarray],
     labels: Sequence[str] | None = None,
-    tols: Tolerances = TOL,
 ) -> list[Violation]:
     """Diagnostics for a complete set of mutually orthogonal projectors.
 
@@ -354,14 +350,14 @@ def check_projector_set(
                 Violation("shape", f"projector is {p.shape}, expected ({d}, {d})", symbol=name)
             )
             return problems
-        if np.max(np.abs(p - p.conj().T)) > tols.projector:
+        if np.max(np.abs(p - p.conj().T)) > TOL.projector:
             problems.append(Violation("hermitian", "projector is not Hermitian", symbol=name))
-        if np.max(np.abs(p @ p - p)) > tols.projector:
+        if np.max(np.abs(p @ p - p)) > TOL.projector:
             problems.append(Violation("idempotent", "P @ P != P", symbol=name))
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             overlap = float(np.max(np.abs(mats[i] @ mats[j])))
-            if overlap > tols.projector:
+            if overlap > TOL.projector:
                 problems.append(
                     Violation(
                         "orthogonal",
@@ -371,7 +367,7 @@ def check_projector_set(
                 )
     total = sum(mats)
     dev = float(np.max(np.abs(total - np.eye(d))))
-    if dev > tols.projector:
+    if dev > TOL.projector:
         problems.append(
             Violation("complete", f"projectors sum to identity within {dev:.3e} only")
         )

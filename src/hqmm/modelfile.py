@@ -125,6 +125,8 @@ def parse_model(text: str, validate: bool = True):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelFileError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ModelFileError("document is nested too deeply") from None
     if not isinstance(doc, dict):
         _fail("", "top-level value must be an object")
     kind = _get(doc, "kind", "")

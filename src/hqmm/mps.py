@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .cluster import MeasurementBasis, basis_vectors
 from .linalg import Violation, as_matrix, check_density_matrix, check_projector_set
 from .quantum import HqmmModel
@@ -63,29 +63,27 @@ class MpsModel:
             object.__setattr__(self, "initial", as_matrix(self.initial, "initial state"))
 
 
-def validate_mps(m: MpsModel, tols: Tolerances = TOL) -> list[Violation]:
+def validate_mps(m: MpsModel) -> list[Violation]:
     """Isometry condition on the tensors and completeness of the projectors."""
     problems: list[Violation] = []
     gram = sum(v.conj().T @ v for v in m.tensors)
     dev = float(np.max(np.abs(gram - np.eye(m.bond_dim))))
-    if dev > tols.completeness:
+    if dev > TOL.completeness:
         problems.append(
             Violation("isometry", f"sum_i V^i^dagger V^i deviates from identity by {dev:.3e}")
         )
-    for v in check_projector_set(
-        [m.projectors[s] for s in m.alphabet], list(m.alphabet), tols
-    ):
+    for v in check_projector_set([m.projectors[s] for s in m.alphabet], list(m.alphabet)):
         problems.append(v)
     if m.initial is not None:
-        for v in check_density_matrix(m.initial, tols):
+        for v in check_density_matrix(m.initial):
             problems.append(Violation("initial-" + v.check, v.message))
     return problems
 
 
-def mps_to_hqmm(m: MpsModel, tols: Tolerances = TOL) -> HqmmModel:
+def mps_to_hqmm(m: MpsModel) -> HqmmModel:
     """Reduce the readout to a D-level model with ``phys_dim`` Kraus operators
     per symbol, ``K_s^i = sum_j P_s[i, j] V^j``."""
-    problems = validate_mps(m, tols)
+    problems = validate_mps(m)
     if problems:
         raise ValueError("invalid MPS model: " + "; ".join(str(p) for p in problems))
     ops: dict[str, list[np.ndarray]] = {}

@@ -12,11 +12,12 @@ generator, and the single-Kraus form available for reversible generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from . import classical
 from .linalg import (
     Violation,
@@ -80,6 +81,13 @@ class HqmmModel:
         """Transfer matrix of the forgetful channel ``sum_s K_s``."""
         return transfer_matrix(self.operations)
 
+    @cached_property
+    def _stationary(self) -> np.ndarray:
+        """``steady_state(self)[0]``, solved on first use and kept read-only."""
+        rho = steady_state(self)[0]
+        rho.flags.writeable = False
+        return rho
+
 
 def apply_symbol(m: HqmmModel, symbol: str, rho: np.ndarray) -> np.ndarray:
     """Unnormalized operation output ``sum_i K_i(s) rho K_i(s)^dagger``."""
@@ -94,7 +102,7 @@ def apply_symbol(m: HqmmModel, symbol: str, rho: np.ndarray) -> np.ndarray:
     return hermitize(out)
 
 
-def validate_hqmm(m: HqmmModel, tols: Tolerances = TOL) -> list[Violation]:
+def validate_hqmm(m: HqmmModel) -> list[Violation]:
     """Completeness and per-symbol trace-non-increase diagnostics."""
     problems: list[Violation] = []
     d = m.dim
@@ -103,7 +111,7 @@ def validate_hqmm(m: HqmmModel, tols: Tolerances = TOL) -> list[Violation]:
         gram = m._grams[s]
         total = total + gram
         top = float(np.linalg.eigvalsh(hermitize(gram)).max())
-        if top > 1.0 + tols.completeness:
+        if top > 1.0 + TOL.completeness:
             problems.append(
                 Violation(
                     "trace-nonincreasing",
@@ -112,7 +120,7 @@ def validate_hqmm(m: HqmmModel, tols: Tolerances = TOL) -> list[Violation]:
                 )
             )
     dev = float(np.max(np.abs(total - np.eye(d))))
-    if dev > tols.completeness:
+    if dev > TOL.completeness:
         problems.append(
             Violation(
                 "completeness",
@@ -120,18 +128,21 @@ def validate_hqmm(m: HqmmModel, tols: Tolerances = TOL) -> list[Violation]:
             )
         )
     if m.initial is not None:
-        for v in check_density_matrix(m.initial, tols):
+        for v in check_density_matrix(m.initial):
             problems.append(Violation("initial-" + v.check, v.message))
     return problems
 
 
-def steady_state(m: HqmmModel, tols: Tolerances = TOL) -> tuple[np.ndarray, bool]:
+def steady_state(m: HqmmModel) -> tuple[np.ndarray, bool]:
     """Stationary density matrix of the forgetful channel; see ``linalg.fixed_point``."""
-    return fixed_point(m.transfer(), tols)
+    return fixed_point(m.transfer())
 
 
 def resolve_initial(m: HqmmModel, initial=None) -> np.ndarray:
-    """Explicit argument, else the model's initial state, else the steady state."""
+    """Explicit argument, else the model's initial state, else the steady state.
+
+    The steady state is solved once per model and returned read-only.
+    """
     if initial is not None:
         rho = as_matrix(initial, "initial state")
         if rho.shape != (m.dim, m.dim):
@@ -139,7 +150,7 @@ def resolve_initial(m: HqmmModel, initial=None) -> np.ndarray:
         return rho
     if m.initial is not None:
         return m.initial
-    return steady_state(m)[0]
+    return m._stationary
 
 
 def symbol_probability(m: HqmmModel, symbol: str, rho) -> float:
@@ -202,7 +213,6 @@ def vn_generator(
     unitary: np.ndarray,
     alphabet: Sequence[str],
     initial=None,
-    tols: Tolerances = TOL,
 ) -> HqmmModel:
     """Projective-measurement generator: one Kraus operator ``P_s U`` per symbol.
 
@@ -213,13 +223,13 @@ def vn_generator(
     labels = [str(s) for s in alphabet]
     if len(mats) != len(labels):
         raise ValueError("need exactly one projector per symbol")
-    problems = check_projector_set(mats, labels, tols)
+    problems = check_projector_set(mats, labels)
     u = as_matrix(unitary, "unitary")
     d = mats[0].shape[0]
     if u.shape != (d, d):
         problems.append(Violation("shape", f"unitary is {u.shape}, expected ({d}, {d})"))
     else:
-        problems += check_unitary(u, tols)
+        problems += check_unitary(u)
     if problems:
         raise ValueError(
             "invalid projective generator: " + "; ".join(str(p) for p in problems)
@@ -228,14 +238,14 @@ def vn_generator(
     return HqmmModel(alphabet=tuple(labels), dim=d, operations=ops, initial=initial)
 
 
-def embed_classical(m: classical.HmmModel, tols: Tolerances = TOL) -> HqmmModel:
+def embed_classical(m: classical.HmmModel) -> HqmmModel:
     """Diagonal embedding of a stochastic generator.
 
     One Kraus operator ``sqrt(T_s[i, j]) |i><j|`` per nonzero transition
     entry; conditional states stay diagonal, so the embedded model carries no
     coherence while reproducing the classical word probabilities exactly.
     """
-    problems = classical.validate_hmm(m, tols)
+    problems = classical.validate_hmm(m)
     if problems:
         raise ValueError("invalid HMM: " + "; ".join(str(p) for p in problems))
     d = m.n_states
@@ -254,14 +264,14 @@ def embed_classical(m: classical.HmmModel, tols: Tolerances = TOL) -> HqmmModel:
     return HqmmModel(alphabet=m.alphabet, dim=d, operations=ops, initial=initial)
 
 
-def pure_from_reversible(m: classical.HmmModel, tols: Tolerances = TOL) -> HqmmModel:
+def pure_from_reversible(m: classical.HmmModel) -> HqmmModel:
     """Single-Kraus (pure-operation) model for a reversible generator.
 
     ``K_s = sum_j sqrt(P(s|j)) |I_j(s)><j|`` where ``I_j(s)`` is the unique
     target state; trace preservation follows from reversibility. Raises
     ``ValueError`` for non-reversible input.
     """
-    rev, witness = classical.is_reversible(m, tols)
+    rev, witness = classical.is_reversible(m)
     if not rev:
         raise ValueError(
             f"model is not reversible: symbol {witness[0]!r} row {witness[1]} "
@@ -274,7 +284,7 @@ def pure_from_reversible(m: classical.HmmModel, tols: Tolerances = TOL) -> HqmmM
         k = np.zeros((d, d), dtype=complex)
         for j in range(d):
             col = t[:, j]
-            nz = np.nonzero(np.abs(col) > tols.zero_entry)[0]
+            nz = np.nonzero(np.abs(col) > TOL.zero_entry)[0]
             if nz.size:
                 k[nz[0], j] = np.sqrt(col[nz[0]])
         ops[s] = [k]
@@ -311,27 +321,24 @@ class VnModel:
     def dim(self) -> int:
         return self.unitary.shape[0]
 
-    def to_hqmm(self, tols: Tolerances = TOL) -> HqmmModel:
+    def to_hqmm(self) -> HqmmModel:
         return vn_generator(
             [self.projectors[s] for s in self.alphabet],
             self.unitary,
             self.alphabet,
             initial=self.initial,
-            tols=tols,
         )
 
 
-def validate_vn(m: VnModel, tols: Tolerances = TOL) -> list[Violation]:
-    problems = check_projector_set(
-        [m.projectors[s] for s in m.alphabet], list(m.alphabet), tols
-    )
+def validate_vn(m: VnModel) -> list[Violation]:
+    problems = check_projector_set([m.projectors[s] for s in m.alphabet], list(m.alphabet))
     u = m.unitary
     d = u.shape[0]
     if u.shape != (d, d) or any(p.shape != (d, d) for p in m.projectors.values()):
         problems.append(Violation("shape", "projector/unitary dimensions disagree"))
     else:
-        problems += check_unitary(u, tols)
+        problems += check_unitary(u)
     if m.initial is not None:
-        for v in check_density_matrix(m.initial, tols):
+        for v in check_density_matrix(m.initial):
             problems.append(Violation("initial-" + v.check, v.message))
     return problems

@@ -71,6 +71,13 @@ def test_hankel_custom_words(paths):
     assert "rank = 2" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_hankel_rejects_meaningless_tol(paths, tol):
+    code, out, err = run(["hankel", paths["four_state"], "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol: rank cutoff must be finite and nonnegative")
+
+
 def test_cluster_h3_at_maximum():
     code, out, _ = run(["cluster", "--phi", "0.7853981634", "--xi", "0", "h3"])
     assert code == 0
@@ -129,6 +136,31 @@ def test_dimension_mismatch_is_model_error(tmp_path):
 def test_missing_file_is_usage_error():
     code, _, err = run(["steady", "/nonexistent/model.json"])
     assert code == 2
+
+
+def test_deeply_nested_file_is_model_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000 + "]" * 200_000)
+    for command in ("validate", "steady"):
+        code, out, err = run([command, str(p)])
+        assert (code, out) == (1, "")
+        assert err == "error: document is nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "{even_process}", "--to", "hqmm-embed", "-o", "{bad}"],
+        ["dist", "{even_process}", "-n", "2", "--csv", "{bad}"],
+        ["cluster", "--phi", "0.4", "--xi", "1.1", "dist", "-n", "2", "--csv", "{bad}"],
+        ["scan-entropy", "--phi-steps", "2", "--xi-steps", "2", "-o", "{bad}"],
+    ],
+)
+def test_unwritable_output_is_usage_error(paths, tmp_path, argv):
+    bad = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run([a.format(bad=bad, **paths) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {bad}: ")
 
 
 def test_usage_error_on_missing_subcommand():

@@ -352,6 +352,16 @@ def test_numerical_rank_paper_hankel_block():
     assert numerical_rank(h) == 3
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_numerical_rank_rejects_meaningless_cutoff(tol):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        numerical_rank(np.eye(3), tol=tol)
+
+
+def test_numerical_rank_zero_cutoff_counts_nonzero_singular_values():
+    assert numerical_rank(np.diag([1.0, 1e-300, 0.0]), tol=0.0) == 2
+
+
 def test_numerical_rank_outer_product():
     rng = np.random.default_rng(5)
     a = rng.normal(size=6) + 1j * rng.normal(size=6)

@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqmm.classical import HmmModel
 from hqmm.modelfile import (
@@ -14,8 +17,10 @@ from hqmm.modelfile import (
     parse_word,
     serialize_model,
 )
-from hqmm.mps import MpsModel
+from hqmm.mps import MpsModel, mps_to_hqmm
 from hqmm.quantum import HqmmModel, VnModel
+
+from conftest import random_density, random_hmm, random_mps, random_unitary
 
 
 def test_bundled_even_process_matches_transition_matrices(even):
@@ -89,6 +94,11 @@ def test_parse_rejects_unknown_kind():
 def test_parse_syntax_error_reports_position():
     with pytest.raises(ModelFileError, match="line 2"):
         parse_model('{"kind": "hmm",\n "alphabet": }')
+
+
+def test_parse_deeply_nested_document():
+    with pytest.raises(ModelFileError, match="nested too deeply"):
+        parse_model("[" * 200_000 + "]" * 200_000)
 
 
 def test_parse_missing_field():
@@ -238,3 +248,53 @@ def test_parse_rejects_dimension_mismatch(kind):
     doc = dict(_integer_field_docs()[f"{kind}:dimension"], dimension=5)
     with pytest.raises(ModelFileError, match=r"^dimension: 5 does not match the 1 x 1 matrices"):
         parse_model(json.dumps(doc))
+
+
+def _generated_model(kind, seed, d, k, with_initial, metadata):
+    """A valid model of ``kind`` with ``d`` states (or bond dimension) and
+    ``k`` symbols (or physical levels), drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    initial = random_density(rng, d) if with_initial else None
+    if kind == "hmm":
+        return replace(random_hmm(rng, d, k, with_prior=with_initial), metadata=metadata)
+    if kind == "vn":
+        basis = random_unitary(rng, d)
+        alphabet = tuple(str(i) for i in range(d))
+        projectors = {s: np.outer(basis[:, i], basis[:, i].conj()) for i, s in enumerate(alphabet)}
+        return VnModel(alphabet, projectors, random_unitary(rng, d), initial, metadata)
+    m = replace(random_mps(rng, d, k), initial=initial, metadata=metadata)
+    return m if kind == "mps" else replace(mps_to_hqmm(m), metadata=metadata)
+
+
+def _model_arrays(m) -> list[np.ndarray]:
+    if isinstance(m, HmmModel):
+        arrays = [m.transitions[s] for s in m.alphabet] + [m.prior]
+    elif isinstance(m, HqmmModel):
+        arrays = [k for s in m.alphabet for k in m.operations[s]] + [m.initial]
+    elif isinstance(m, VnModel):
+        arrays = [m.projectors[s] for s in m.alphabet] + [m.unitary, m.initial]
+    else:
+        arrays = list(m.tensors) + [m.projectors[s] for s in m.alphabet] + [m.initial]
+    return [a for a in arrays if a is not None]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["hmm", "hqmm", "vn", "mps"]),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    k=st.integers(1, 3),
+    with_initial=st.booleans(),
+    metadata=st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4), max_size=3),
+)
+def test_generated_models_roundtrip_exactly(kind, seed, d, k, with_initial, metadata):
+    model = _generated_model(kind, seed, d, k, with_initial, metadata)
+    again = parse_model(serialize_model(model))
+    assert type(again) is type(model)
+    assert again.alphabet == model.alphabet
+    assert again.metadata == model.metadata
+    before, after = _model_arrays(model), _model_arrays(again)
+    assert len(after) == len(before)
+    for a, b in zip(before, after):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
