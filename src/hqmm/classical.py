@@ -10,7 +10,6 @@ given state ``j``. The probability of a word is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -67,13 +66,6 @@ class HmmModel:
         """The forgetful transition matrix ``sum_s T_s``."""
         return sum(self.transitions[s] for s in self.alphabet)
 
-    @cached_property
-    def _stationary(self) -> np.ndarray:
-        """``steady_state(self)[0]``, solved on first use and kept read-only."""
-        pi = steady_state(self)[0]
-        pi.flags.writeable = False
-        return pi
-
 
 def validate_hmm(m: HmmModel) -> list[Violation]:
     """Entry bounds, column stochasticity of the sum, and prior normalization."""
@@ -128,10 +120,7 @@ def steady_state(m: HmmModel) -> tuple[np.ndarray, bool]:
 
 
 def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
-    """Explicit argument, else the model prior, else the steady state.
-
-    The steady state is solved once per model and returned read-only.
-    """
+    """Explicit argument, else the model prior, else the steady state."""
     if initial is not None:
         p = np.asarray(initial, dtype=float)
         if p.shape != (m.n_states,):
@@ -139,7 +128,7 @@ def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
         return p
     if m.prior is not None:
         return m.prior
-    return m._stationary
+    return steady_state(m)[0]
 
 
 def word_probability(

@@ -12,7 +12,6 @@ generator, and the single-Kraus form available for reversible generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,13 +80,6 @@ class HqmmModel:
         """Transfer matrix of the forgetful channel ``sum_s K_s``."""
         return transfer_matrix(self.operations)
 
-    @cached_property
-    def _stationary(self) -> np.ndarray:
-        """``steady_state(self)[0]``, solved on first use and kept read-only."""
-        rho = steady_state(self)[0]
-        rho.flags.writeable = False
-        return rho
-
 
 def apply_symbol(m: HqmmModel, symbol: str, rho: np.ndarray) -> np.ndarray:
     """Unnormalized operation output ``sum_i K_i(s) rho K_i(s)^dagger``."""
@@ -139,10 +131,7 @@ def steady_state(m: HqmmModel) -> tuple[np.ndarray, bool]:
 
 
 def resolve_initial(m: HqmmModel, initial=None) -> np.ndarray:
-    """Explicit argument, else the model's initial state, else the steady state.
-
-    The steady state is solved once per model and returned read-only.
-    """
+    """Explicit argument, else the model's initial state, else the steady state."""
     if initial is not None:
         rho = as_matrix(initial, "initial state")
         if rho.shape != (m.dim, m.dim):
@@ -150,7 +139,7 @@ def resolve_initial(m: HqmmModel, initial=None) -> np.ndarray:
         return rho
     if m.initial is not None:
         return m.initial
-    return m._stationary
+    return steady_state(m)[0]
 
 
 def symbol_probability(m: HqmmModel, symbol: str, rho) -> float:

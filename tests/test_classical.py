@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hqmm import analysis, classical, modelfile
+from hqmm import analysis
 from hqmm.classical import (
     HmmModel,
     is_deterministic,
@@ -191,21 +191,3 @@ def test_random_models_validate_and_normalize():
         assert validate_hmm(m) == []
         dist = analysis.enumerate_distribution(m, 3)
         assert abs(dist.total() - 1.0) < 1e-10
-
-
-def test_stationary_initial_is_solved_once_per_model(monkeypatch):
-    model = modelfile.load_bundled("even_process")
-    assert model.prior is None
-    pi = steady_state(model)[0]
-    calls = []
-
-    def counting(m):
-        calls.append(m)
-        return steady_state(m)
-
-    monkeypatch.setattr(classical, "steady_state", counting)
-    words = [w for n in range(1, 6) for w in itertools.product("01", repeat=n)][:50]
-    got = [word_probability(model, w) for w in words]
-    assert len(calls) == 1
-    assert got == [word_probability(model, w, initial=pi) for w in words]
-    assert not classical.resolve_initial(model).flags.writeable

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hqmm import analysis, classical, cluster, modelfile, quantum
+from hqmm import analysis, classical, cluster
 from hqmm.classical import HmmModel
 from hqmm.linalg import transfer_matrix, vec
 from hqmm.quantum import (
@@ -345,22 +345,3 @@ def test_steady_state_four_symbol_unique(four_symbol):
     rho, unique = steady_state(four_symbol)
     assert unique
     assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
-
-
-def test_stationary_initial_is_solved_once_per_model(monkeypatch):
-    model = modelfile.load_bundled("cluster_phi_pi8")
-    assert model.initial is None
-    rho = steady_state(model)[0]
-    calls = []
-
-    def counting(m):
-        calls.append(m)
-        return steady_state(m)
-
-    monkeypatch.setattr(quantum, "steady_state", counting)
-    words = [w for n in range(1, 6) for w in itertools.product("01", repeat=n)][:50]
-    got = [word_probability(model, w) for w in words]
-    assert got == [word_probability(model, w, initial=rho) for w in words]
-    assert coherence_check(model, words) == coherence_check(model, words, initial=rho)
-    assert len(calls) == 1
-    assert not quantum.resolve_initial(model).flags.writeable
