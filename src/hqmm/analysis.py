@@ -217,7 +217,8 @@ class Xorshift64Star:
     doubles take the top 53 bits of the output word. A zero seed (the one
     state the shift register cannot leave) is replaced by a fixed odd
     constant, so every seed is usable and every sequence is reproducible
-    across implementations.
+    across implementations. ``_sample_linear`` repeats ``next_float``'s
+    arithmetic inline, so the two must change together.
     """
 
     _MASK = (1 << 64) - 1
@@ -245,15 +246,16 @@ _STATEMENT_TERMS = 256
 _FUNCTION_TERMS = 4096
 
 
-def _define(params, lines, result):
-    """Compile ``def f(*params): <lines>; return <result>``."""
-    namespace: dict = {}
+def _define(params, lines, result, namespace=None):
+    """Compile ``def f(*params): <lines>; return <result>``; ``namespace``
+    holds the other names its body reads."""
+    namespace = dict(namespace or {})
     body = "".join(f"    {line}\n" for line in lines)
     exec(f"def f({', '.join(params)}):\n{body}    return {result}\n", namespace)
     return namespace["f"]
 
 
-def _compile(rows, params, tail=""):
+def _compile(rows, params, tail="", packed=0, after=(), result=None):
     """Straight-line function of ``params`` returning ``(row . x)tail`` per row.
 
     ``x`` is the first ``len(row)`` parameters. Each sum runs left to right
@@ -261,79 +263,120 @@ def _compile(rows, params, tail=""):
     exact-zero term changes at most the sign of a zero sum, so the result
     rounds exactly like the plain loop over all terms. Long sums continue in
     further statements (``y = y + ...``, still left to right) and long row
-    lists in further functions, which bounds the compiler's recursion depth
-    and memory for large D; a small model compiles to a single function.
+    lists in helper functions that the returned function calls in order,
+    which bounds the compiler's recursion depth and memory for large D; a
+    small model compiles to a single function.
+
+    With ``packed = n`` the first ``n`` parameters arrive as one tuple, the
+    argument ``v``, which the body unpacks: cheaper than spreading the state
+    into a new argument tuple on every call. Row ``i``'s value is ``y{i}``;
+    the statements ``after`` run once all are computed, and ``result``
+    replaces the returned tuple of them.
     """
-    funcs, lines, outs, size = [], [], [], 0
+    args = ["v", *params[packed:]] if packed else list(params)
+    unpack = [f"{', '.join(params[:packed])}, = v"] if packed else []
+    chunks, lines, ys, size = [], [], [], 0
     for i, row in enumerate(rows):
         terms = [f"{c!r}*{x}" for c, x in zip(row, params) if c != 0.0] or ["0.0"]
-        if outs and size + len(terms) > _FUNCTION_TERMS:
-            funcs.append(_define(params, lines, f"({''.join(outs)})"))
-            lines, outs, size = [], [], 0
-        lines += [
-            f"y{i} = {f'y{i} + ' if k else ''}{' + '.join(terms[k:k + _STATEMENT_TERMS])}"
+        if ys and size + len(terms) > _FUNCTION_TERMS:
+            chunks.append((lines, ys))
+            lines, ys, size = [], [], 0
+        parts = [
+            " + ".join(terms[k : k + _STATEMENT_TERMS])
             for k in range(0, len(terms), _STATEMENT_TERMS)
         ]
-        outs.append(f"y{i}{tail}, ")
+        parts[1:] = [f"y{i} + {part}" for part in parts[1:]]
+        if tail:
+            parts[-1] = f"({parts[-1]}){tail}"
+        lines += [f"y{i} = {part}" for part in parts]
+        ys.append(f"y{i}")
         size += len(terms)
-    funcs.append(_define(params, lines, f"({''.join(outs)})"))
-    if len(funcs) == 1:
-        return funcs[0]
-    return lambda *a: tuple(itertools.chain.from_iterable(f(*a) for f in funcs))
+    chunks.append((lines, ys))
+    if len(chunks) == 1:
+        body, helpers = unpack + lines, None
+    else:
+        helpers = {
+            f"g{j}": _define(args, unpack + chunk, f"({', '.join(out)},)")
+            for j, (chunk, out) in enumerate(chunks)
+        }
+        call = ", ".join(args)
+        body = [f"{', '.join(out)}, = g{j}({call})" for j, (_, out) in enumerate(chunks)]
+    default = ", ".join(f"y{i}" for i in range(len(rows)))
+    return _define(args, body + list(after), result or f"({default},)", helpers)
 
 
-def _running_sums(n: int):
-    """Straight-line ``(w_0, ..., w_{n-1}) -> [c_0, ..., c_{n-1}]`` with
-    ``c_k = max(w_0, 0) + ... + max(w_k, 0)`` summed left to right, so that
-    the first ``c_k`` beyond ``u * c_{n-1}`` draws symbol ``k``."""
-    lines = ["c0 = y0 if y0 > 0.0 else 0.0"] + [
+def _entry_kernel(units, params):
+    """Straight-line ``v -> [None, ..., None, sums, masses]``, the cache
+    entry of a state tuple ``v`` of the ``params`` coordinates.
+
+    ``masses`` holds ``w_k = units[k] . v`` per symbol and ``sums`` their
+    clamped running sums ``c_k = max(w_0, 0) + ... + max(w_k, 0)``, summed
+    left to right, so that the first ``c_k`` beyond ``u * c_{n-1}`` draws
+    symbol ``k``. Slot ``k < n`` receives symbol ``k``'s successor once it
+    is computed. One list per visited state, holding tuples of floats, is
+    the only object per state that the cyclic garbage collector tracks.
+    """
+    n = len(units)
+    sums = ["c0 = y0 if y0 > 0.0 else 0.0"] + [
         f"c{k} = c{k - 1} + y{k} if y{k} > 0.0 else c{k - 1}" for k in range(1, n)
     ]
-    return _define(
-        [f"y{k}" for k in range(n)], lines, f"[{', '.join(f'c{k}' for k in range(n))}]"
-    )
+    ys = ", ".join(f"y{k}" for k in range(n))
+    cs = ", ".join(f"c{k}" for k in range(n))
+    result = f"[{'None, ' * n}({cs},), ({ys},)]"
+    return _compile(units, params, packed=len(params), after=sums, result=result)
 
 
 def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
     """Iterated conditional update ``v -> A_s v / <1| A_s v`` on plain floats.
 
-    The matrices are compiled once into straight-line functions: one for all
-    symbol masses ``<1| A_s v`` and one per symbol for its successor.
-    Masses, their clamped running sums and the successors are pure functions
-    of the state, so they are memoized on the exact state tuple; models whose
-    conditional states form a finite set then run in amortized constant time
-    per step. The cache is size-capped; overflow just recomputes.
+    The matrices are compiled once per call into straight-line functions of
+    the state tuple: one that builds a state's cache entry (all symbol
+    masses ``<1| A_s v``, their clamped running sums and empty successor
+    slots; see ``_entry_kernel``) and one per symbol for its successor.
+    Entries and successors are pure functions of the state, so they are
+    memoized on the exact state tuple; models whose conditional states form
+    a finite set then run in amortized constant time per step. The cache is
+    size-capped; overflow just recomputes. Each draw is the arithmetic of
+    ``Xorshift64Star.next_float``, done inline on a local integer that is
+    written back to ``rng.state`` when the loop ends.
     """
-    names = [f"x{j}" for j in range(len(v0))]
+    params = [f"x{j}" for j in range(len(v0))]
     # reduce, not sum(): from Python 3.12 sum() of floats is compensated
     units = [[functools.reduce(operator.add, col) for col in a[:d].T.tolist()] for a in mats]
-    masses_of = _compile(units, names)
-    successors = [_compile(a.tolist(), names + ["m"], " / m") for a in mats]
-    sums_of = _running_sums(len(mats))
-    next_float = rng.next_float
+    entry_of = _entry_kernel(units, params)
+    successors = [_compile(a.tolist(), params + ["m"], " / m", packed=len(params)) for a in mats]
+    n = len(mats)
+    mask, mult = Xorshift64Star._MASK, Xorshift64Star._MULT
+    bisect_right = bisect.bisect_right
     cache: dict = {}
     v = tuple(v0.tolist())
     out: list[str] = []
-    for _ in range(length):
-        entry = cache.get(v)
-        if entry is None:
-            masses = masses_of(*v)
-            sums = sums_of(*masses)
-            if sums[-1] <= 0.0:
-                raise ValueError("all next-symbol probabilities vanished while sampling")
-            entry = (masses, sums, [None] * len(masses))
-            if len(cache) < _STATE_CACHE_CAP:
-                cache[v] = entry
-        masses, sums, nexts = entry
-        k = bisect.bisect_right(sums, next_float() * sums[-1])
-        if k == len(sums):
-            # u * total rounded up to total: take the last symbol with mass
-            k = max(i for i, w in enumerate(masses) if w > 0.0)
-        nxt = nexts[k]
-        if nxt is None:
-            nxt = nexts[k] = successors[k](*v, masses[k])
-        v = nxt
-        out.append(alphabet[k])
+    x = rng.state
+    try:
+        for _ in range(length):
+            entry = cache.get(v)
+            if entry is None:
+                entry = entry_of(v)
+                if entry[n][-1] <= 0.0:
+                    raise ValueError("all next-symbol probabilities vanished while sampling")
+                if len(cache) < _STATE_CACHE_CAP:
+                    cache[v] = entry
+            sums = entry[n]
+            # Xorshift64Star.next_float, inlined
+            x ^= x >> 12
+            x ^= (x << 25) & mask
+            x ^= x >> 27
+            k = bisect_right(sums, (((x * mult) & mask) >> 11) * 2.0**-53 * sums[-1])
+            if k == n:
+                # u * total rounded up to total: take the last symbol with mass
+                k = max(i for i, w in enumerate(entry[n + 1]) if w > 0.0)
+            nxt = entry[k]
+            if nxt is None:
+                nxt = entry[k] = successors[k](v, entry[n + 1][k])
+            v = nxt
+            out.append(alphabet[k])
+    finally:
+        rng.state = x
     return out
 
 

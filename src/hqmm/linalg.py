@@ -286,11 +286,15 @@ def numerical_rank(m: np.ndarray, tol: float | None = None) -> int:
 
 
 def check_density_matrix(rho) -> list[Violation]:
-    """Hermiticity, unit trace, and positivity diagnostics for a state."""
+    """Finiteness, Hermiticity, unit trace, and positivity diagnostics for a
+    state; a non-finite entry is the only violation reported."""
     problems: list[Violation] = []
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return [Violation("shape", f"state must be square, got shape {rho.shape}")]
+    if not np.isfinite(rho).all():
+        i, j = np.argwhere(~np.isfinite(rho))[0]
+        return [Violation("finite", f"entry ({i}, {j}) is {rho[i, j]}, not finite")]
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
     if herm_dev > TOL.hermitian:
         problems.append(
@@ -306,10 +310,15 @@ def check_density_matrix(rho) -> list[Violation]:
 
 
 def check_prob_vector(p) -> list[Violation]:
+    """Finiteness, sign and normalization diagnostics for a distribution; a
+    non-finite entry is the only violation reported."""
     problems: list[Violation] = []
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         return [Violation("shape", f"probability vector must be 1-d, got {p.shape}")]
+    if not np.isfinite(p).all():
+        i = int(np.flatnonzero(~np.isfinite(p))[0])
+        return [Violation("finite", f"entry {p[i]} is not finite", index=i)]
     if p.min(initial=0.0) < 0.0:
         i = int(np.argmin(p))
         problems.append(

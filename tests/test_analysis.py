@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hqmm import analysis, classical, cluster, modelfile, mps, quantum
 from hqmm.analysis import (
@@ -363,6 +365,82 @@ def test_sampler_matches_plain_loop():
         initial = np.full(5, 0.2) if isinstance(model, HmmModel) else model.initial
         expected = _plain_sample(model, 1500, seed, initial)
         assert sample_trajectory(model, 1500, seed, initial) == expected
+
+
+def _sparse_hmm(model_seed, n_states, n_symbols):
+    """A random HMM with about 40 % exact zeros, started from the uniform
+    distribution. The first symbol keeps its diagonal, so every state keeps
+    some outgoing mass and no draw can vanish."""
+    rng = np.random.default_rng(model_seed)
+    model = random_hmm(rng, n_states, n_symbols)
+    for k, s in enumerate(model.alphabet):
+        zero = rng.random((n_states, n_states)) < 0.4
+        if k == 0:
+            np.fill_diagonal(zero, False)
+        model.transitions[s][zero] = 0.0
+    return model, np.full(n_states, 1.0 / n_states)
+
+
+def _unifilar_hmm(model_seed, n_states, n_symbols):
+    """A random HMM in which each symbol moves each state to one state: the
+    column's mass goes to its largest entry. Started from a point mass, its
+    conditional states stay point masses and recur, so the sampler's cache
+    hits; the other generated models miss it on almost every step."""
+    rng = np.random.default_rng(model_seed)
+    model = random_hmm(rng, n_states, n_symbols)
+    for s in model.alphabet:
+        t = model.transitions[s]
+        top = t.argmax(axis=0)
+        mass = t.sum(axis=0)
+        t[...] = 0.0
+        t[top, range(n_states)] = mass
+    start = rng.integers(n_states)
+    return model, np.eye(n_states)[start]
+
+
+def _mps_readout(model_seed, bond_dim):
+    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(model_seed), bond_dim, 2))
+    return model, model.initial
+
+
+def _cluster(phi, xi):
+    return cluster.cluster_kraus(cluster.MeasurementBasis(phi, xi)), None
+
+
+GENERATED_MODELS = st.one_of(
+    st.builds(_sparse_hmm, st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3)),
+    st.builds(_unifilar_hmm, st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3)),
+    st.builds(_mps_readout, st.integers(0, 2**32 - 1), st.integers(2, 4)),
+    st.builds(
+        _cluster,
+        st.floats(0.0, math.pi, exclude_max=True),
+        st.floats(0.0, 2 * math.pi, exclude_max=True),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=GENERATED_MODELS, seed=st.integers(0, 2**64 - 1))
+@example(case=_sparse_hmm(0, 4, 3), seed=0)
+@example(case=_unifilar_hmm(0, 4, 3), seed=0)
+@example(case=_mps_readout(0, 3), seed=0)
+@example(case=_cluster(math.pi / 8, 0.0), seed=0)
+def test_sampler_matches_plain_loop_on_generated_models(case, seed):
+    model, initial = case
+    expected = _plain_sample(model, 300, seed, initial)
+    assert sample_trajectory(model, 300, seed, initial) == expected
+
+
+def test_vanished_mass_is_raised_at_the_step_that_draws_from_it():
+    # a draws 0 -> 1, and state 1 has no outgoing mass at all
+    model = HmmModel(
+        alphabet=("a", "b"),
+        transitions={"a": [[0.0, 0.0], [1.0, 0.0]], "b": [[0.0, 0.0], [0.0, 0.0]]},
+    )
+    assert sample_trajectory(model, 1, seed=1, initial=[1.0, 0.0]) == ["a"]
+    with pytest.raises(ValueError, match="all next-symbol probabilities vanished"):
+        sample_trajectory(model, 2, seed=1, initial=[1.0, 0.0])
+    assert sample_trajectory(model, 0, seed=1, initial=[0.0, 0.0]) == []
 
 
 def test_draw_at_rounded_up_total_takes_last_symbol_with_mass():

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -121,6 +122,21 @@ def test_validate_reports_problems(tmp_path):
     code, out, err = run(["validate", str(p)])
     assert code == 1
     assert "column-stochastic" in err
+
+
+def test_validate_reports_non_finite_prior(tmp_path):
+    # json reads the NaN literal, and every comparison with NaN is false, so
+    # only a check of its own catches it
+    doc = json.loads(modelfile.serialize_model(modelfile.load_bundled("even_process")))
+    doc["prior"] = [math.nan, 1.0]
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(["validate", str(p)])
+    assert (code, out) == (1, "")
+    assert err == "[prior-finite] index=0: entry nan is not finite\n"
+    refused = "error: model fails validation: [prior-finite] index=0: entry nan is not finite\n"
+    for argv in (["dist", str(p), "-n", "1"], ["wordprob", str(p), "0", "--initial", "mixed"]):
+        assert run(argv) == (1, "", refused)
 
 
 def test_dimension_mismatch_is_model_error(tmp_path):

@@ -391,6 +391,16 @@ def test_check_density_matrix_diagnostics():
     assert any(v.check == "positive" for v in check_density_matrix(not_psd))
 
 
+def test_non_finite_entries_are_named_violations():
+    # every comparison with NaN is false, so the other checks pass it by
+    for bad in (math.nan, math.inf, -math.inf):
+        rho = np.eye(2) / 2
+        rho[1, 0] = bad
+        assert [v.check for v in check_density_matrix(rho)] == ["finite"]
+        found = check_prob_vector(np.array([0.5, bad, 0.5]))
+        assert [(v.check, v.index) for v in found] == [("finite", 1)]
+
+
 def test_check_prob_vector_diagnostics():
     assert check_prob_vector(np.array([0.25, 0.75])) == []
     assert any(v.check == "negative" for v in check_prob_vector(np.array([1.2, -0.2])))
