@@ -21,7 +21,12 @@ import numpy as np
 
 from . import classical, quantum
 from .classical import HmmModel
-from .linalg import hermitian_basis, numerical_rank, transfer_matrix, vec
+from .linalg import (
+    hermitian_coordinates,
+    hermitian_real_form,
+    numerical_rank,
+    transfer_matrix,
+)
 from .quantum import HqmmModel
 
 ENUMERATION_BUDGET_BYTES = 2 * 2**30
@@ -46,27 +51,26 @@ def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, 
     ``T_s`` and resolved initial distribution (``D = d``). A quantum model
     gives its operations in the real Hermitian basis of
     ``linalg.hermitian_basis`` (``D = d^2``), whose first ``d`` coordinates
-    are the diagonal, so ``<1|`` is the trace. Raises ``ValueError`` when
-    any entry of ``A`` or ``v0`` is not finite.
+    are the diagonal, so ``<1|`` is the trace. Each operation's matrix is
+    ``linalg.hermitian_real_form`` of its transfer matrix, gathered in
+    O(d^4) without forming the basis, and ``v0`` is
+    ``linalg.hermitian_coordinates`` of the resolved initial state. Raises
+    ``ValueError`` when any entry of ``A`` or ``v0`` is not finite.
     """
     if isinstance(model, HmmModel):
         mats = _finite(
             np.stack([model.transitions[s] for s in model.alphabet]), "transition matrices"
         )
-        v0 = classical.resolve_initial(model, initial)
-        return mats, _finite(v0, "initial distribution"), model.n_states
+        return mats, classical.resolve_initial(model, initial), model.n_states
     if isinstance(model, HqmmModel):
         d = model.dim
-        c = hermitian_basis(d)
         mats = np.stack(
             [
-                (c @ transfer_matrix(ops) @ c.conj().T).real
-                if ops
-                else np.zeros((d * d, d * d))
+                hermitian_real_form(transfer_matrix(ops)) if ops else np.zeros((d * d, d * d))
                 for ops in (model.operations[s] for s in model.alphabet)
             ]
         )
-        v0 = (c @ vec(quantum.resolve_initial(model, initial))).real
+        v0 = hermitian_coordinates(quantum.resolve_initial(model, initial))
         return _finite(mats, "operation matrices"), _finite(v0, "initial state"), d
     raise TypeError(f"unsupported model type {type(model).__name__}")
 

@@ -111,8 +111,8 @@ def steady_state(m: HmmModel) -> tuple[np.ndarray, bool]:
     """
     t = m.total()
     d = t.shape[0]
-    ones = np.ones(d, dtype=complex)
-    v, unique = _fixed_vector(t.astype(complex), ones, ones / d, TOL)
+    ones = np.ones(d)
+    v, unique = _fixed_vector(t, ones, ones / d, TOL)
     v = v / v.sum()
     pi = np.clip(v.real, 0.0, None)
     pi = pi / pi.sum()
@@ -120,15 +120,23 @@ def steady_state(m: HmmModel) -> tuple[np.ndarray, bool]:
 
 
 def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
-    """Explicit argument, else the model prior, else the steady state."""
+    """Explicit argument, else the model prior, else the steady state.
+
+    Raises ``ValueError`` for an explicit argument or prior with a
+    non-finite entry. A model may hold such a prior, so that validation can
+    report it, but no probability is computed from it.
+    """
     if initial is not None:
         p = np.asarray(initial, dtype=float)
         if p.shape != (m.n_states,):
             raise ValueError(f"initial distribution must have length {m.n_states}")
-        return p
-    if m.prior is not None:
-        return m.prior
-    return steady_state(m)[0]
+    elif m.prior is not None:
+        p = m.prior
+    else:
+        return steady_state(m)[0]
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite entries in the initial distribution")
+    return p
 
 
 def word_probability(

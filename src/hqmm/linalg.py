@@ -10,6 +10,7 @@ validation checks. Vectorization is column-stacking throughout:
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -95,10 +96,16 @@ def transfer_matrix(kraus) -> np.ndarray:
     for k in ops:
         if k.shape != (d, d):
             raise ValueError(f"mixed Kraus dimensions: {k.shape} vs ({d}, {d})")
-    out = np.zeros((d * d, d * d), dtype=complex)
+    # the products and the order of summation of ``sum kron(conj(K), K)``,
+    # through one reused term buffer in place of kron's temporaries; one GEMM
+    # over all operators would sum in another order and change low bits of
+    # L, which show in printed states as round-off in place of exact zeros
+    out = np.zeros((d, d, d, d), dtype=complex)
+    term = np.empty_like(out)
     for k in ops:
-        out += np.kron(k.conj(), k)
-    return out
+        np.multiply(k.conj()[:, None, :, None], k[None, :, None, :], out=term)
+        out += term
+    return out.reshape(d * d, d * d)
 
 
 def hermitian_basis(d: int) -> np.ndarray:
@@ -123,6 +130,74 @@ def hermitian_basis(d: int) -> np.ndarray:
             c[row + 1, ab], c[row + 1, ba] = -1j * r, 1j * r
             row += 2
     return c
+
+
+@functools.lru_cache(maxsize=64)
+def _hermitian_order(d: int) -> np.ndarray:
+    """Column-stacked indices of the entries that the coordinates of
+    ``hermitian_basis(d)`` read, in coordinate order: each diagonal entry,
+    then ``(a, b)`` and ``(b, a)`` for each upper pair in row-major order."""
+    a, b = np.triu_indices(d, 1)
+    pairs = np.stack([a + b * d, b + a * d], axis=1).ravel()
+    order = np.concatenate([np.arange(d) * (d + 1), pairs])
+    order.flags.writeable = False
+    return order
+
+
+def hermitian_coordinates(rho: np.ndarray) -> np.ndarray:
+    """Real ``(hermitian_basis(d) @ vec(rho)).real`` of a d x d matrix, in O(d^2)."""
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[0]
+    y = rho.reshape(-1, order="F")[_hermitian_order(d)]
+    x = np.empty(d * d)
+    x[:d] = y[:d].real
+    r = math.sqrt(0.5)
+    x[d::2] = r * y[d::2].real + r * y[d + 1 :: 2].real
+    x[d + 1 :: 2] = r * y[d::2].imag - r * y[d + 1 :: 2].imag
+    return x
+
+
+def _from_hermitian_coordinates(x: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix ``unvec(hermitian_basis(d)^dagger @ x)`` of real ``x``."""
+    d = math.isqrt(x.size)
+    order = _hermitian_order(d)
+    flat = np.empty(d * d, dtype=complex)
+    flat[order[:d]] = x[:d]
+    upper = math.sqrt(0.5) * (x[d::2] + 1j * x[d + 1 :: 2])
+    flat[order[d::2]] = upper
+    flat[order[d + 1 :: 2]] = upper.conj()
+    return flat.reshape((d, d), order="F")
+
+
+def hermitian_real_form(transfer: np.ndarray) -> np.ndarray:
+    """Real ``(C @ transfer @ C^dagger).real`` with ``C = hermitian_basis(d)``.
+
+    ``transfer`` is d^2 x d^2. Each row of ``C`` reads at most two entries of
+    ``vec(rho)``, so the product is formed in O(d^4) from the rows and
+    columns of ``transfer`` gathered in coordinate order, without forming
+    ``C``. A map that preserves Hermiticity has a real product; raises
+    ``ValueError`` naming Hermiticity when the discarded imaginary part
+    exceeds ``TOL.hermitian``.
+    """
+    transfer = np.asarray(transfer, dtype=complex)
+    d = math.isqrt(transfer.shape[0])
+    order = _hermitian_order(d)
+    m = transfer.take(order, 0).take(order, 1)
+    r = math.sqrt(0.5)
+    # C takes each gathered pair of rows (x, y) to (r (x + y), -i r (x - y)),
+    # and C^dagger each pair of columns to (r (x + y), i r (x - y))
+    for x, y, phase in ((m[d::2], m[d + 1 :: 2], 1j), (m[:, d::2], m[:, d + 1 :: 2], -1j)):
+        total = x + y
+        y -= x
+        y *= phase * r
+        np.multiply(total, r, out=x)
+    dev = float(np.abs(m.imag).max(initial=0.0))
+    if dev > TOL.hermitian:
+        raise ValueError(
+            "transfer matrix does not preserve Hermiticity: its Hermitian-basis "
+            f"form has an imaginary part of {dev:.3e}"
+        )
+    return m.real.copy()
 
 
 def _dense_fixed_vector(
@@ -172,7 +247,8 @@ def _certified_fixed_vector(
     too large to settle the count.
     """
     n = matrix.shape[0]
-    bordered = matrix - np.eye(n)
+    bordered = matrix.copy()
+    bordered.flat[:: n + 1] -= 1.0
     if np.max(np.abs(unit @ bordered)) > tols.completeness:
         return None
     bordered += np.outer(target, unit)
@@ -180,12 +256,13 @@ def _certified_fixed_vector(
         inv = np.linalg.inv(bordered)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(inv)):
+    # the 1- and inf-norms: largest column and row sums of |inv|, and not
+    # finite exactly when an entry of inv is not
+    magnitude = np.abs(inv)
+    bound = float(min(magnitude.sum(axis=0).max(), magnitude.sum(axis=1).max()))
+    if not math.isfinite(bound) or 2.0 * bound * tols.eigenvalue_one >= 1.0:
         return None
-    bound = min(np.linalg.norm(inv, 1), np.linalg.norm(inv, np.inf))
-    if 2.0 * bound * tols.eigenvalue_one >= 1.0:
-        return None
-    return inv @ target, float(bound)
+    return inv @ target, bound
 
 
 def _fixed_vector(
@@ -193,9 +270,10 @@ def _fixed_vector(
 ) -> tuple[np.ndarray, bool]:
     """Fixed vector of ``matrix`` and whether its fixed space is one-dimensional.
 
-    ``unit`` is the functional that the map preserves (``vec(I)`` for a
-    channel, all ones for a stochastic matrix) and ``target`` a state with
-    ``unit @ target == 1``. The fixed vector is first sought with the
+    Real or complex. ``unit`` is the functional that the map preserves (the
+    trace: ``vec(I)`` for a channel's transfer matrix, the first d of d^2
+    Hermitian coordinates for its real form, all ones for a stochastic
+    matrix) and ``target`` a state with ``unit @ target == 1``. The fixed vector is first sought with the
     one-inverse certificate of ``_certified_fixed_vector``. A map that it
     cannot settle (one that leaks trace, has a degenerate or nearly
     degenerate fixed space, or a singular bordered matrix) falls back to the
@@ -227,33 +305,38 @@ def _fixed_vector(
 def fixed_point(transfer: np.ndarray) -> tuple[np.ndarray, bool]:
     """Stationary state of a trace-preserving map given its transfer matrix.
 
-    Returns ``(rho_star, unique)``, trace-normalized and symmetrized. A
-    unique fixed point is usually certified by one inverse of the bordered
-    matrix ``L - I + vec(I/d) vec(I)^T``: when its inverse norm rules out a
-    second eigenvalue within ``TOL.eigenvalue_one`` of 1, its solution is
-    the stationary state (see ``_certified_fixed_vector``). Otherwise,
+    Returns ``(rho_star, unique)``, trace-normalized and Hermitian. The map
+    must preserve Hermiticity, as every channel does, so the solve runs on
+    the real matrix ``G = (C L C^dagger).real`` of ``hermitian_real_form``,
+    whose first d coordinates are the diagonal: the trace functional is
+    ``[1]*d + [0]*(d^2 - d)`` and the maximally mixed state is
+    ``[1/d]*d + [0]*(d^2 - d)``. ``C`` is unitary, so ``G`` has the
+    eigenvalues of ``L`` and a fixed vector of ``G`` maps back to one of
+    ``L``. A unique fixed point is usually certified by one inverse of the
+    bordered matrix ``G - I + target unit^T``: when its inverse norm rules
+    out a second eigenvalue within ``TOL.eigenvalue_one`` of 1, its solution
+    is the stationary state (see ``_certified_fixed_vector``). Otherwise,
     eigenvalues within that window span the fixed-point space, as counted by
-    a dense eigensolve, and the state comes from an SVD of ``L - I``. A
+    a dense eigensolve, and the state comes from an SVD of ``G - I``. A
     degenerate space is resolved canonically by the orthogonal projection of
     the maximally mixed state onto it, renormalized, with ``unique=False``.
 
-    Raises ``ValueError`` when no eigenvalue lies within the window (the map
-    is not trace-preserving).
+    Raises ``ValueError`` when the map does not preserve Hermiticity (see
+    ``hermitian_real_form``) or when no eigenvalue lies within the window
+    (the map is not trace-preserving).
     """
     transfer = as_matrix(transfer, "transfer matrix")
     n = transfer.shape[0]
     d = math.isqrt(n)
     if transfer.shape != (n, n) or d * d != n:
         raise ValueError(f"transfer matrix must be d^2 x d^2, got {transfer.shape}")
-    unit = vec(np.eye(d, dtype=complex))
-    v, unique = _fixed_vector(transfer, unit, unit / d, TOL)
-    rho = unvec(v)
-    tr = np.trace(rho)
+    unit = np.zeros(n)
+    unit[:d] = 1.0
+    x, unique = _fixed_vector(hermitian_real_form(transfer), unit, unit / d, TOL)
+    tr = x[:d].sum()
     if abs(tr) < 1e-12:
         raise ValueError("fixed-point candidate has vanishing trace")
-    rho = hermitize(rho / tr)
-    rho = rho / np.trace(rho).real
-    return rho, unique
+    return _from_hermitian_coordinates(x / tr), unique
 
 
 def checked_probability(p: float, what: str) -> float:

@@ -50,7 +50,8 @@ class HqmmModel:
             raise ValueError("operations must cover exactly the alphabet")
         d = self.dim
         ops = {}
-        stacks = {}
+        flats = {}
+        adjoints = {}
         grams = {}
         for s in alphabet:
             mats = [as_matrix(k, f"Kraus operator for {s!r}") for k in self.operations[s]]
@@ -61,11 +62,16 @@ class HqmmModel:
                     )
             ops[s] = mats
             stack = np.stack(mats) if mats else np.zeros((0, d, d), dtype=complex)
-            stacks[s] = stack
+            k = stack.shape[0]
+            flats[s] = np.ascontiguousarray(stack.transpose(1, 2, 0).reshape(d, d * k))
+            adjoints[s] = np.ascontiguousarray(stack.conj().transpose(2, 0, 1).reshape(d, k * d))
             grams[s] = np.einsum("kba,kbc->ac", stack.conj(), stack)
         object.__setattr__(self, "operations", ops)
-        # private per-symbol (k, d, d) stacks and sum_i K^dag K grams
-        object.__setattr__(self, "_stacks", stacks)
+        # private per-symbol Kraus stacks for ``apply_symbol``: ``_flats[s]``
+        # holds K_i[c, a] at [c, a k + i] and ``_adjoints[s]`` holds
+        # K_i^dag[e, b] at [e, i d + b]; and the sum_i K^dag K grams
+        object.__setattr__(self, "_flats", flats)
+        object.__setattr__(self, "_adjoints", adjoints)
         object.__setattr__(self, "_grams", grams)
         if self.initial is not None:
             object.__setattr__(self, "initial", as_matrix(self.initial, "initial state"))
@@ -82,15 +88,21 @@ class HqmmModel:
 
 
 def apply_symbol(m: HqmmModel, symbol: str, rho: np.ndarray) -> np.ndarray:
-    """Unnormalized operation output ``sum_i K_i(s) rho K_i(s)^dagger``."""
-    if symbol not in m._stacks:
+    """Unnormalized operation output ``sum_i K_i(s) rho K_i(s)^dagger``.
+
+    ``rho @ [K_1^dag | ... | K_k^dag]`` holds ``(rho K_i^dag)[a, b]`` at
+    ``[a, i d + b]``, which reshapes to row ``a k + i``, so one more product
+    with ``[K_i[c, a]]`` at ``[c, a k + i]`` sums over ``a`` and ``i`` at once.
+    """
+    if symbol not in m._flats:
         raise ValueError(f"unknown symbol {symbol!r}; alphabet is {m.alphabet}")
-    if np.shape(rho) != (m.dim, m.dim):
-        raise ValueError(f"state must have shape ({m.dim}, {m.dim}), got {np.shape(rho)}")
-    ks = m._stacks[symbol]
-    if ks.shape[0] == 0:
-        return np.zeros((m.dim, m.dim), dtype=complex)
-    out = (ks @ rho @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
+    d = m.dim
+    if np.shape(rho) != (d, d):
+        raise ValueError(f"state must have shape ({d}, {d}), got {np.shape(rho)}")
+    flat = m._flats[symbol]
+    if flat.shape[1] == 0:
+        return np.zeros((d, d), dtype=complex)
+    out = flat @ (rho @ m._adjoints[symbol]).reshape(flat.shape[1], d)
     return hermitize(out)
 
 

@@ -191,3 +191,21 @@ def test_random_models_validate_and_normalize():
         assert validate_hmm(m) == []
         dist = analysis.enumerate_distribution(m, 3)
         assert abs(dist.total() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_is_refused_before_any_probability(even, bad):
+    """A model may hold a non-finite prior, so that ``validate_hmm`` can
+    name it, but no probability is computed from it or from an explicit
+    non-finite start."""
+    named = "non-finite entries in the initial distribution"
+    model = HmmModel(alphabet=even.alphabet, transitions=even.transitions, prior=[bad, 1.0])
+    assert [v.check for v in validate_hmm(model)] == ["prior-finite"]
+    for compute in (
+        lambda: word_probability(model, ["0"]),
+        lambda: analysis.enumerate_distribution(model, 1),
+        lambda: word_probability(even, ["0"], initial=[bad, 1.0]),
+    ):
+        with pytest.raises(ValueError, match=named):
+            compute()
+    assert word_probability(model, ["0"], initial=[0.5, 0.5]) == pytest.approx(0.25)

@@ -362,3 +362,15 @@ def test_scan_entropy_rejects_empty_grid(tmp_path, flag):
     assert code == 2
     assert err.startswith(f"error: {flag} must be at least 1")
     assert not csv.exists()
+
+
+def test_steady_four_symbol_prints_exact_zeros_off_the_diagonal(paths):
+    """The stationary state of ``four_symbol_hqmm`` is I/2. The transfer
+    matrix sums its Kraus terms in operator order, so the coherences come
+    out as exact zeros, not as round-off printed to 12 digits."""
+    code, out, err = run(["steady", paths["four_symbol_hqmm"]])
+    assert (code, err) == (0, "")
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [row[i] for i, row in enumerate(rows)] == ["0.5", "0.5"]
+    off = [cell for i, row in enumerate(rows) for j, cell in enumerate(row) if i != j]
+    assert off == ["0", "0"]

@@ -20,6 +20,8 @@ from hqmm.linalg import (
     check_unitary,
     fixed_point,
     hermitian_basis,
+    hermitian_coordinates,
+    hermitian_real_form,
     numerical_rank,
     transfer_matrix,
     unvec,
@@ -417,3 +419,79 @@ def test_check_projector_set_rejects_non_orthogonal():
     q = np.diag([1.0, 0.0]).astype(complex)
     problems = check_projector_set([p, q])
     assert any(v.check == "orthogonal" for v in problems)
+
+
+# The real Hermitian-basis form against its definition, and the solve in
+# real coordinates against the dense oracle on the complex transfer matrix.
+
+KRAUS_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def kraus_maps(draw):
+    """The flat Kraus list of an MPS readout (D = 2-8), of an embedded
+    random HMM (1-6 states) or of the cluster readout at generated angles."""
+    kind = draw(st.sampled_from(("mps", "embedded", "cluster")))
+    if kind == "cluster":
+        phi = draw(st.floats(0.0, math.pi, exclude_max=True))
+        xi = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+        model = cluster.cluster_kraus(cluster.MeasurementBasis(phi, xi))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "mps":
+            model = mps.mps_to_hqmm(
+                random_mps(rng, draw(st.integers(2, 8)), draw(st.integers(2, 3)))
+            )
+        else:
+            model = quantum.embed_classical(
+                random_hmm(rng, draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+            )
+    return [k for s in model.alphabet for k in model.operations[s]]
+
+
+@KRAUS_SETTINGS
+@given(kraus=kraus_maps())
+def test_transfer_matrix_sums_krons_in_operator_order(kraus):
+    expected = np.zeros((kraus[0].size,) * 2, dtype=complex)
+    for k in kraus:
+        expected += np.kron(k.conj(), k)
+    got = transfer_matrix(kraus)
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
+
+
+@KRAUS_SETTINGS
+@given(kraus=kraus_maps())
+def test_hermitian_real_form_matches_basis_product(kraus):
+    transfer = transfer_matrix(kraus)
+    d = kraus[0].shape[0]
+    c = hermitian_basis(d)
+    expected = (c @ transfer @ c.conj().T).real
+    assert_allclose(hermitian_real_form(transfer), expected, rtol=0, atol=1e-15)
+    rho = quantum.apply_symbol(
+        quantum.HqmmModel(alphabet=("x",), dim=d, operations={"x": kraus}), "x", np.eye(d) / d
+    )
+    assert_allclose(hermitian_coordinates(rho), (c @ vec(rho)).real, rtol=0, atol=1e-15)
+
+
+@KRAUS_SETTINGS
+@given(kraus=kraus_maps())
+def test_fixed_point_in_real_coordinates_matches_dense_oracle(kraus):
+    transfer, _, target = _channel_case(transfer_matrix(kraus))
+    rho, unique = fixed_point(transfer)
+    w, count = _dense_fixed_vector(transfer, target, TOL)
+    assert unique == (count == 1)
+    expected = unvec(w) / np.trace(unvec(w))
+    assert_allclose(rho, expected, rtol=0, atol=1e-12)
+
+
+def test_fixed_point_names_a_map_that_does_not_preserve_hermiticity():
+    """``L vec(X) = tr(X) vec(sigma)`` preserves the trace, but its image is
+    the non-Hermitian ``sigma``, which is no fixed point of any Hermitian
+    form. Symmetrizing it would return ``(sigma + sigma^dagger) / 2``."""
+    sigma = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+    transfer = np.outer(vec(sigma), vec(np.eye(2)))
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        fixed_point(transfer)
+    with pytest.raises(ValueError, match="Hermiticity"):
+        hermitian_real_form(transfer)
