@@ -172,15 +172,17 @@ def _from_hermitian_coordinates(x: np.ndarray) -> np.ndarray:
 def hermitian_real_form(transfer: np.ndarray) -> np.ndarray:
     """Real ``(C @ transfer @ C^dagger).real`` with ``C = hermitian_basis(d)``.
 
-    ``transfer`` is d^2 x d^2. Each row of ``C`` reads at most two entries of
-    ``vec(rho)``, so the product is formed in O(d^4) from the rows and
-    columns of ``transfer`` gathered in coordinate order, without forming
-    ``C``. A map that preserves Hermiticity has a real product; raises
-    ``ValueError`` naming Hermiticity when the discarded imaginary part
-    exceeds ``TOL.hermitian``.
+    Each row of ``C`` reads at most two entries of ``vec(rho)``, so the
+    product is formed in O(d^4) from the rows and columns of ``transfer``
+    gathered in coordinate order, without forming ``C``. A map that
+    preserves Hermiticity has a real product. Raises ``ValueError`` when
+    ``transfer`` is not d^2 x d^2 with d >= 1, and one naming Hermiticity when the
+    discarded imaginary part exceeds ``TOL.hermitian``.
     """
     transfer = np.asarray(transfer, dtype=complex)
-    d = math.isqrt(transfer.shape[0])
+    d = math.isqrt(transfer.shape[0]) if transfer.ndim == 2 else 0
+    if d == 0 or transfer.shape != (d * d, d * d):
+        raise ValueError(f"transfer matrix must be d^2 x d^2, got {transfer.shape}")
     order = _hermitian_order(d)
     m = transfer.take(order, 0).take(order, 1)
     r = math.sqrt(0.5)
@@ -325,14 +327,12 @@ def fixed_point(transfer: np.ndarray) -> tuple[np.ndarray, bool]:
     ``hermitian_real_form``) or when no eigenvalue lies within the window
     (the map is not trace-preserving).
     """
-    transfer = as_matrix(transfer, "transfer matrix")
-    n = transfer.shape[0]
+    real = hermitian_real_form(as_matrix(transfer, "transfer matrix"))
+    n = real.shape[0]
     d = math.isqrt(n)
-    if transfer.shape != (n, n) or d * d != n:
-        raise ValueError(f"transfer matrix must be d^2 x d^2, got {transfer.shape}")
     unit = np.zeros(n)
     unit[:d] = 1.0
-    x, unique = _fixed_vector(hermitian_real_form(transfer), unit, unit / d, TOL)
+    x, unique = _fixed_vector(real, unit, unit / d, TOL)
     tr = x[:d].sum()
     if abs(tr) < 1e-12:
         raise ValueError("fixed-point candidate has vanishing trace")

@@ -63,8 +63,8 @@ class HqmmModel:
             ops[s] = mats
             stack = np.stack(mats) if mats else np.zeros((0, d, d), dtype=complex)
             k = stack.shape[0]
-            flats[s] = np.ascontiguousarray(stack.transpose(1, 2, 0).reshape(d, d * k))
-            adjoints[s] = np.ascontiguousarray(stack.conj().transpose(2, 0, 1).reshape(d, k * d))
+            flats[s] = stack.transpose(1, 2, 0).reshape(d, d * k)
+            adjoints[s] = stack.conj().transpose(2, 0, 1).reshape(d, k * d)
             grams[s] = np.einsum("kba,kbc->ac", stack.conj(), stack)
         object.__setattr__(self, "operations", ops)
         # private per-symbol Kraus stacks for ``apply_symbol``: ``_flats[s]``

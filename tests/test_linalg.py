@@ -495,3 +495,10 @@ def test_fixed_point_names_a_map_that_does_not_preserve_hermiticity():
         fixed_point(transfer)
     with pytest.raises(ValueError, match="Hermiticity"):
         hermitian_real_form(transfer)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 3), (0, 0)])
+def test_transfer_matrix_shape_is_named_error(shape):
+    for solve in (fixed_point, hermitian_real_form):
+        with pytest.raises(ValueError, match=r"must be d\^2 x d\^2"):
+            solve(np.zeros(shape))
