@@ -176,8 +176,8 @@ def hermitian_real_form(transfer: np.ndarray) -> np.ndarray:
     product is formed in O(d^4) from the rows and columns of ``transfer``
     gathered in coordinate order, without forming ``C``. A map that
     preserves Hermiticity has a real product. Raises ``ValueError`` when
-    ``transfer`` is not d^2 x d^2 with d >= 1, and one naming Hermiticity when the
-    discarded imaginary part exceeds ``TOL.hermitian``.
+    ``transfer`` is not d^2 x d^2 with d >= 1, and one naming Hermiticity
+    when the discarded imaginary part exceeds ``TOL.hermitian``.
     """
     transfer = np.asarray(transfer, dtype=complex)
     d = math.isqrt(transfer.shape[0]) if transfer.ndim == 2 else 0
@@ -272,10 +272,11 @@ def _fixed_vector(
 ) -> tuple[np.ndarray, bool]:
     """Fixed vector of ``matrix`` and whether its fixed space is one-dimensional.
 
-    Real or complex. ``unit`` is the functional that the map preserves (the
-    trace: ``vec(I)`` for a channel's transfer matrix, the first d of d^2
-    Hermitian coordinates for its real form, all ones for a stochastic
-    matrix) and ``target`` a state with ``unit @ target == 1``. The fixed vector is first sought with the
+    ``matrix`` may be real or complex. ``unit`` is the functional that the
+    map preserves (the trace: ``vec(I)`` for a channel's transfer matrix,
+    the sum of the first d of d^2 Hermitian coordinates for its real form,
+    all ones for a stochastic matrix) and ``target`` a state with
+    ``unit @ target == 1``. The fixed vector is first sought with the
     one-inverse certificate of ``_certified_fixed_vector``. A map that it
     cannot settle (one that leaks trace, has a degenerate or nearly
     degenerate fixed space, or a singular bordered matrix) falls back to the
