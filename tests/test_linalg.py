@@ -486,9 +486,10 @@ def test_fixed_point_in_real_coordinates_matches_dense_oracle(kraus):
 
 
 def test_fixed_point_names_a_map_that_does_not_preserve_hermiticity():
-    """``L vec(X) = tr(X) vec(sigma)`` preserves the trace, but its image is
-    the non-Hermitian ``sigma``, which is no fixed point of any Hermitian
-    form. Symmetrizing it would return ``(sigma + sigma^dagger) / 2``."""
+    """``L vec(X) = tr(X) vec(sigma)`` preserves the trace, and its only
+    fixed point is the non-Hermitian ``sigma``, which has no real Hermitian
+    coordinates. Symmetrizing it would give ``(sigma + sigma^dagger) / 2``,
+    which ``L`` does not fix."""
     sigma = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
     transfer = np.outer(vec(sigma), vec(np.eye(2)))
     with pytest.raises(ValueError, match="does not preserve Hermiticity"):
