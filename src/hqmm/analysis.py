@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,8 +31,9 @@ from .linalg import (
 from .quantum import HqmmModel
 
 ENUMERATION_BUDGET_BYTES = 2 * 2**30
-# per word, beyond its states: the clipped probability in the array and in
-# the list, its key tuple's header, and its slots in the result dict
+# per word, beyond its states: the clipped probability in the table's array,
+# and for a caller that materializes the items (the CLI's sorted list) its
+# Python float, key tuple header and list slots
 _WORD_ENTRY_BYTES = 200
 
 Word = tuple[str, ...]
@@ -75,25 +77,150 @@ def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, 
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+class WordTable(Mapping):
+    """Read-only word -> probability mapping over one float64 array.
+
+    Entry ``i`` of ``array`` is the probability of the ``i``-th word of
+    ``itertools.product(alphabet, repeat=length)``. Iteration generates the
+    words in that order, a lookup finds its entry by index arithmetic, and
+    values come back as Python floats. Words are tuples of symbols, as in a
+    dict keyed by them: any other key is missing. The table takes ownership
+    of ``array`` and makes it read-only.
+    """
+
+    __slots__ = ("alphabet", "length", "array", "_index")
+
+    def __init__(self, alphabet, length: int, array: np.ndarray):
+        self.alphabet = tuple(alphabet)
+        self.length = length
+        if array.dtype != np.float64 or array.shape != (len(self.alphabet) ** length,):
+            raise ValueError(
+                f"a length-{length} table over {len(self.alphabet)} symbols needs "
+                f"{len(self.alphabet) ** length} float64 entries, got {array.dtype} {array.shape}"
+            )
+        array.flags.writeable = False
+        self.array = array
+        self._index = {s: i for i, s in enumerate(self.alphabet)}
+
+    @classmethod
+    def from_mapping(cls, alphabet, length: int, table) -> "WordTable":
+        """Copy a complete ``{word: probability}`` mapping, given in any
+        order, into product order. Raises ``ValueError`` naming the first
+        word that is not a length-``length`` tuple, has an unknown symbol or
+        is missing."""
+        if length < 0:
+            raise ValueError(f"word length must be nonnegative, got {length}")
+        alphabet = tuple(alphabet)
+        k = len(alphabet)
+        index = {s: i for i, s in enumerate(alphabet)}
+        array = np.zeros(k**length)
+        filled = np.zeros(k**length, dtype=bool)
+        for word, p in table.items():
+            if not isinstance(word, tuple) or len(word) != length:
+                raise ValueError(f"word {word!r} is not a tuple of {length} symbols")
+            i = 0
+            for s in word:
+                if s not in index:
+                    raise ValueError(
+                        f"unknown symbol {s!r} in word {word!r}; alphabet is {alphabet}"
+                    )
+                i = i * k + index[s]
+            array[i] = p
+            filled[i] = True
+        if not filled.all():
+            words = itertools.product(alphabet, repeat=length)
+            missing = next(itertools.compress(words, (~filled).tolist()))
+            raise ValueError(f"missing word {missing!r} in a complete length-{length} table")
+        return cls(alphabet, length, array)
+
+    def __getitem__(self, word) -> float:
+        if not isinstance(word, tuple) or len(word) != self.length:
+            raise KeyError(word)
+        k, i = len(self.alphabet), 0
+        try:
+            for s in word:
+                i = i * k + self._index[s]
+        except (KeyError, TypeError):
+            raise KeyError(word) from None
+        return self.array.item(i)
+
+    def __iter__(self):
+        return itertools.product(self.alphabet, repeat=self.length)
+
+    def __len__(self) -> int:
+        return self.array.size
+
+    def items(self):
+        return _TableItems(self)
+
+    def values(self):
+        return _TableValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _TableItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.array.tolist())
+
+
+class _TableValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping.array.tolist())
+
+
 @dataclass(frozen=True)
 class WordDistribution:
-    """Complete probability table over all words of one length."""
+    """Complete probability table over all words of one length.
+
+    ``probabilities`` is a read-only ``WordTable``: a mapping from each word
+    to its probability, in ``itertools.product`` order, backed by one
+    float64 array. Any other complete mapping given here is copied into one
+    once; a missing word, an unknown symbol or a wrong-length word raises
+    ``ValueError``. ``total`` and ``block_entropy`` add Python floats one
+    by one in product order: ``sum`` (compensated from Python 3.12 on) and
+    ``math.log2`` fix the rounding of the reported totals and entropies,
+    where a NumPy reduction would leave the order of its additions open.
+    """
 
     length: int
     alphabet: tuple[str, ...]
-    probabilities: dict[Word, float]
+    probabilities: Mapping[Word, float]
+
+    def __post_init__(self):
+        table = self.probabilities
+        if not (
+            isinstance(table, WordTable)
+            and table.alphabet == tuple(self.alphabet)
+            and table.length == self.length
+        ):
+            table = WordTable.from_mapping(self.alphabet, self.length, table)
+            object.__setattr__(self, "probabilities", table)
 
     def total(self) -> float:
         return float(sum(self.probabilities.values()))
 
     def marginalize_last(self) -> "WordDistribution":
-        """Sum out the final symbol, giving the length-(n-1) table."""
+        """Sum out the final symbol, giving the length-(n-1) table.
+
+        Each prefix's mass is ``0.0 + p(prefix, a_1) + ... + p(prefix, a_k)``,
+        added left to right in alphabet order: one vector ``+=`` per symbol,
+        not a reduction, whose summation order NumPy leaves open.
+        """
         if self.length == 0:
             raise ValueError("cannot marginalize the empty-word distribution")
-        probs: dict[Word, float] = {}
-        for word, p in self.probabilities.items():
-            probs[word[:-1]] = probs.get(word[:-1], 0.0) + p
-        return WordDistribution(self.length - 1, self.alphabet, probs)
+        k = len(self.alphabet)
+        words = self.probabilities.array.reshape(k ** (self.length - 1), k)
+        probs = np.zeros(words.shape[0])
+        for column in words.T:
+            probs += column
+        table = WordTable(self.alphabet, self.length - 1, probs)
+        return WordDistribution(self.length - 1, self.alphabet, table)
 
 
 def _enumeration_bytes(k: int, n: int, dim: int) -> int:
@@ -101,8 +228,12 @@ def _enumeration_bytes(k: int, n: int, dim: int) -> int:
     ``k`` symbols of a representation with ``dim`` real coordinates.
 
     It counts the last level of states and the ``einsum`` output built from
-    it (``8 dim`` bytes per prefix and per word), and per word the entry of
-    the result (``_WORD_ENTRY_BYTES`` plus 8 bytes per symbol of its key).
+    it (``8 dim`` bytes per prefix and per word), and per word one item of
+    the table as a caller materializes it, such as the CLI's sorted list of
+    items (``_WORD_ENTRY_BYTES`` plus 8 bytes per symbol of its key). The
+    table itself holds only 8 bytes per word, but the printed and summed
+    tables are the point of an enumeration, so neither that term nor
+    ``ENUMERATION_BUDGET_BYTES`` was lowered when the table became an array.
     """
     words = k**n
     return 8 * dim * (words + words // k) + words * (_WORD_ENTRY_BYTES + 8 * n)
@@ -114,8 +245,10 @@ def enumerate_distribution(model, n: int, initial=None) -> WordDistribution:
     Level m holds the unnormalized states of all k^m prefixes in
     ``itertools.product`` order, and one batched product per level extends
     every prefix by every symbol, so the whole table costs one matrix-vector
-    product per prefix-tree node. Probabilities are clamped to [0, 1].
-    Refuses tables whose memory estimate (``_enumeration_bytes``) exceeds
+    product per prefix-tree node. Probabilities are clamped to [0, 1], and
+    the clamped array becomes the ``WordTable`` of the result unchanged, in
+    the same product order: no per-word dict is built. Refuses tables whose
+    memory estimate (``_enumeration_bytes``) exceeds
     ``ENUMERATION_BUDGET_BYTES``, before any level is built.
     """
     if n < 0:
@@ -133,10 +266,8 @@ def enumerate_distribution(model, n: int, initial=None) -> WordDistribution:
     for _ in range(n):
         states = np.einsum("sij,pj->psi", mats, states).reshape(-1, v0.size)
     probs = np.clip(states[:, :d].sum(axis=1), 0.0, 1.0)
-    words = itertools.product(alphabet, repeat=n)
-    return WordDistribution(
-        length=n, alphabet=tuple(alphabet), probabilities=dict(zip(words, probs.tolist()))
-    )
+    table = WordTable(alphabet, n, probs)
+    return WordDistribution(length=n, alphabet=table.alphabet, probabilities=table)
 
 
 def block_entropy(dist: WordDistribution) -> float:
@@ -177,13 +308,18 @@ def hankel_block(
     model,
     row_words: Iterable[Iterable[str]] | None = None,
     col_words: Iterable[Iterable[str]] | None = None,
+    initial=None,
 ) -> HankelBlock:
-    """Word-probability block; defaults to {empty word} union single symbols."""
+    """Word-probability block; defaults to {empty word} union single symbols.
+
+    ``initial`` is the start state, as in ``linear_representation``; by
+    default the model's own, else its stationary state. A caller that
+    already holds that state passes it to skip a second solve."""
     alphabet = tuple(model.alphabet)
     default = ((),) + tuple((s,) for s in alphabet)
     rows = _as_words(row_words, alphabet) if row_words is not None else default
     cols = _as_words(col_words, alphabet) if col_words is not None else default
-    mats, v0, d = linear_representation(model)
+    mats, v0, d = linear_representation(model, initial)
     index = {s: i for i, s in enumerate(alphabet)}
     # H = B F: row u of B is <1| A_u, column v of F is A_v v0
     back = np.zeros((len(rows), v0.size))

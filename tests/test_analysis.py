@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hqmm import analysis, classical, cluster, modelfile, mps, quantum
 from hqmm.analysis import (
+    WordDistribution,
     Xorshift64Star,
     block_entropy,
     enumerate_distribution,
@@ -174,6 +175,53 @@ def test_block_entropy_uniform_exact(k):
     assert block_entropy(dist) == math.log2(k)
 
 
+def test_word_distribution_accepts_a_hand_built_table_in_any_order():
+    words = list(itertools.product(("0", "1"), repeat=2))
+    table = {w: 0.1 * (i + 1) for i, w in enumerate(words)}
+    shuffled = dict(reversed(table.items()))
+    dist = WordDistribution(2, ("0", "1"), shuffled)
+    assert dist.probabilities == shuffled and dist.probabilities == table
+    assert list(dist.probabilities) == words
+    assert list(dist.probabilities.items()) == list(table.items())
+    assert list(dist.probabilities.values()) == list(table.values())
+    assert list(dist.probabilities.keys()) == words
+    assert len(dist.probabilities) == 4
+    assert ("0", "1") in dist.probabilities
+    for missing in (("0", "2"), ("0",), ("0", "1", "0"), "01", ["0", "1"], 7):
+        assert missing not in dist.probabilities
+        with pytest.raises(KeyError):
+            dist.probabilities[missing]
+    assert dist.probabilities.get(("1",)) is None
+    assert dist.probabilities[("1", "0")] == table[("1", "0")]
+    assert type(dist.probabilities[("1", "0")]) is float
+    assert all(type(p) is float for p in dist.probabilities.values())
+
+
+def test_word_distribution_names_an_incomplete_or_foreign_table():
+    words = list(itertools.product(("0", "1"), repeat=2))
+    table = {w: 0.25 for w in words}
+    with pytest.raises(ValueError, match=r"missing word \('1', '0'\)"):
+        WordDistribution(2, ("0", "1"), {w: p for w, p in table.items() if w != ("1", "0")})
+    with pytest.raises(ValueError, match=r"unknown symbol '2' in word \('0', '2'\)"):
+        WordDistribution(2, ("0", "1"), {**table, ("0", "2"): 0.0})
+    with pytest.raises(ValueError, match=r"word \('0',\) is not a tuple of 2 symbols"):
+        WordDistribution(2, ("0", "1"), {**table, ("0",): 0.0})
+    with pytest.raises(ValueError, match=r"word '01' is not a tuple of 2 symbols"):
+        WordDistribution(2, ("0", "1"), {**table, "01": 0.0})
+    with pytest.raises(ValueError, match="nonnegative"):
+        WordDistribution(-1, ("0", "1"), {})
+    with pytest.raises(ValueError, match="needs 4 float64 entries"):
+        analysis.WordTable(("0", "1"), 2, np.zeros(3))
+
+
+def test_word_table_is_read_only(even):
+    dist = enumerate_distribution(even, 2)
+    with pytest.raises(TypeError):
+        dist.probabilities[("0", "0")] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        dist.probabilities.array[0] = 0.5
+
+
 def test_block_entropy_matches_closed_form():
     b = cluster.MeasurementBasis(math.pi / 8, 0.0)
     dist = enumerate_distribution(cluster.cluster_kraus(b), 3, initial=np.eye(2) / 2)
@@ -205,6 +253,28 @@ def test_hankel_block_fair_coin():
     block = hankel_block(FAIR_COIN)
     expect = np.array([[1, 0.5, 0.5], [0.5, 0.25, 0.25], [0.5, 0.25, 0.25]])
     assert np.allclose(block.matrix, expect, atol=1e-14)
+
+
+def test_hankel_block_takes_the_stationary_state(even, four_symbol, monkeypatch):
+    # a caller that already holds the stationary state gets the same bytes
+    # without a second solve
+    readout = mps.mps_to_hqmm(random_mps(np.random.default_rng(4), 3, 2))
+    quantum_models = [
+        quantum.HqmmModel(alphabet=m.alphabet, dim=m.dim, operations=m.operations)
+        for m in (four_symbol, readout)
+    ]
+    for model, kind in [(even, classical)] + [(m, quantum) for m in quantum_models]:
+        assert getattr(model, "prior", None) is None and getattr(model, "initial", None) is None
+        words = [w for n in range(3) for w in itertools.product(model.alphabet, repeat=n)]
+        state, _ = kind.steady_state(model)
+        expected = [hankel_block(model).matrix, hankel_block(model, words, words).matrix]
+        with monkeypatch.context() as m:
+            m.setattr(kind, "steady_state", None)
+            got = [
+                hankel_block(model, initial=state).matrix,
+                hankel_block(model, words, words, initial=state).matrix,
+            ]
+        assert [h.tobytes() for h in got] == [h.tobytes() for h in expected]
 
 
 def test_hankel_block_unknown_symbol(even):
@@ -398,8 +468,8 @@ def _unifilar_hmm(model_seed, n_states, n_symbols):
     return model, np.eye(n_states)[start]
 
 
-def _mps_readout(model_seed, bond_dim):
-    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(model_seed), bond_dim, 2))
+def _mps_readout(model_seed, bond_dim, phys_dim=2):
+    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(model_seed), bond_dim, phys_dim))
     return model, model.initial
 
 
@@ -429,6 +499,60 @@ def test_sampler_matches_plain_loop_on_generated_models(case, seed):
     model, initial = case
     expected = _plain_sample(model, 300, seed, initial)
     assert sample_trajectory(model, 300, seed, initial) == expected
+
+
+def _plain_marginalize(probabilities):
+    """The per-word dict loop that ``marginalize_last`` must reproduce bit
+    for bit."""
+    probs = {}
+    for word, p in probabilities.items():
+        probs[word[:-1]] = probs.get(word[:-1], 0.0) + p
+    return probs
+
+
+def _bits(items):
+    return [(w, float.hex(p)) for w, p in items]
+
+
+def _embedded_hmm(model_seed, n_states, n_symbols):
+    rng = np.random.default_rng(model_seed)
+    return quantum.embed_classical(random_hmm(rng, n_states, n_symbols)), None
+
+
+WORD_TABLE_MODELS = st.one_of(
+    st.builds(_sparse_hmm, st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 4)),
+    st.builds(_embedded_hmm, st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 4)),
+    st.builds(_mps_readout, st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 4)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    case=WORD_TABLE_MODELS,
+    n=st.integers(0, 6),
+    zeros=st.lists(st.tuples(st.integers(0, 4095), st.sampled_from([0.0, -0.0])), max_size=6),
+)
+@example(case=_sparse_hmm(0, 3, 4), n=6, zeros=[(0, -0.0), (1, 0.0), (5, -0.0)])
+def test_word_tables_match_the_plain_dict_loop_bit_for_bit(case, n, zeros):
+    """Enumerated tables read as the dict of their clipped array, in product
+    order, and every marginalization step adds like the per-word loop, also
+    over a hand-built copy with exact signed zeros put in."""
+    model, initial = case
+    dist = enumerate_distribution(model, n, initial)
+    words = list(itertools.product(model.alphabet, repeat=n))
+    plain = dict(zip(words, dist.probabilities.array.tolist()))
+    assert _bits(dist.probabilities.items()) == _bits(plain.items())
+    values = list(plain.values())
+    for i, zero in zeros:
+        values[i % len(values)] = zero
+    signed = dict(zip(words, values))
+    hand = WordDistribution(n, tuple(model.alphabet), signed)
+    assert _bits(hand.probabilities.items()) == _bits(signed.items())
+    for table, expected in ((dist, plain), (hand, signed)):
+        assert float.hex(table.total()) == float.hex(float(sum(expected.values())))
+        while table.length > 0:
+            table, expected = table.marginalize_last(), _plain_marginalize(expected)
+            assert _bits(table.probabilities.items()) == _bits(expected.items())
 
 
 def test_vanished_mass_is_raised_at_the_step_that_draws_from_it():
