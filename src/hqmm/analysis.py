@@ -20,15 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from . import classical, quantum
-from .classical import HmmModel
-from .linalg import (
-    hermitian_coordinates,
-    hermitian_real_form,
-    numerical_rank,
-    transfer_matrix,
-)
-from .quantum import HqmmModel
+from . import modelfile
+from .linalg import numerical_rank
 
 ENUMERATION_BUDGET_BYTES = 2 * 2**30
 # per word, beyond its states: the clipped probability in the table's array,
@@ -37,12 +30,6 @@ ENUMERATION_BUDGET_BYTES = 2 * 2**30
 _WORD_ENTRY_BYTES = 200
 
 Word = tuple[str, ...]
-
-
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise ValueError(f"non-finite entries in the {what}")
-    return a
 
 
 def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, int]:
@@ -59,22 +46,10 @@ def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, 
     ``linalg.hermitian_coordinates`` of the resolved initial state. Raises
     ``ValueError`` when any entry of ``A`` or ``v0`` is not finite.
     """
-    if isinstance(model, HmmModel):
-        mats = _finite(
-            np.stack([model.transitions[s] for s in model.alphabet]), "transition matrices"
-        )
-        return mats, classical.resolve_initial(model, initial), model.n_states
-    if isinstance(model, HqmmModel):
-        d = model.dim
-        mats = np.stack(
-            [
-                hermitian_real_form(transfer_matrix(ops)) if ops else np.zeros((d * d, d * d))
-                for ops in (model.operations[s] for s in model.alphabet)
-            ]
-        )
-        v0 = hermitian_coordinates(quantum.resolve_initial(model, initial))
-        return _finite(mats, "operation matrices"), _finite(v0, "initial state"), d
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    kind = modelfile.kind_of(model)
+    if kind is None or kind.core is None:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    return kind.core.linear_representation(model, initial)
 
 
 class WordTable(Mapping):

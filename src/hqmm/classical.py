@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import TOL
-from .linalg import Violation, _fixed_vector, check_prob_vector, checked_probability
+from .linalg import Violation, _finite, _fixed_vector, check_prob_vector, checked_probability
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,11 @@ class HmmModel:
     @property
     def n_states(self) -> int:
         return self.transitions[self.alphabet[0]].shape[0]
+
+    @property
+    def dim(self) -> int:
+        """``n_states``, under the name the quantum models give their state count."""
+        return self.n_states
 
     def matrix(self, symbol: str) -> np.ndarray:
         try:
@@ -137,6 +142,18 @@ def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
     if not np.isfinite(p).all():
         raise ValueError("non-finite entries in the initial distribution")
     return p
+
+
+def state_from_weights(weights: np.ndarray) -> np.ndarray:
+    """The distribution with these normalized weights: the weights themselves."""
+    return weights
+
+
+def linear_representation(m: HmmModel, initial=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The ``T_s`` stacked in alphabet order, the resolved initial
+    distribution and ``n_states``; see ``analysis.linear_representation``."""
+    mats = _finite(np.stack([m.transitions[s] for s in m.alphabet]), "transition matrices")
+    return mats, resolve_initial(m, initial), m.n_states
 
 
 def word_probability(

@@ -14,11 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, classical, cluster, modelfile, mps, quantum
-from .classical import HmmModel
+from . import analysis, cluster, modelfile, quantum
 from .linalg import numerical_rank
-from .mps import MpsModel
-from .quantum import HqmmModel, VnModel
 
 
 class UsageError(ValueError):
@@ -63,25 +60,15 @@ def _open_output(path: str):
 
 def _operational(model):
     """Reduce any model kind to one that supports word probabilities."""
-    if isinstance(model, VnModel):
-        return model.to_hqmm()
-    if isinstance(model, MpsModel):
-        return mps.mps_to_hqmm(model)
-    return model
+    return modelfile.kind_of(model).operational(model)
 
 
 def _parse_initial(text: str | None, model):
     if text is None or text == "steady":
         return None
-    if isinstance(model, HmmModel):
-        d = model.n_states
-        if text in ("mixed", "uniform"):
-            return np.full(d, 1.0 / d)
-        return _weights(text, d)
     d = model.dim
-    if text in ("mixed", "uniform"):
-        return np.eye(d, dtype=complex) / d
-    return np.diag(_weights(text, d)).astype(complex)
+    weights = np.full(d, 1.0 / d) if text in ("mixed", "uniform") else _weights(text, d)
+    return modelfile.kind_of(model).core.state_from_weights(weights)
 
 
 def _weights(text: str, d: int) -> np.ndarray:
@@ -128,14 +115,7 @@ def _print_distribution(dist: analysis.WordDistribution, alphabet, csv_path, out
 
 def cmd_validate(args, out, err) -> int:
     model = modelfile.parse_model(_read(args.file), validate=False)
-    if isinstance(model, HmmModel):
-        problems = classical.validate_hmm(model)
-    elif isinstance(model, HqmmModel):
-        problems = quantum.validate_hqmm(model)
-    elif isinstance(model, VnModel):
-        problems = quantum.validate_vn(model)
-    else:
-        problems = mps.validate_mps(model)
+    problems = modelfile.kind_of(model).validate(model)
     if problems:
         for p in problems:
             print(str(p), file=err)
@@ -146,8 +126,7 @@ def cmd_validate(args, out, err) -> int:
 
 def cmd_steady(args, out, err) -> int:
     model = _operational(_load(args.file))
-    kind = classical if isinstance(model, HmmModel) else quantum
-    state, unique = kind.steady_state(model)
+    state, unique = modelfile.kind_of(model).core.steady_state(model)
     print(f"steady state ({'unique' if unique else 'non-unique, canonical'}):", file=out)
     if state.ndim == 1:
         print(" ".join(_fmt(p) for p in state), file=out)
@@ -163,8 +142,7 @@ def cmd_wordprob(args, out, err) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
     initial = _parse_initial(args.initial, model)
-    kind = classical if isinstance(model, HmmModel) else quantum
-    print(_fmt(kind.word_probability(model, word, initial)), file=out)
+    print(_fmt(modelfile.kind_of(model).core.word_probability(model, word, initial)), file=out)
     return 0
 
 
@@ -198,7 +176,7 @@ def cmd_hankel(args, out, err) -> int:
 
 def cmd_convert(args, out, err) -> int:
     model = _load(args.file)
-    if not isinstance(model, HmmModel):
+    if modelfile.kind_of(model) is not modelfile.KINDS["hmm"]:
         raise ValueError("convert expects a classical (hmm) model file")
     if args.to == "hqmm-embed":
         converted = quantum.embed_classical(model)

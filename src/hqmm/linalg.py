@@ -340,6 +340,12 @@ def fixed_point(transfer: np.ndarray) -> tuple[np.ndarray, bool]:
     return _from_hermitian_coordinates(x / tr), unique
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite entries in the {what}")
+    return a
+
+
 def checked_probability(p: float, what: str) -> float:
     """A computed probability clamped to [0, 1].
 

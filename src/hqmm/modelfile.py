@@ -4,15 +4,17 @@ Complex entries are two-element ``[re, im]`` arrays (bare numbers are read as
 real); matrices are nested row-major arrays. The ``kind`` field selects the
 schema: ``hmm`` (per-symbol transition matrices), ``hqmm`` (per-symbol Kraus
 lists), ``vn`` (projectors plus a unitary), or ``mps`` (site tensors plus
-physical-space projectors). Parsed models are run through their validator;
-failures surface as ``ModelFileError`` with the offending field named.
+physical-space projectors), each one entry of the table ``KINDS``. Parsed
+models are run through their validator; failures surface as
+``ModelFileError`` with the offending field named.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Iterable, Sequence
+from types import ModuleType
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,8 +22,6 @@ from . import classical, mps, quantum
 from .classical import HmmModel
 from .mps import MpsModel
 from .quantum import HqmmModel, VnModel
-
-KINDS = ("hmm", "hqmm", "vn", "mps")
 
 BUNDLED_MODELS = (
     "even_process",
@@ -41,36 +41,29 @@ def _fail(path: str, message: str):
     raise ModelFileError(f"{path}: {message}" if path else message)
 
 
-def _get(doc: dict, key: str, path: str, required: bool = True):
+def _get(doc: dict, key: str):
     if key not in doc:
-        if required:
-            _fail(path, f"missing required field {key!r}")
-        return None
+        _fail("", f"missing required field {key!r}")
     return doc[key]
 
 
 def _number(x, path: str) -> complex:
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return complex(x)
-    if (
-        isinstance(x, list)
-        and len(x) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
-    ):
-        return complex(x[0], x[1])
-    _fail(path, f"expected a number or [re, im] pair, got {x!r}")
+    parts = x if isinstance(x, list) and len(x) == 2 else [x]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        _fail(path, f"expected a number or [re, im] pair, got {x!r}")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        # json reads integers of any size; a float holds up to about 1.8e308
+        _fail(path, "integer too large for a floating-point number")
 
 
-def _integer(x, path: str) -> int:
+def _size(doc: dict, key: str) -> int:
+    x = _get(doc, key)
     # bool is an int subclass, and int() would silently truncate 2.7
     if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-        _fail(path, f"expected a positive integer, got {x!r}")
+        _fail(key, f"expected a positive integer, got {x!r}")
     return x
-
-
-def _check_dimension(dim: int, size: int):
-    if dim != size:
-        _fail("dimension", f"{dim} does not match the {size} x {size} matrices")
 
 
 def _matrix(rows, path: str, real_only: bool = False) -> np.ndarray:
@@ -97,14 +90,14 @@ def _vector(entries, path: str) -> np.ndarray:
 
 
 def _alphabet(doc: dict) -> tuple[str, ...]:
-    raw = _get(doc, "alphabet", "")
+    raw = _get(doc, "alphabet")
     if not isinstance(raw, list) or not raw or not all(isinstance(s, str) and s for s in raw):
         _fail("alphabet", "expected a non-empty array of non-empty strings")
     return tuple(raw)
 
 
 def _symbol_matrices(doc, field: str, alphabet, real_only=False) -> dict[str, np.ndarray]:
-    raw = _get(doc, field, "")
+    raw = _get(doc, field)
     if not isinstance(raw, dict):
         _fail(field, "expected an object keyed by symbol")
     if set(raw) != set(alphabet):
@@ -112,11 +105,128 @@ def _symbol_matrices(doc, field: str, alphabet, real_only=False) -> dict[str, np
     return {s: _matrix(raw[s], f'{field}["{s}"]', real_only) for s in alphabet}
 
 
-def _metadata(doc) -> dict:
-    meta = doc.get("metadata", {})
-    if not isinstance(meta, dict):
-        _fail("metadata", "expected an object")
-    return meta
+def _encode_matrix(m: np.ndarray, real_only: bool = False):
+    m = np.asarray(m)
+    if real_only:
+        return [[float(x.real) for x in row] for row in m]
+    return [[[z.real, z.imag] for z in map(complex, row)] for row in m]
+
+
+def _encode_symbol_matrices(mats: dict, alphabet, real_only: bool = False) -> dict:
+    return {s: _encode_matrix(mats[s], real_only) for s in alphabet}
+
+
+def _read_hmm(doc, alphabet, dim) -> dict:
+    return {"transitions": _symbol_matrices(doc, "transitions", alphabet, real_only=True)}
+
+
+def _write_hmm(m: HmmModel) -> dict:
+    return {"transitions": _encode_symbol_matrices(m.transitions, m.alphabet, real_only=True)}
+
+
+def _read_hqmm(doc, alphabet, dim) -> dict:
+    raw_ops = _get(doc, "operations")
+    if not isinstance(raw_ops, dict) or set(raw_ops) != set(alphabet):
+        _fail("operations", "expected an object keyed by every alphabet symbol")
+    operations = {}
+    for s in alphabet:
+        ks = raw_ops[s]
+        if not isinstance(ks, list):
+            _fail(f'operations["{s}"]', "expected an array of matrices")
+        # an empty array is the zero operation: the symbol never occurs
+        operations[s] = [_matrix(k, f'operations["{s}"][{i}]') for i, k in enumerate(ks)]
+    if not any(operations.values()):
+        _fail("operations", "expected at least one Kraus operator")
+    return {"dim": dim, "operations": operations}
+
+
+def _write_hqmm(m: HqmmModel) -> dict:
+    return {"operations": {s: [_encode_matrix(k) for k in m.operations[s]] for s in m.alphabet}}
+
+
+def _read_vn(doc, alphabet, dim) -> dict:
+    return {
+        "projectors": _symbol_matrices(doc, "projectors", alphabet),
+        "unitary": _matrix(_get(doc, "unitary"), "unitary"),
+    }
+
+
+def _write_vn(m: VnModel) -> dict:
+    return {
+        "projectors": _encode_symbol_matrices(m.projectors, m.alphabet),
+        "unitary": _encode_matrix(m.unitary),
+    }
+
+
+def _read_mps(doc, alphabet, dim) -> dict:
+    bond_dim = _size(doc, "bond_dimension")
+    phys_dim = _size(doc, "physical_dimension")
+    raw_tensors = _get(doc, "tensors")
+    if not isinstance(raw_tensors, list):
+        _fail("tensors", "expected an array of matrices")
+    return {
+        "bond_dim": bond_dim,
+        "phys_dim": phys_dim,
+        "tensors": tuple(_matrix(t, f"tensors[{i}]") for i, t in enumerate(raw_tensors)),
+        "projectors": _symbol_matrices(doc, "projectors", alphabet),
+    }
+
+
+def _write_mps(m: MpsModel) -> dict:
+    return {
+        "bond_dimension": m.bond_dim,
+        "physical_dimension": m.phys_dim,
+        "tensors": [_encode_matrix(v) for v in m.tensors],
+        "projectors": _encode_symbol_matrices(m.projectors, m.alphabet),
+    }
+
+
+# the optional start state of a kind: (field, parse, encode)
+_PRIOR = ("prior", _vector, lambda p: [float(x) for x in p])
+_INITIAL = ("initial", _matrix, _encode_matrix)
+
+
+class Kind(NamedTuple):
+    """One model kind. ``read(doc, alphabet, dimension)`` gives the model's
+    keywords for the kind's own fields, ``write(model)`` their encoding in
+    document order. A ``sized`` kind's ``dimension`` field is checked against
+    ``model.dim``. ``operational`` reduces a model to one whose kind has a
+    ``core``: the module (``classical`` or ``quantum``) that evaluates it."""
+
+    name: str
+    model: type
+    read: Callable
+    write: Callable
+    validate: Callable
+    start: tuple = _INITIAL
+    sized: bool = True
+    operational: Callable = lambda model: model
+    core: ModuleType | None = None
+
+
+KINDS = {
+    kind.name: kind
+    for kind in (
+        Kind("hmm", HmmModel, _read_hmm, _write_hmm, classical.validate_hmm, _PRIOR, core=classical),
+        Kind("hqmm", HqmmModel, _read_hqmm, _write_hqmm, quantum.validate_hqmm, core=quantum),
+        Kind("vn", VnModel, _read_vn, _write_vn, quantum.validate_vn, operational=VnModel.to_hqmm),
+        Kind(
+            "mps",
+            MpsModel,
+            _read_mps,
+            _write_mps,
+            mps.validate_mps,
+            sized=False,
+            operational=mps.mps_to_hqmm,
+        ),
+    )
+}
+_KIND_OF_TYPE = {kind.model: kind for kind in KINDS.values()}
+
+
+def kind_of(model) -> Kind | None:
+    """The ``KINDS`` entry of ``type(model)``, or None for any other type."""
+    return _KIND_OF_TYPE.get(type(model))
 
 
 def parse_model(text: str, validate: bool = True):
@@ -129,89 +239,26 @@ def parse_model(text: str, validate: bool = True):
         raise ModelFileError("document is nested too deeply") from None
     if not isinstance(doc, dict):
         _fail("", "top-level value must be an object")
-    kind = _get(doc, "kind", "")
-    if kind not in KINDS:
-        _fail("kind", f"unknown kind {kind!r}; expected one of {KINDS}")
+    name = _get(doc, "kind")
+    kind = KINDS.get(name) if isinstance(name, str) else None
+    if kind is None:
+        _fail("kind", f"unknown kind {name!r}; expected one of {tuple(KINDS)}")
     alphabet = _alphabet(doc)
+    field, parse_start, _ = kind.start
     try:
-        if kind == "hmm":
-            dim = _integer(_get(doc, "dimension", ""), "dimension")
-            model = HmmModel(
-                alphabet=alphabet,
-                transitions=_symbol_matrices(doc, "transitions", alphabet, real_only=True),
-                prior=(
-                    _vector(doc["prior"], "prior") if doc.get("prior") is not None else None
-                ),
-                metadata=_metadata(doc),
-            )
-            _check_dimension(dim, model.n_states)
-            problems = classical.validate_hmm(model) if validate else []
-        elif kind == "hqmm":
-            dim = _integer(_get(doc, "dimension", ""), "dimension")
-            raw_ops = _get(doc, "operations", "")
-            if not isinstance(raw_ops, dict) or set(raw_ops) != set(alphabet):
-                _fail("operations", "expected an object keyed by every alphabet symbol")
-            operations = {}
-            for s in alphabet:
-                ks = raw_ops[s]
-                if not isinstance(ks, list):
-                    _fail(f'operations["{s}"]', "expected an array of matrices")
-                # an empty array is the zero operation: the symbol never occurs
-                operations[s] = [
-                    _matrix(k, f'operations["{s}"][{i}]') for i, k in enumerate(ks)
-                ]
-            model = HqmmModel(
-                alphabet=alphabet,
-                dim=dim,
-                operations=operations,
-                initial=(
-                    _matrix(doc["initial"], "initial")
-                    if doc.get("initial") is not None
-                    else None
-                ),
-                metadata=_metadata(doc),
-            )
-            problems = quantum.validate_hqmm(model) if validate else []
-        elif kind == "vn":
-            dim = _integer(_get(doc, "dimension", ""), "dimension")
-            model = VnModel(
-                alphabet=alphabet,
-                projectors=_symbol_matrices(doc, "projectors", alphabet),
-                unitary=_matrix(_get(doc, "unitary", ""), "unitary"),
-                initial=(
-                    _matrix(doc["initial"], "initial")
-                    if doc.get("initial") is not None
-                    else None
-                ),
-                metadata=_metadata(doc),
-            )
-            _check_dimension(dim, model.dim)
-            problems = quantum.validate_vn(model) if validate else []
-        else:
-            bond = _integer(_get(doc, "bond_dimension", ""), "bond_dimension")
-            phys = _integer(_get(doc, "physical_dimension", ""), "physical_dimension")
-            raw_tensors = _get(doc, "tensors", "")
-            if not isinstance(raw_tensors, list):
-                _fail("tensors", "expected an array of matrices")
-            model = MpsModel(
-                alphabet=alphabet,
-                bond_dim=bond,
-                phys_dim=phys,
-                tensors=tuple(
-                    _matrix(t, f"tensors[{i}]") for i, t in enumerate(raw_tensors)
-                ),
-                projectors=_symbol_matrices(doc, "projectors", alphabet),
-                initial=(
-                    _matrix(doc["initial"], "initial")
-                    if doc.get("initial") is not None
-                    else None
-                ),
-                metadata=_metadata(doc),
-            )
-            problems = mps.validate_mps(model) if validate else []
-    except ModelFileError:
-        raise
+        dim = _size(doc, "dimension") if kind.sized else None
+        fields = kind.read(doc, alphabet, dim)
+        start = doc.get(field)
+        fields[field] = parse_start(start, field) if start is not None else None
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            _fail("metadata", "expected an object")
+        model = kind.model(alphabet=alphabet, **fields, metadata=metadata)
+        if kind.sized and dim != model.dim:
+            _fail("dimension", f"{dim} does not match the {model.dim} x {model.dim} matrices")
+        problems = kind.validate(model) if validate else []
     except (ValueError, TypeError) as e:
+        # a ModelFileError passes through with its text unchanged
         raise ModelFileError(str(e)) from None
     if problems:
         raise ModelFileError(
@@ -220,71 +267,19 @@ def parse_model(text: str, validate: bool = True):
     return model
 
 
-def _encode_complex(x: complex):
-    return [x.real, x.imag]
-
-
-def _encode_matrix(m: np.ndarray, real_only: bool = False):
-    m = np.asarray(m)
-    if real_only:
-        return [[float(x.real) for x in row] for row in m]
-    return [[_encode_complex(complex(x)) for x in row] for row in m]
-
-
 def serialize_model(model) -> str:
     """Inverse of ``parse_model``; numeric entries round-trip exactly."""
-    if isinstance(model, HmmModel):
-        doc = {
-            "kind": "hmm",
-            "alphabet": list(model.alphabet),
-            "dimension": model.n_states,
-            "transitions": {
-                s: _encode_matrix(model.transitions[s], real_only=True)
-                for s in model.alphabet
-            },
-        }
-        if model.prior is not None:
-            doc["prior"] = [float(x) for x in model.prior]
-    elif isinstance(model, HqmmModel):
-        doc = {
-            "kind": "hqmm",
-            "alphabet": list(model.alphabet),
-            "dimension": model.dim,
-            "operations": {
-                s: [_encode_matrix(k) for k in model.operations[s]]
-                for s in model.alphabet
-            },
-        }
-        if model.initial is not None:
-            doc["initial"] = _encode_matrix(model.initial)
-    elif isinstance(model, VnModel):
-        doc = {
-            "kind": "vn",
-            "alphabet": list(model.alphabet),
-            "dimension": model.dim,
-            "projectors": {
-                s: _encode_matrix(model.projectors[s]) for s in model.alphabet
-            },
-            "unitary": _encode_matrix(model.unitary),
-        }
-        if model.initial is not None:
-            doc["initial"] = _encode_matrix(model.initial)
-    elif isinstance(model, MpsModel):
-        doc = {
-            "kind": "mps",
-            "alphabet": list(model.alphabet),
-            "bond_dimension": model.bond_dim,
-            "physical_dimension": model.phys_dim,
-            "tensors": [_encode_matrix(v) for v in model.tensors],
-            "projectors": {
-                s: _encode_matrix(model.projectors[s]) for s in model.alphabet
-            },
-        }
-        if model.initial is not None:
-            doc["initial"] = _encode_matrix(model.initial)
-    else:
+    kind = kind_of(model)
+    if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    if getattr(model, "metadata", None):
+    doc = {"kind": kind.name, "alphabet": list(model.alphabet)}
+    if kind.sized:
+        doc["dimension"] = model.dim
+    doc.update(kind.write(model))
+    field, _, encode = kind.start
+    if getattr(model, field) is not None:
+        doc[field] = encode(getattr(model, field))
+    if model.metadata:
         doc["metadata"] = model.metadata
     return json.dumps(doc, indent=2) + "\n"
 

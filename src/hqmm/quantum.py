@@ -20,12 +20,15 @@ from .config import TOL
 from . import classical
 from .linalg import (
     Violation,
+    _finite,
     as_matrix,
     check_density_matrix,
     check_projector_set,
     check_unitary,
     checked_probability,
     fixed_point,
+    hermitian_coordinates,
+    hermitian_real_form,
     hermitize,
     transfer_matrix,
 )
@@ -50,9 +53,6 @@ class HqmmModel:
             raise ValueError("operations must cover exactly the alphabet")
         d = self.dim
         ops = {}
-        flats = {}
-        adjoints = {}
-        grams = {}
         for s in alphabet:
             mats = [as_matrix(k, f"Kraus operator for {s!r}") for k in self.operations[s]]
             for k in mats:
@@ -61,6 +61,12 @@ class HqmmModel:
                         f"Kraus operator for {s!r} has shape {k.shape}, expected ({d}, {d})"
                     )
             ops[s] = mats
+        # the d x d stacks and grams come only after every shape is checked,
+        # so that an empty list cannot allocate them for an unchecked d
+        flats = {}
+        adjoints = {}
+        grams = {}
+        for s, mats in ops.items():
             stack = np.stack(mats) if mats else np.zeros((0, d, d), dtype=complex)
             k = stack.shape[0]
             flats[s] = stack.transpose(1, 2, 0).reshape(d, d * k)
@@ -175,6 +181,25 @@ def conditional_update(m: HqmmModel, symbol: str, rho) -> np.ndarray:
     return hermitize(sigma / p)
 
 
+def state_from_weights(weights: np.ndarray) -> np.ndarray:
+    """The density matrix with these normalized weights on its diagonal."""
+    return np.diag(weights).astype(complex)
+
+
+def linear_representation(m: HqmmModel, initial=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each operation in the real Hermitian basis, the coordinates of the
+    resolved initial state and ``dim``; see ``analysis.linear_representation``."""
+    d = m.dim
+    mats = np.stack(
+        [
+            hermitian_real_form(transfer_matrix(ops)) if ops else np.zeros((d * d, d * d))
+            for ops in (m.operations[s] for s in m.alphabet)
+        ]
+    )
+    v0 = hermitian_coordinates(resolve_initial(m, initial))
+    return _finite(mats, "operation matrices"), _finite(v0, "initial state"), d
+
+
 def word_probability(m: HqmmModel, word: Iterable[str], initial=None) -> float:
     """``tr[K_{s_n} ... K_{s_1} rho]`` with ``s_1`` the earliest symbol."""
     sigma = resolve_initial(m, initial)
@@ -261,7 +286,7 @@ def embed_classical(m: classical.HmmModel) -> HqmmModel:
                     k[i, j] = np.sqrt(t[i, j])
                     kraus.append(k)
         ops[s] = kraus
-    initial = np.diag(m.prior).astype(complex) if m.prior is not None else None
+    initial = state_from_weights(m.prior) if m.prior is not None else None
     return HqmmModel(alphabet=m.alphabet, dim=d, operations=ops, initial=initial)
 
 
@@ -289,7 +314,7 @@ def pure_from_reversible(m: classical.HmmModel) -> HqmmModel:
             if nz.size:
                 k[nz[0], j] = np.sqrt(col[nz[0]])
         ops[s] = [k]
-    initial = np.diag(m.prior).astype(complex) if m.prior is not None else None
+    initial = state_from_weights(m.prior) if m.prior is not None else None
     return HqmmModel(alphabet=m.alphabet, dim=d, operations=ops, initial=initial)
 
 

@@ -1,3 +1,4 @@
+import copy
 import io
 import itertools
 import json
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hqmm
 from hqmm import classical, modelfile
@@ -374,3 +377,143 @@ def test_steady_four_symbol_prints_exact_zeros_off_the_diagonal(paths):
     assert [row[i] for i, row in enumerate(rows)] == ["0.5", "0.5"]
     off = [cell for i, row in enumerate(rows) for j, cell in enumerate(row) if i != j]
     assert off == ["0", "0"]
+
+
+# documents that parse but fail validation, one per kind
+FAILING_DOCS = {
+    "hmm": {
+        "kind": "hmm",
+        "alphabet": ["0", "1"],
+        "dimension": 2,
+        "transitions": {"0": [[1.0, 0.0], [0.5, 0.0]], "1": [[0.0, 0.5], [0.0, 0.5]]},
+        "prior": [0.5, 0.25],
+    },
+    "hqmm": {
+        "kind": "hqmm",
+        "alphabet": ["0", "1"],
+        "dimension": 1,
+        "operations": {"0": [[[0.5]]], "1": [[[0.5]]]},
+        "initial": [[2.0]],
+    },
+    "vn": {
+        "kind": "vn",
+        "alphabet": ["0", "1"],
+        "dimension": 2,
+        "projectors": {"0": [[1.0, 0.0], [0.0, 0.0]], "1": [[0.0, 0.0], [0.0, 0.5]]},
+        "unitary": [[2.0, 0.0], [0.0, 1.0]],
+    },
+    "mps": {
+        "kind": "mps",
+        "alphabet": ["0", "1"],
+        "bond_dimension": 1,
+        "physical_dimension": 2,
+        "tensors": [[[1.0]], [[1.0]]],
+        "projectors": {"0": [[1.0, 0.0], [0.0, 0.0]], "1": [[0.0, 0.0], [0.0, 1.0]]},
+        "initial": [[-1.0]],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAILING_DOCS))
+def test_validate_and_parse_refuse_with_the_same_problems(tmp_path, kind):
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps(FAILING_DOCS[kind]))
+    code, out, problems = run(["validate", str(p)])
+    assert (code, out) == (1, "")
+    assert len(problems.splitlines()) >= 2
+    code, out, refused = run(["steady", str(p)])
+    assert (code, out) == (1, "")
+    joined = "; ".join(problems.splitlines())
+    assert refused == f"error: model fails validation: {joined}\n"
+
+
+@pytest.mark.parametrize(
+    "dimension, operations, message",
+    [
+        # the empty first list used to build a dimension x dimension gram
+        # (14.6 TiB here) before the second list's shape was checked
+        (10**6, {"0": [], "1": [[[1.0]]]}, "Kraus operator for '1' has shape (1, 1), expected"),
+        (10**6, {"0": [], "1": []}, "operations: expected at least one Kraus operator"),
+        (1, {"0": [], "1": []}, "operations: expected at least one Kraus operator"),
+    ],
+)
+def test_empty_kraus_lists_are_named_errors(tmp_path, dimension, operations, message):
+    doc = {"kind": "hqmm", "alphabet": ["0", "1"], "dimension": dimension}
+    p = tmp_path / "kraus.json"
+    p.write_text(json.dumps(dict(doc, operations=operations)))
+    for command in ("validate", "steady"):
+        code, out, err = run([command, str(p)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+
+def _fuzz_bases() -> list[dict]:
+    """Valid documents of every kind, with a prior or initial state on some,
+    and one hqmm document whose first symbol never occurs (an empty list)."""
+    from hqmm.cluster import MeasurementBasis, cluster_kraus
+    from hqmm.mps import cluster_mps
+    from hqmm.quantum import HqmmModel
+
+    cluster = cluster_kraus(MeasurementBasis(0.4, 1.0))
+    silent = HqmmModel(
+        alphabet=("never",) + cluster.alphabet,
+        dim=2,
+        operations={"never": [], **cluster.operations},
+    )
+    models = [
+        modelfile.load_bundled(name)
+        for name in ("even_process", "four_state", "four_symbol_hqmm", "even_process_vn")
+    ]
+    models += [silent, cluster_mps(MeasurementBasis(0.3, 0.5))]
+    return [json.loads(modelfile.serialize_model(m)) for m in models]
+
+
+FUZZ_BASES = _fuzz_bases()
+FUZZ_SIZES = [10**6, 10**400, -3, 0]
+DELETE = object()
+FUZZ_VALUES = FUZZ_SIZES + [math.nan, [], {}, [[1.0]], "1", DELETE]
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    size = draw(st.sampled_from([None] + FUZZ_SIZES))
+    if size is not None:
+        for key in ("dimension", "bond_dimension", "physical_dimension"):
+            if key in doc:
+                doc[key] = size
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key = None, None
+        node = doc
+        # walk down from the top level, one field or entry at a time
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = parent[key]
+        if parent is None:
+            continue
+        value = draw(st.sampled_from(FUZZ_VALUES + [[node]]))
+        if value is DELETE:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+    return doc
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=_mutated_documents())
+def test_mutated_model_files_give_named_errors(tmp_path, doc):
+    """Every mutated document exits 0, 1 or 2 without a traceback, and no
+    exit 0 prints nan."""
+    p = tmp_path / "fuzzed.json"
+    p.write_text(json.dumps(doc))
+    for command in ("validate", "steady"):
+        code, out, err = run([command, str(p)])
+        assert code in (0, 1, 2), (command, err)
+        assert code != 0 or "nan" not in out.lower(), (command, out)
