@@ -318,11 +318,10 @@ def state_count_lower_bound(
     model,
     row_words: Iterable[Iterable[str]] | None = None,
     col_words: Iterable[Iterable[str]] | None = None,
-    tol: float | None = None,
 ) -> int:
     """Numerical rank of the Hankel block: no classical generator of the
     process can have fewer internal states."""
-    return numerical_rank(hankel_block(model, row_words, col_words).matrix, tol)
+    return numerical_rank(hankel_block(model, row_words, col_words).matrix)
 
 
 class Xorshift64Star:

@@ -15,7 +15,14 @@ from typing import Iterable
 import numpy as np
 
 from .config import TOL
-from .linalg import Violation, _finite, _fixed_vector, check_prob_vector, checked_probability
+from .linalg import (
+    Violation,
+    _finite,
+    _fixed_vector,
+    check_prob_vector,
+    checked_alphabet,
+    checked_probability,
+)
 
 
 @dataclass(frozen=True)
@@ -28,12 +35,8 @@ class HmmModel:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        alphabet = tuple(str(s) for s in self.alphabet)
+        alphabet = checked_alphabet(self.alphabet, self.transitions, "transition matrices")
         object.__setattr__(self, "alphabet", alphabet)
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet contains duplicate symbols")
-        if set(self.transitions) != set(alphabet):
-            raise ValueError("transition matrices must cover exactly the alphabet")
         mats = {}
         d = None
         for s in alphabet:
@@ -47,10 +50,7 @@ class HmmModel:
             mats[s] = t
         object.__setattr__(self, "transitions", mats)
         if self.prior is not None:
-            p = np.asarray(self.prior, dtype=float)
-            if p.shape != (d,):
-                raise ValueError(f"prior must have length {d}, got shape {p.shape}")
-            object.__setattr__(self, "prior", p)
+            object.__setattr__(self, "prior", _distribution(self.prior, d, "prior"))
 
     @property
     def n_states(self) -> int:
@@ -70,6 +70,14 @@ class HmmModel:
     def total(self) -> np.ndarray:
         """The forgetful transition matrix ``sum_s T_s``."""
         return sum(self.transitions[s] for s in self.alphabet)
+
+
+def _distribution(p, d: int, name: str) -> np.ndarray:
+    """``p`` as a float vector; raises ``ValueError`` unless it has length ``d``."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (d,):
+        raise ValueError(f"{name} must have length {d}, got shape {p.shape}")
+    return p
 
 
 def validate_hmm(m: HmmModel) -> list[Violation]:
@@ -132,9 +140,7 @@ def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
     report it, but no probability is computed from it.
     """
     if initial is not None:
-        p = np.asarray(initial, dtype=float)
-        if p.shape != (m.n_states,):
-            raise ValueError(f"initial distribution must have length {m.n_states}")
+        p = _distribution(initial, m.n_states, "initial distribution")
     elif m.prior is not None:
         p = m.prior
     else:

@@ -55,6 +55,18 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def checked_alphabet(alphabet, per_symbol: Mapping, field: str) -> tuple[str, ...]:
+    """The symbols as strings. Raises ``ValueError`` for a repeated symbol
+    and for a per-symbol mapping, the model's ``field``, whose keys are not
+    exactly the symbols."""
+    symbols = tuple(str(s) for s in alphabet)
+    if len(set(symbols)) != len(symbols):
+        raise ValueError("alphabet contains duplicate symbols")
+    if set(per_symbol) != set(symbols):
+        raise ValueError(f"{field} must cover exactly the alphabet")
+    return symbols
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize (M + M^dagger)/2; used to stop round-off drift on channel outputs."""
     return (m + m.conj().T) / 2.0

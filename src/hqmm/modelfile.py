@@ -135,8 +135,6 @@ def _read_hqmm(doc, alphabet, dim) -> dict:
             _fail(f'operations["{s}"]', "expected an array of matrices")
         # an empty array is the zero operation: the symbol never occurs
         operations[s] = [_matrix(k, f'operations["{s}"][{i}]') for i, k in enumerate(ks)]
-    if not any(operations.values()):
-        _fail("operations", "expected at least one Kraus operator")
     return {"dim": dim, "operations": operations}
 
 
@@ -237,6 +235,10 @@ def parse_model(text: str, validate: bool = True):
         raise ModelFileError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise ModelFileError("document is nested too deeply") from None
+    except ValueError:
+        # the limit on the digits of an integer (4300 by default) is the
+        # one other error json.loads raises
+        raise ModelFileError("a number in the document has too many digits") from None
     if not isinstance(doc, dict):
         _fail("", "top-level value must be an object")
     name = _get(doc, "kind")

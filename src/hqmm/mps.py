@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import TOL
 from .cluster import MeasurementBasis, basis_vectors
-from .linalg import Violation, as_matrix, check_density_matrix, check_projector_set
-from .quantum import HqmmModel
+from .linalg import Violation, as_matrix, check_projector_set, checked_alphabet
+from .quantum import HqmmModel, checked_initial, initial_violations
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,8 @@ class MpsModel:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        alphabet = tuple(str(s) for s in self.alphabet)
+        alphabet = checked_alphabet(self.alphabet, self.projectors, "projectors")
         object.__setattr__(self, "alphabet", alphabet)
-        if set(self.projectors) != set(alphabet):
-            raise ValueError("projectors must cover exactly the alphabet")
         if len(self.tensors) != self.phys_dim:
             raise ValueError(
                 f"need one tensor per physical level: got {len(self.tensors)}, "
@@ -60,7 +58,7 @@ class MpsModel:
                 )
         object.__setattr__(self, "projectors", projs)
         if self.initial is not None:
-            object.__setattr__(self, "initial", as_matrix(self.initial, "initial state"))
+            object.__setattr__(self, "initial", checked_initial(self.initial, self.bond_dim))
 
 
 def validate_mps(m: MpsModel) -> list[Violation]:
@@ -72,12 +70,8 @@ def validate_mps(m: MpsModel) -> list[Violation]:
         problems.append(
             Violation("isometry", f"sum_i V^i^dagger V^i deviates from identity by {dev:.3e}")
         )
-    for v in check_projector_set([m.projectors[s] for s in m.alphabet], list(m.alphabet)):
-        problems.append(v)
-    if m.initial is not None:
-        for v in check_density_matrix(m.initial):
-            problems.append(Violation("initial-" + v.check, v.message))
-    return problems
+    problems += check_projector_set([m.projectors[s] for s in m.alphabet], list(m.alphabet))
+    return problems + initial_violations(m)
 
 
 def mps_to_hqmm(m: MpsModel) -> HqmmModel:

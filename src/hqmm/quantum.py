@@ -25,6 +25,7 @@ from .linalg import (
     check_density_matrix,
     check_projector_set,
     check_unitary,
+    checked_alphabet,
     checked_probability,
     fixed_point,
     hermitian_coordinates,
@@ -45,12 +46,8 @@ class HqmmModel:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        alphabet = tuple(str(s) for s in self.alphabet)
+        alphabet = checked_alphabet(self.alphabet, self.operations, "operations")
         object.__setattr__(self, "alphabet", alphabet)
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet contains duplicate symbols")
-        if set(self.operations) != set(alphabet):
-            raise ValueError("operations must cover exactly the alphabet")
         d = self.dim
         ops = {}
         for s in alphabet:
@@ -61,8 +58,10 @@ class HqmmModel:
                         f"Kraus operator for {s!r} has shape {k.shape}, expected ({d}, {d})"
                     )
             ops[s] = mats
-        # the d x d stacks and grams come only after every shape is checked,
-        # so that an empty list cannot allocate them for an unchecked d
+        # the d x d stacks and grams come only after every shape is checked and
+        # an operator is found, so that empty lists cannot allocate them for any d
+        if not any(ops.values()):
+            raise ValueError("operations: expected at least one Kraus operator")
         flats = {}
         adjoints = {}
         grams = {}
@@ -80,17 +79,27 @@ class HqmmModel:
         object.__setattr__(self, "_adjoints", adjoints)
         object.__setattr__(self, "_grams", grams)
         if self.initial is not None:
-            object.__setattr__(self, "initial", as_matrix(self.initial, "initial state"))
-
-    def kraus(self, symbol: str) -> list[np.ndarray]:
-        try:
-            return self.operations[symbol]
-        except KeyError:
-            raise ValueError(f"unknown symbol {symbol!r}; alphabet is {self.alphabet}") from None
+            object.__setattr__(self, "initial", checked_initial(self.initial, d))
 
     def transfer(self) -> np.ndarray:
         """Transfer matrix of the forgetful channel ``sum_s K_s``."""
         return transfer_matrix(self.operations)
+
+
+def checked_initial(rho, d: int) -> np.ndarray:
+    """An initial state as a complex matrix (see ``linalg.as_matrix``);
+    raises ``ValueError`` unless it is ``d x d``."""
+    rho = as_matrix(rho, "initial state")
+    if rho.shape != (d, d):
+        raise ValueError(f"initial state must be {d} x {d}, got shape {rho.shape}")
+    return rho
+
+
+def initial_violations(m) -> list[Violation]:
+    """``check_density_matrix`` on a model's initial state, if any, tagged ``initial-``."""
+    if m.initial is None:
+        return []
+    return [Violation("initial-" + v.check, v.message) for v in check_density_matrix(m.initial)]
 
 
 def apply_symbol(m: HqmmModel, symbol: str, rho: np.ndarray) -> np.ndarray:
@@ -137,10 +146,7 @@ def validate_hqmm(m: HqmmModel) -> list[Violation]:
                 f"sum over all symbols of K^dagger K deviates from identity by {dev:.3e}",
             )
         )
-    if m.initial is not None:
-        for v in check_density_matrix(m.initial):
-            problems.append(Violation("initial-" + v.check, v.message))
-    return problems
+    return problems + initial_violations(m)
 
 
 def steady_state(m: HqmmModel) -> tuple[np.ndarray, bool]:
@@ -151,10 +157,7 @@ def steady_state(m: HqmmModel) -> tuple[np.ndarray, bool]:
 def resolve_initial(m: HqmmModel, initial=None) -> np.ndarray:
     """Explicit argument, else the model's initial state, else the steady state."""
     if initial is not None:
-        rho = as_matrix(initial, "initial state")
-        if rho.shape != (m.dim, m.dim):
-            raise ValueError(f"initial state must be {m.dim} x {m.dim}")
-        return rho
+        return checked_initial(initial, m.dim)
     if m.initial is not None:
         return m.initial
     return steady_state(m)[0]
@@ -240,28 +243,12 @@ def vn_generator(
     alphabet: Sequence[str],
     initial=None,
 ) -> HqmmModel:
-    """Projective-measurement generator: one Kraus operator ``P_s U`` per symbol.
-
-    The projectors must form a complete orthogonal set and ``U`` must be
-    unitary; each failed check is named in the raised ``ValueError``.
-    """
-    mats = [as_matrix(p, "projector") for p in projectors]
+    """Projective-measurement generator: the ``VnModel`` of these parts, reduced."""
     labels = [str(s) for s in alphabet]
-    if len(mats) != len(labels):
+    projectors = list(projectors)
+    if len(projectors) != len(labels):
         raise ValueError("need exactly one projector per symbol")
-    problems = check_projector_set(mats, labels)
-    u = as_matrix(unitary, "unitary")
-    d = mats[0].shape[0]
-    if u.shape != (d, d):
-        problems.append(Violation("shape", f"unitary is {u.shape}, expected ({d}, {d})"))
-    else:
-        problems += check_unitary(u)
-    if problems:
-        raise ValueError(
-            "invalid projective generator: " + "; ".join(str(p) for p in problems)
-        )
-    ops = {s: [p @ u] for s, p in zip(labels, mats)}
-    return HqmmModel(alphabet=tuple(labels), dim=d, operations=ops, initial=initial)
+    return VnModel(labels, dict(zip(labels, projectors)), unitary, initial).to_hqmm()
 
 
 def embed_classical(m: classical.HmmModel) -> HqmmModel:
@@ -323,7 +310,7 @@ class VnModel:
     """Raw projector/unitary description of a projective-measurement generator.
 
     Kept as its own kind so that model files round-trip without collapsing to
-    Kraus form; ``to_hqmm`` performs the conversion (and all checks).
+    Kraus form; ``to_hqmm`` performs the conversion.
     """
 
     alphabet: tuple[str, ...]
@@ -333,27 +320,27 @@ class VnModel:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        alphabet = tuple(str(s) for s in self.alphabet)
+        alphabet = checked_alphabet(self.alphabet, self.projectors, "projectors")
         object.__setattr__(self, "alphabet", alphabet)
-        if set(self.projectors) != set(alphabet):
-            raise ValueError("projectors must cover exactly the alphabet")
         projs = {s: as_matrix(self.projectors[s], f"projector {s!r}") for s in alphabet}
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "unitary", as_matrix(self.unitary, "unitary"))
         if self.initial is not None:
-            object.__setattr__(self, "initial", as_matrix(self.initial, "initial state"))
+            object.__setattr__(self, "initial", checked_initial(self.initial, self.dim))
 
     @property
     def dim(self) -> int:
         return self.unitary.shape[0]
 
     def to_hqmm(self) -> HqmmModel:
-        return vn_generator(
-            [self.projectors[s] for s in self.alphabet],
-            self.unitary,
-            self.alphabet,
-            initial=self.initial,
-        )
+        """One Kraus operator ``P_s U`` per symbol. The projectors must form a
+        complete orthogonal set and ``U`` must be unitary; the raised
+        ``ValueError`` names each check of ``validate_vn`` that fails."""
+        problems = validate_vn(self)
+        if problems:
+            raise ValueError("invalid projective generator: " + "; ".join(str(p) for p in problems))
+        ops = {s: [self.projectors[s] @ self.unitary] for s in self.alphabet}
+        return HqmmModel(alphabet=self.alphabet, dim=self.dim, operations=ops, initial=self.initial)
 
 
 def validate_vn(m: VnModel) -> list[Violation]:
@@ -364,7 +351,4 @@ def validate_vn(m: VnModel) -> list[Violation]:
         problems.append(Violation("shape", "projector/unitary dimensions disagree"))
     else:
         problems += check_unitary(u)
-    if m.initial is not None:
-        for v in check_density_matrix(m.initial):
-            problems.append(Violation("initial-" + v.check, v.message))
-    return problems
+    return problems + initial_violations(m)

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hqmm
@@ -447,6 +447,105 @@ def test_empty_kraus_lists_are_named_errors(tmp_path, dimension, operations, mes
         assert err.startswith(f"error: {message}")
 
 
+# documents that break a rule every model kind shares, each with the error it
+# must give: a repeated symbol (the repeat has a zero projector, so the
+# projector set is still complete and orthogonal) or an ``initial`` state that
+# is not dimension x dimension
+_ZERO, _ONE = [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]
+_DIAGONAL = {"0": [[1.0, 0.0], [0.0, 0.0]], "1": [[0.0, 0.0], [0.0, 1.0]]}
+SHARED_RULE_DOCS = {
+    "vn-repeated-symbol": (
+        {
+            "kind": "vn",
+            "alphabet": ["0", "0", "1"],
+            "dimension": 2,
+            "projectors": {"0": _ZERO, "1": _ONE},
+            "unitary": [[0.0, 1.0], [1.0, 0.0]],
+        },
+        "alphabet contains duplicate symbols",
+    ),
+    "mps-repeated-symbol": (
+        {
+            "kind": "mps",
+            "alphabet": ["0", "0", "1"],
+            "bond_dimension": 1,
+            "physical_dimension": 2,
+            "tensors": [[[0.6]], [[0.8]]],
+            "projectors": {"0": _ZERO, "1": _ONE},
+        },
+        "alphabet contains duplicate symbols",
+    ),
+    "hqmm-initial-3x3": (
+        {
+            "kind": "hqmm",
+            "alphabet": ["0", "1"],
+            "dimension": 2,
+            "operations": {s: [p] for s, p in _DIAGONAL.items()},
+            "initial": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        },
+        "initial state must be 2 x 2, got shape (3, 3)",
+    ),
+    "vn-initial-1x1": (
+        {
+            "kind": "vn",
+            "alphabet": ["0", "1"],
+            "dimension": 2,
+            "projectors": _DIAGONAL,
+            "unitary": [[0.0, 1.0], [1.0, 0.0]],
+            "initial": [[1.0]],
+        },
+        "initial state must be 2 x 2, got shape (1, 1)",
+    ),
+    "mps-initial-1x1": (
+        {
+            "kind": "mps",
+            "alphabet": ["0", "1"],
+            "bond_dimension": 2,
+            "physical_dimension": 2,
+            "tensors": [[[0.6, 0.0], [0.0, 0.0]], [[0.8, 0.0], [0.0, 1.0]]],
+            "projectors": _DIAGONAL,
+            "initial": [[1.0]],
+        },
+        "initial state must be 2 x 2, got shape (1, 1)",
+    ),
+}
+
+
+def _model_commands(path: str, symbol: str) -> list[list[str]]:
+    """Every subcommand that reads a model file, past ``validate``."""
+    return [
+        ["steady", path],
+        ["dist", path, "-n", "2"],
+        ["hankel", path],
+        ["sample", path, "-n", "20", "--seed", "1"],
+        ["wordprob", path, symbol],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_RULE_DOCS))
+def test_shared_rules_are_named_by_every_command(tmp_path, name):
+    doc, message = SHARED_RULE_DOCS[name]
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(doc))
+    for argv in [["validate", str(p)]] + _model_commands(str(p), "0"):
+        assert run(argv) == (1, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("field", ["dimension", "entry"])
+def test_overlong_integer_is_model_error(tmp_path, field):
+    doc = json.loads(modelfile.serialize_model(modelfile.load_bundled("even_process")))
+    if field == "dimension":
+        doc["dimension"] = "DIGITS"
+    else:
+        doc["transitions"]["0"][0][0] = "DIGITS"
+    p = tmp_path / "long.json"
+    # json.dumps would refuse to write the integer itself
+    p.write_text(json.dumps(doc).replace('"DIGITS"', "9" * 5000))
+    code, out, err = run(["validate", str(p)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "set_int_max_str_digits" not in err
+
+
 def _fuzz_bases() -> list[dict]:
     """Valid documents of every kind, with a prior or initial state on some,
     and one hqmm document whose first symbol never occurs (an empty list)."""
@@ -517,3 +616,28 @@ def test_mutated_model_files_give_named_errors(tmp_path, doc):
         code, out, err = run([command, str(p)])
         assert code in (0, 1, 2), (command, err)
         assert code != 0 or "nan" not in out.lower(), (command, out)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=_mutated_documents())
+@example(doc=SHARED_RULE_DOCS["vn-repeated-symbol"][0])
+@example(doc=SHARED_RULE_DOCS["mps-repeated-symbol"][0])
+@example(doc=SHARED_RULE_DOCS["hqmm-initial-3x3"][0])
+@example(doc=SHARED_RULE_DOCS["vn-initial-1x1"][0])
+@example(doc=SHARED_RULE_DOCS["mps-initial-1x1"][0])
+def test_documents_that_validate_work_in_every_command(tmp_path, doc):
+    """A document that ``validate`` accepts is accepted by every other
+    subcommand too."""
+    p = tmp_path / "fuzzed.json"
+    p.write_text(json.dumps(doc))
+    if run(["validate", str(p)])[0] != 0:
+        return
+    for argv in _model_commands(str(p), doc["alphabet"][0]):
+        code, out, err = run(argv)
+        assert code == 0, (argv, err)

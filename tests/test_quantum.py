@@ -345,3 +345,9 @@ def test_steady_state_four_symbol_unique(four_symbol):
     rho, unique = steady_state(four_symbol)
     assert unique
     assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
+
+
+def test_model_without_kraus_operators_is_refused_before_any_gram():
+    # the d x d grams would need 14.6 TiB here
+    with pytest.raises(ValueError, match="operations: expected at least one Kraus operator"):
+        HqmmModel(alphabet=("0",), dim=10**6, operations={"0": []})

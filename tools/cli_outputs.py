@@ -8,8 +8,10 @@ command that writes a file adds ``, file sha256(contents)``. The list covers
 three seeded random MPS readouts, plus ``cluster h3`` and ``cluster dist``
 over a small (phi, xi) grid. It also covers the error paths: ``convert`` to
 both quantum forms and from a quantum source, ``wordprob`` from explicit
-weights, and ``validate`` and ``steady`` on documents that fail validation or
-parsing, one or more of each kind. Commands run in-process through
+weights, ``validate`` and ``steady`` on documents that fail validation or
+parsing, one or more of each kind, and every model command on documents that
+break a rule all kinds share (a repeated symbol, a start state of the wrong
+shape). Commands run in-process through
 ``hqmm.cli.main``, from inside a temporary directory, so that the ``wrote
 <path>`` lines name a relative path. To check that a change leaves every
 printed byte as it was, run it on both checkouts and diff the outputs:
@@ -120,6 +122,62 @@ KRAUS_DOCS = {
 }
 
 
+# documents that break a rule every kind shares: a repeated symbol (the
+# repeat has a zero projector, so the projector set is still complete and
+# orthogonal) or an ``initial`` state that is not dimension x dimension
+_ZERO, _ONE = [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]
+SHARED_RULE_DOCS = {
+    "vn-repeated-symbol": {
+        "kind": "vn",
+        "alphabet": ["0", "0", "1"],
+        "dimension": 2,
+        "projectors": {"0": _ZERO, "1": _ONE},
+        "unitary": [[0.0, 1.0], [1.0, 0.0]],
+    },
+    "mps-repeated-symbol": {
+        "kind": "mps",
+        "alphabet": ["0", "0", "1"],
+        "bond_dimension": 1,
+        "physical_dimension": 2,
+        "tensors": [[[0.6]], [[0.8]]],
+        "projectors": {"0": _ZERO, "1": _ONE},
+    },
+    "hqmm-initial-3x3": {
+        "kind": "hqmm",
+        "alphabet": ["0", "1"],
+        "dimension": 2,
+        "operations": {"0": [[[1.0, 0.0], [0.0, 0.0]]], "1": [[[0.0, 0.0], [0.0, 1.0]]]},
+        "initial": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    },
+    "vn-initial-1x1": {
+        "kind": "vn",
+        "alphabet": ["0", "1"],
+        "dimension": 2,
+        "projectors": {"0": [[1.0, 0.0], [0.0, 0.0]], "1": [[0.0, 0.0], [0.0, 1.0]]},
+        "unitary": [[0.0, 1.0], [1.0, 0.0]],
+        "initial": [[1.0]],
+    },
+    "mps-initial-1x1": {
+        "kind": "mps",
+        "alphabet": ["0", "1"],
+        "bond_dimension": 2,
+        "physical_dimension": 2,
+        "tensors": [[[0.6, 0.0], [0.0, 0.0]], [[0.8, 0.0], [0.0, 1.0]]],
+        "projectors": {"0": [[1.0, 0.0], [0.0, 0.0]], "1": [[0.0, 0.0], [0.0, 1.0]]},
+        "initial": [[1.0]],
+    },
+}
+
+
+def _write_documents(workdir: Path, docs: dict) -> list[str]:
+    paths = []
+    for name, doc in docs.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
 def _failing_documents(workdir: Path) -> list[str]:
     docs = dict(FAILING_DOCS)
     docs["unknown-kind"] = dict(FAILING_DOCS["hmm-bad"], kind="markov")
@@ -138,12 +196,7 @@ def _failing_documents(workdir: Path) -> list[str]:
             "dimension": dimension,
             "operations": operations,
         }
-    paths = []
-    for name, doc in docs.items():
-        path = workdir / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        paths.append(str(path))
-    return paths
+    return _write_documents(workdir, docs)
 
 
 def _error_commands(workdir: Path) -> list[list[str]]:
@@ -161,6 +214,15 @@ def _error_commands(workdir: Path) -> list[list[str]]:
     ]
     for path in _failing_documents(workdir):
         argvs += [["validate", path], ["steady", path]]
+    for path in _write_documents(workdir, SHARED_RULE_DOCS):
+        argvs += [
+            ["validate", path],
+            ["steady", path],
+            ["dist", path, "-n", "2"],
+            ["hankel", path],
+            ["sample", path, "-n", "20", "--seed", "1"],
+            ["wordprob", path, "0"],
+        ]
     return argvs
 
 
