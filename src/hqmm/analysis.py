@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import logging
 import math
 import operator
 from collections.abc import ItemsView, Mapping, ValuesView
@@ -22,6 +23,8 @@ import numpy as np
 
 from . import modelfile
 from .linalg import numerical_rank
+
+logger = logging.getLogger(__name__)
 
 ENUMERATION_BUDGET_BYTES = 2 * 2**30
 # per word, beyond its states: the clipped probability in the table's array,
@@ -355,7 +358,7 @@ class Xorshift64Star:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-_STATE_CACHE_CAP = 1 << 16
+_STATE_CACHE_CAP = 256
 _STATEMENT_TERMS = 256
 _FUNCTION_TERMS = 4096
 
@@ -420,15 +423,15 @@ def _compile(rows, params, tail="", packed=0, after=(), result=None):
 
 
 def _entry_kernel(units, params):
-    """Straight-line ``v -> [None, ..., None, sums, masses]``, the cache
+    """Straight-line ``v -> [None, ..., None, sums, masses, v]``, the cache
     entry of a state tuple ``v`` of the ``params`` coordinates.
 
     ``masses`` holds ``w_k = units[k] . v`` per symbol and ``sums`` their
     clamped running sums ``c_k = max(w_0, 0) + ... + max(w_k, 0)``, summed
     left to right, so that the first ``c_k`` beyond ``u * c_{n-1}`` draws
-    symbol ``k``. Slot ``k < n`` receives symbol ``k``'s successor once it
-    is computed. One list per visited state, holding tuples of floats, is
-    the only object per state that the cyclic garbage collector tracks.
+    symbol ``k``. The entry keeps its own state ``v``, from which the
+    successors are computed; slot ``k < n`` receives the entry of symbol
+    ``k``'s successor once ``_sample_linear`` links the two.
     """
     n = len(units)
     sums = ["c0 = y0 if y0 > 0.0 else 0.0"] + [
@@ -436,7 +439,7 @@ def _entry_kernel(units, params):
     ]
     ys = ", ".join(f"y{k}" for k in range(n))
     cs = ", ".join(f"c{k}" for k in range(n))
-    result = f"[{'None, ' * n}({cs},), ({ys},)]"
+    result = f"[{'None, ' * n}({cs},), ({ys},), v]"
     return _compile(units, params, packed=len(params), after=sums, result=result)
 
 
@@ -444,15 +447,21 @@ def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
     """Iterated conditional update ``v -> A_s v / <1| A_s v`` on plain floats.
 
     The matrices are compiled once per call into straight-line functions of
-    the state tuple: one that builds a state's cache entry (all symbol
-    masses ``<1| A_s v``, their clamped running sums and empty successor
-    slots; see ``_entry_kernel``) and one per symbol for its successor.
-    Entries and successors are pure functions of the state, so they are
-    memoized on the exact state tuple; models whose conditional states form
-    a finite set then run in amortized constant time per step. The cache is
-    size-capped; overflow just recomputes. Each draw is the arithmetic of
+    the state tuple: one that builds a state's entry (all symbol masses
+    ``<1| A_s v``, their clamped running sums, the state and successor
+    slots; see ``_entry_kernel``) and one per symbol for its successor. The
+    first ``_STATE_CACHE_CAP`` entries are admitted to a cache keyed on the
+    exact state, and an admitted successor is linked into its predecessor's
+    slot, so recurring states (a unifilar generator's) step by following
+    links, with no hashing. An empty slot computes the successor from the
+    entry's state and looks it up. The states of a quantum readout almost
+    never recur, so there the small cap just bounds the dead weight, and
+    past it the sampler recomputes. A zero total is raised at the step
+    that draws from it. Each draw is the arithmetic of
     ``Xorshift64Star.next_float``, done inline on a local integer that is
-    written back to ``rng.state`` when the loop ends.
+    written back to ``rng.state`` when the loop ends. One DEBUG record on
+    the ``hqmm.analysis`` logger gives the steps, the entries computed and
+    admitted, and the cap; a step that computes no entry is a cache hit.
     """
     params = [f"x{j}" for j in range(len(v0))]
     # reduce, not sum(): from Python 3.12 sum() of floats is compensated
@@ -463,18 +472,15 @@ def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
     mask, mult = Xorshift64Star._MASK, Xorshift64Star._MULT
     bisect_right = bisect.bisect_right
     cache: dict = {}
+    cap = _STATE_CACHE_CAP
     v = tuple(v0.tolist())
+    entry, computed = entry_of(v), 1
+    if len(cache) < cap:
+        cache[v] = entry
     out: list[str] = []
     x = rng.state
     try:
         for _ in range(length):
-            entry = cache.get(v)
-            if entry is None:
-                entry = entry_of(v)
-                if entry[n][-1] <= 0.0:
-                    raise ValueError("all next-symbol probabilities vanished while sampling")
-                if len(cache) < _STATE_CACHE_CAP:
-                    cache[v] = entry
             sums = entry[n]
             # Xorshift64Star.next_float, inlined
             x ^= x >> 12
@@ -482,15 +488,29 @@ def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
             x ^= x >> 27
             k = bisect_right(sums, (((x * mult) & mask) >> 11) * 2.0**-53 * sums[-1])
             if k == n:
-                # u * total rounded up to total: take the last symbol with mass
-                k = max(i for i, w in enumerate(entry[n + 1]) if w > 0.0)
+                # u * total rounded up to total, or a zero total: take the
+                # last symbol with mass
+                k = max((i for i, w in enumerate(entry[n + 1]) if w > 0.0), default=n)
+                if k == n:
+                    raise ValueError("all next-symbol probabilities vanished while sampling")
             nxt = entry[k]
             if nxt is None:
-                nxt = entry[k] = successors[k](v, entry[n + 1][k])
-            v = nxt
+                v = successors[k](entry[n + 2], entry[n + 1][k])
+                nxt = cache.get(v)
+                if nxt is not None:
+                    entry[k] = nxt
+                else:
+                    nxt = entry_of(v)
+                    computed += 1
+                    if len(cache) < cap:
+                        cache[v] = entry[k] = nxt
+            entry = nxt
             out.append(alphabet[k])
     finally:
         rng.state = x
+    if logger.isEnabledFor(logging.DEBUG):
+        message = "sampled %d steps, %d entries computed, %d admitted, cap %d"
+        logger.debug(message, length, computed, len(cache), cap)
     return out
 
 

@@ -56,10 +56,12 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def checked_alphabet(alphabet, per_symbol: Mapping, field: str) -> tuple[str, ...]:
-    """The symbols as strings. Raises ``ValueError`` for a repeated symbol
-    and for a per-symbol mapping, the model's ``field``, whose keys are not
-    exactly the symbols."""
+    """The symbols as strings. Raises ``ValueError`` for an empty alphabet,
+    a repeated symbol and a per-symbol mapping, the model's ``field``, whose
+    keys are not exactly the symbols."""
     symbols = tuple(str(s) for s in alphabet)
+    if not symbols:
+        raise ValueError("alphabet is empty")
     if len(set(symbols)) != len(symbols):
         raise ValueError("alphabet contains duplicate symbols")
     if set(per_symbol) != set(symbols):

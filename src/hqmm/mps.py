@@ -36,6 +36,10 @@ class MpsModel:
     def __post_init__(self):
         alphabet = checked_alphabet(self.alphabet, self.projectors, "projectors")
         object.__setattr__(self, "alphabet", alphabet)
+        if self.bond_dim < 1 or self.phys_dim < 1:
+            raise ValueError(
+                f"dimensions must be positive, got bond {self.bond_dim}, physical {self.phys_dim}"
+            )
         if len(self.tensors) != self.phys_dim:
             raise ValueError(
                 f"need one tensor per physical level: got {len(self.tensors)}, "

@@ -49,6 +49,8 @@ class HqmmModel:
         alphabet = checked_alphabet(self.alphabet, self.operations, "operations")
         object.__setattr__(self, "alphabet", alphabet)
         d = self.dim
+        if d < 1:
+            raise ValueError(f"dimension must be positive, got {d}")
         ops = {}
         for s in alphabet:
             mats = [as_matrix(k, f"Kraus operator for {s!r}") for k in self.operations[s]]
@@ -325,6 +327,8 @@ class VnModel:
         projs = {s: as_matrix(self.projectors[s], f"projector {s!r}") for s in alphabet}
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "unitary", as_matrix(self.unitary, "unitary"))
+        if self.unitary.size == 0:
+            raise ValueError(f"unitary is empty, shape {self.unitary.shape}")
         if self.initial is not None:
             object.__setattr__(self, "initial", checked_initial(self.initial, self.dim))
 

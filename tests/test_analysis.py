@@ -1,5 +1,7 @@
 import itertools
+import logging
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -499,6 +501,59 @@ def test_sampler_matches_plain_loop_on_generated_models(case, seed):
     model, initial = case
     expected = _plain_sample(model, 300, seed, initial)
     assert sample_trajectory(model, 300, seed, initial) == expected
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=GENERATED_MODELS, seed=st.integers(0, 2**64 - 1), cap=st.sampled_from([0, 1, 3]))
+@example(case=_unifilar_hmm(0, 4, 3), seed=0, cap=3)
+def test_sampler_matches_plain_loop_past_the_cache_cap(case, seed, cap):
+    """A cap this small is reached within a few steps, so a draw mixes
+    linked, admitted-but-unlinked and unadmitted entries; the unifilar
+    example recurs on more states than it admits and follows links."""
+    model, initial = case
+    expected = _plain_sample(model, 200, seed, initial)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_STATE_CACHE_CAP", cap)
+        assert sample_trajectory(model, 200, seed, initial) == expected
+
+
+def test_sampler_memory_does_not_grow_past_the_cache_cap():
+    # the cluster readout's states never recur, so entries past the cap must
+    # be dropped, not kept alive by the cache or by the links of admitted ones
+    model = modelfile.load_bundled("cluster_phi_pi8")
+    peaks = []
+    for length in (1000, 5000):
+        tracemalloc.start()
+        try:
+            sample_trajectory(model, length, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 4000 more symbols cost about 9 bytes each in the returned list; an
+    # entry kept alive would cost about 500
+    assert peaks[1] - peaks[0] < 4000 * 64
+
+
+def _sampler_counts(caplog, model, length, seed=1):
+    caplog.set_level(logging.DEBUG, logger="hqmm")
+    caplog.clear()
+    sample_trajectory(model, length, seed)
+    (record,) = [r for r in caplog.records if r.name == "hqmm.analysis"]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    pattern = r"sampled (\d+) steps, (\d+) entries computed, (\d+) admitted, cap (\d+)$"
+    return tuple(int(g) for g in re.fullmatch(pattern, message).groups())
+
+
+def test_sampler_logs_its_cache_counts(caplog):
+    cap = analysis._STATE_CACHE_CAP
+    # the start and four conditional states recur: every later step hits
+    four_state = modelfile.load_bundled("four_state")
+    assert _sampler_counts(caplog, four_state, 1000) == (1000, 5, 5, cap)
+    # the cluster readout's states never recur: one entry per step and the
+    # start, and the cache fills to the cap
+    pi8 = modelfile.load_bundled("cluster_phi_pi8")
+    assert _sampler_counts(caplog, pi8, 2 * cap) == (2 * cap, 2 * cap + 1, cap, cap)
 
 
 def _plain_marginalize(probabilities):

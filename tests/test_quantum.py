@@ -8,8 +8,10 @@ from numpy.testing import assert_allclose
 from hqmm import analysis, classical, cluster
 from hqmm.classical import HmmModel
 from hqmm.linalg import transfer_matrix, vec
+from hqmm.mps import MpsModel
 from hqmm.quantum import (
     HqmmModel,
+    VnModel,
     coherence_check,
     conditional_update,
     embed_classical,
@@ -351,3 +353,51 @@ def test_model_without_kraus_operators_is_refused_before_any_gram():
     # the d x d grams would need 14.6 TiB here
     with pytest.raises(ValueError, match="operations: expected at least one Kraus operator"):
         HqmmModel(alphabet=("0",), dim=10**6, operations={"0": []})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HmmModel(alphabet=(), transitions={}),
+        lambda: HqmmModel(alphabet=(), dim=1, operations={}),
+        lambda: VnModel(alphabet=(), projectors={}, unitary=np.eye(1)),
+        lambda: MpsModel(
+            alphabet=(), bond_dim=1, phys_dim=1, tensors=(np.eye(1),), projectors={}
+        ),
+    ],
+    ids=["hmm", "hqmm", "vn", "mps"],
+)
+def test_empty_alphabet_is_refused_by_every_kind(build):
+    with pytest.raises(ValueError, match="^alphabet is empty$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda: HqmmModel(alphabet=("0",), dim=0, operations={"0": [np.zeros((0, 0))]}),
+            "dimension must be positive, got 0",
+        ),
+        (
+            lambda: VnModel(("0",), {"0": np.zeros((0, 0))}, np.zeros((0, 0))),
+            r"unitary is empty, shape \(0, 0\)",
+        ),
+        (
+            lambda: MpsModel(
+                alphabet=("0",),
+                bond_dim=0,
+                phys_dim=1,
+                tensors=(np.zeros((0, 0)),),
+                projectors={"0": np.eye(1)},
+            ),
+            "dimensions must be positive, got bond 0, physical 1",
+        ),
+    ],
+    ids=["hqmm", "vn", "mps"],
+)
+def test_zero_size_state_space_is_refused(build, message):
+    # before, each built and then failed in NumPy: "zero-size array to
+    # reduction operation maximum which has no identity"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

@@ -1,17 +1,18 @@
 """Print one digest line per command for a fixed list of ``hqmm`` commands.
 
 Each line is ``argv -> sha256(stdout|stderr), exit code``, with model files
-named by their base name so that two checkouts give comparable lines; a
-command that writes a file adds ``, file sha256(contents)``. The list covers
+named by their base name so that two checkouts give comparable lines; a command
+that writes a file adds ``, file sha256(contents)``. The list covers
 ``steady``, ``validate``, ``wordprob`` (stationary and maximally mixed start),
 ``dist``, ``entropy``, ``hankel`` and ``sample`` on every bundled model and on
-three seeded random MPS readouts, plus ``cluster h3`` and ``cluster dist``
-over a small (phi, xi) grid. It also covers the error paths: ``convert`` to
-both quantum forms and from a quantum source, ``wordprob`` from explicit
-weights, ``validate`` and ``steady`` on documents that fail validation or
-parsing, one or more of each kind, and every model command on documents that
-break a rule all kinds share (a repeated symbol, a start state of the wrong
-shape). Commands run in-process through
+three seeded random MPS readouts, 3000-symbol draws from two models whose
+conditional states do not recur (so they run past the sampler's cache cap),
+plus ``cluster h3`` and ``cluster dist`` over a small (phi, xi) grid. It also
+covers the error paths: ``convert`` to both quantum forms and from a quantum
+source, ``wordprob`` from explicit weights, ``validate`` and ``steady`` on
+documents that fail validation or parsing, one or more of each kind, and every
+model command on documents that break a rule all kinds share (a repeated
+symbol, a start state of the wrong shape). Commands run in-process through
 ``hqmm.cli.main``, from inside a temporary directory, so that the ``wrote
 <path>`` lines name a relative path. To check that a change leaves every
 printed byte as it was, run it on both checkouts and diff the outputs:
@@ -40,6 +41,10 @@ from hqmm.mps import MpsModel
 CLUSTER_PHIS = (0.3, math.pi / 8, math.pi / 4, 1.1, math.pi / 2)
 CLUSTER_XIS = (0.0, math.pi / 3, 2.5)
 MPS_SHAPES = ((2, 2), (3, 2), (4, 3))  # (bond dimension, physical dimension)
+# draws long enough to run past the sampler's state-cache cap, on models
+# whose conditional states do not recur
+LONG_SAMPLE_MODELS = ("cluster_phi_pi8", "mps-D3")
+LONG_SAMPLE_LENGTH = 3000
 
 
 def _random_mps(rng, bond_dim, phys_dim) -> MpsModel:
@@ -227,16 +232,19 @@ def _error_commands(workdir: Path) -> list[list[str]]:
 
 
 def commands(workdir: Path) -> list[list[str]]:
-    argvs = []
+    argvs, paths = [], {}
     for name in modelfile.BUNDLED_MODELS:
-        path = str(resources.files("hqmm").joinpath("data", f"{name}.json"))
-        argvs += _model_commands(path, modelfile.load_bundled(name).alphabet)
+        paths[name] = str(resources.files("hqmm").joinpath("data", f"{name}.json"))
+        argvs += _model_commands(paths[name], modelfile.load_bundled(name).alphabet)
     rng = np.random.default_rng(20101)
     for bond_dim, phys_dim in MPS_SHAPES:
         model = _random_mps(rng, bond_dim, phys_dim)
-        path = workdir / f"mps-D{bond_dim}.json"
-        path.write_text(modelfile.serialize_model(model))
-        argvs += _model_commands(str(path), model.alphabet)
+        name = f"mps-D{bond_dim}"
+        paths[name] = str(workdir / f"{name}.json")
+        Path(paths[name]).write_text(modelfile.serialize_model(model))
+        argvs += _model_commands(paths[name], model.alphabet)
+    for name in LONG_SAMPLE_MODELS:
+        argvs.append(["sample", paths[name], "-n", str(LONG_SAMPLE_LENGTH), "--seed", "7"])
     for phi, xi in itertools.product(CLUSTER_PHIS, CLUSTER_XIS):
         grid = ["cluster", "--phi", repr(phi), "--xi", repr(xi)]
         argvs += [grid + ["h3"], grid + ["dist", "-n", "3"]]
