@@ -359,30 +359,18 @@ class Xorshift64Star:
 
 
 _STATE_CACHE_CAP = 256
-_STATEMENT_TERMS = 256
-_FUNCTION_TERMS = 4096
-
-
-def _define(params, lines, result, namespace=None):
-    """Compile ``def f(*params): <lines>; return <result>``; ``namespace``
-    holds the other names its body reads."""
-    namespace = dict(namespace or {})
-    body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def f({', '.join(params)}):\n{body}    return {result}\n", namespace)
-    return namespace["f"]
+_COMPILED_TERMS = 256  # terms (D^2) of the largest successor kernel compiled
 
 
 def _compile(rows, params, tail="", packed=0, after=(), result=None):
     """Straight-line function of ``params`` returning ``(row . x)tail`` per row.
 
-    ``x`` is the first ``len(row)`` parameters. Each sum runs left to right
-    over the row's nonzero entries: ``repr`` round-trips every float, and an
-    exact-zero term changes at most the sign of a zero sum, so the result
-    rounds exactly like the plain loop over all terms. Long sums continue in
-    further statements (``y = y + ...``, still left to right) and long row
-    lists in helper functions that the returned function calls in order,
-    which bounds the compiler's recursion depth and memory for large D; a
-    small model compiles to a single function.
+    ``x`` is the first ``len(row)`` parameters. Each sum is one expression
+    running left to right over the row's nonzero entries: ``repr``
+    round-trips every float, and an exact-zero term changes at most the sign
+    of a zero sum, so the result rounds exactly like the plain loop over all
+    terms. The compiler's cost grows with the terms, so the sampler compiles
+    only kernels of up to ``_COMPILED_TERMS`` terms.
 
     With ``packed = n`` the first ``n`` parameters arrive as one tuple, the
     argument ``v``, which the body unpacks: cheaper than spreading the state
@@ -391,35 +379,15 @@ def _compile(rows, params, tail="", packed=0, after=(), result=None):
     replaces the returned tuple of them.
     """
     args = ["v", *params[packed:]] if packed else list(params)
-    unpack = [f"{', '.join(params[:packed])}, = v"] if packed else []
-    chunks, lines, ys, size = [], [], [], 0
+    lines = [f"{', '.join(params[:packed])}, = v"] if packed else []
     for i, row in enumerate(rows):
-        terms = [f"{c!r}*{x}" for c, x in zip(row, params) if c != 0.0] or ["0.0"]
-        if ys and size + len(terms) > _FUNCTION_TERMS:
-            chunks.append((lines, ys))
-            lines, ys, size = [], [], 0
-        parts = [
-            " + ".join(terms[k : k + _STATEMENT_TERMS])
-            for k in range(0, len(terms), _STATEMENT_TERMS)
-        ]
-        parts[1:] = [f"y{i} + {part}" for part in parts[1:]]
-        if tail:
-            parts[-1] = f"({parts[-1]}){tail}"
-        lines += [f"y{i} = {part}" for part in parts]
-        ys.append(f"y{i}")
-        size += len(terms)
-    chunks.append((lines, ys))
-    if len(chunks) == 1:
-        body, helpers = unpack + lines, None
-    else:
-        helpers = {
-            f"g{j}": _define(args, unpack + chunk, f"({', '.join(out)},)")
-            for j, (chunk, out) in enumerate(chunks)
-        }
-        call = ", ".join(args)
-        body = [f"{', '.join(out)}, = g{j}({call})" for j, (_, out) in enumerate(chunks)]
+        terms = " + ".join(f"{c!r}*{x}" for c, x in zip(row, params) if c != 0.0) or "0.0"
+        lines.append(f"y{i} = ({terms}){tail}" if tail else f"y{i} = {terms}")
     default = ", ".join(f"y{i}" for i in range(len(rows)))
-    return _define(args, body + list(after), result or f"({default},)", helpers)
+    lines += [*after, f"return {result or f'({default},)'}"]
+    namespace: dict = {}
+    exec(f"def f({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace["f"]
 
 
 def _entry_kernel(units, params):
@@ -443,31 +411,57 @@ def _entry_kernel(units, params):
     return _compile(units, params, packed=len(params), after=sums, result=result)
 
 
+def _kernels(mats, d):
+    """The sampler's ``(entry_of, successors)`` on state tuples ``v``:
+    ``entry_of(v)`` is ``v``'s entry as ``_entry_kernel`` lays it out, and
+    ``successors[k](v, m)`` is ``A_k v / m``. Up to ``_COMPILED_TERMS`` terms
+    per successor they are compiled. Above it, where compiling costs more
+    than it saves, ``np.cumsum(a * x, axis=1)[:, -1]`` adds each row left to
+    right, also the exact-zero terms that ``_compile`` drops, which can
+    change at most the sign of a zero sum; so both kinds give the same
+    Python floats and draw the same sequences."""
+    # reduce, not sum(): from Python 3.12 sum() of floats is compensated
+    units = [[functools.reduce(operator.add, col) for col in a[:d].T.tolist()] for a in mats]
+    if mats.shape[1] ** 2 <= _COMPILED_TERMS:
+        params = [f"x{j}" for j in range(mats.shape[1])]
+        compiled = [_compile(a.tolist(), params + ["m"], " / m", packed=len(params)) for a in mats]
+        return _entry_kernel(units, params), compiled
+    n = len(mats)
+    units = np.array(units)
+    accumulate = np.add.accumulate  # np.cumsum without its wrapper's microseconds
+
+    def entry_of(v):
+        masses = tuple(accumulate(units * v, axis=1)[:, -1].tolist())
+        sums = itertools.accumulate(masses, lambda c, w: c + w if w > 0.0 else c, initial=0.0)
+        return [*itertools.repeat(None, n), tuple(sums)[1:], masses, v]
+
+    def successor(a):
+        return lambda v, m: tuple((accumulate(a * v, axis=1)[:, -1] / m).tolist())
+
+    return entry_of, [successor(a) for a in mats]
+
+
 def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
     """Iterated conditional update ``v -> A_s v / <1| A_s v`` on plain floats.
 
-    The matrices are compiled once per call into straight-line functions of
-    the state tuple: one that builds a state's entry (all symbol masses
-    ``<1| A_s v``, their clamped running sums, the state and successor
-    slots; see ``_entry_kernel``) and one per symbol for its successor. The
-    first ``_STATE_CACHE_CAP`` entries are admitted to a cache keyed on the
-    exact state, and an admitted successor is linked into its predecessor's
-    slot, so recurring states (a unifilar generator's) step by following
-    links, with no hashing. An empty slot computes the successor from the
-    entry's state and looks it up. The states of a quantum readout almost
-    never recur, so there the small cap just bounds the dead weight, and
-    past it the sampler recomputes. A zero total is raised at the step
-    that draws from it. Each draw is the arithmetic of
-    ``Xorshift64Star.next_float``, done inline on a local integer that is
-    written back to ``rng.state`` when the loop ends. One DEBUG record on
-    the ``hqmm.analysis`` logger gives the steps, the entries computed and
-    admitted, and the cap; a step that computes no entry is a cache hit.
+    One kernel builds a state's entry (all symbol masses ``<1| A_s v``,
+    their clamped running sums, the state and successor slots) and one per
+    symbol its successor, compiled for small representations and accumulated
+    with NumPy for large ones (``_kernels``). The first ``_STATE_CACHE_CAP``
+    entries are admitted to a cache keyed on the exact state, and an
+    admitted successor is linked into its predecessor's slot, so recurring
+    states (a unifilar generator's) step by following links, with no
+    hashing. An empty slot computes the successor from the entry's state and
+    looks it up. The states of a quantum readout almost never recur, so
+    there the small cap just bounds the dead weight, and past it the sampler
+    recomputes. A zero total is raised at the step that draws from it. Each
+    draw is the arithmetic of ``Xorshift64Star.next_float``, done inline on
+    a local integer that is written back to ``rng.state`` when the loop
+    ends. One DEBUG record on the ``hqmm.analysis`` logger gives the steps,
+    the entries computed and admitted, and the cap; a step that computes no
+    entry is a cache hit.
     """
-    params = [f"x{j}" for j in range(len(v0))]
-    # reduce, not sum(): from Python 3.12 sum() of floats is compensated
-    units = [[functools.reduce(operator.add, col) for col in a[:d].T.tolist()] for a in mats]
-    entry_of = _entry_kernel(units, params)
-    successors = [_compile(a.tolist(), params + ["m"], " / m", packed=len(params)) for a in mats]
+    entry_of, successors = _kernels(mats, d)
     n = len(mats)
     mask, mult = Xorshift64Star._MASK, Xorshift64Star._MULT
     bisect_right = bisect.bisect_right

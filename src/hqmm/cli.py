@@ -76,11 +76,17 @@ def _weights(text: str, d: int) -> np.ndarray:
         w = np.array([float(p) for p in text.split(",")])
     except ValueError:
         raise UsageError(f"cannot parse initial distribution {text!r}") from None
-    if w.shape != (d,) or not np.all(np.isfinite(w)) or w.min() < 0 or w.sum() <= 0:
+    if w.shape != (d,) or not np.all(np.isfinite(w)) or w.min() < 0 or w.max() <= 0:
         raise UsageError(
             f"initial distribution needs {d} finite nonnegative weights, got {text!r}"
         )
-    return w / w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if total == np.inf:
+        # only the ratios matter, and these weights' sum is past the largest float
+        w = w / w.max()
+        total = w.sum()
+    return w / total
 
 
 def _at_least(value: int, flag: str, least: int = 0) -> int:

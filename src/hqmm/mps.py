@@ -10,6 +10,7 @@ final boundary vector that would decouple a finite chain is ignored.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,15 @@ class MpsModel:
     def __post_init__(self):
         alphabet = checked_alphabet(self.alphabet, self.projectors, "projectors")
         object.__setattr__(self, "alphabet", alphabet)
+        try:
+            bond, phys = operator.index(self.bond_dim), operator.index(self.phys_dim)
+        except TypeError:
+            raise ValueError(
+                f"dimensions must be integers, got bond {self.bond_dim!r}, "
+                f"physical {self.phys_dim!r}"
+            ) from None
+        object.__setattr__(self, "bond_dim", bond)
+        object.__setattr__(self, "phys_dim", phys)
         if self.bond_dim < 1 or self.phys_dim < 1:
             raise ValueError(
                 f"dimensions must be positive, got bond {self.bond_dim}, physical {self.phys_dim}"

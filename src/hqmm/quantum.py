@@ -11,6 +11,7 @@ generator, and the single-Kraus form available for reversible generators.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -48,9 +49,13 @@ class HqmmModel:
     def __post_init__(self):
         alphabet = checked_alphabet(self.alphabet, self.operations, "operations")
         object.__setattr__(self, "alphabet", alphabet)
-        d = self.dim
+        try:
+            d = operator.index(self.dim)
+        except TypeError:
+            raise ValueError(f"dimension must be an integer, got {self.dim!r}") from None
         if d < 1:
             raise ValueError(f"dimension must be positive, got {d}")
+        object.__setattr__(self, "dim", d)
         ops = {}
         for s in alphabet:
             mats = [as_matrix(k, f"Kraus operator for {s!r}") for k in self.operations[s]]

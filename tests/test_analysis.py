@@ -517,6 +517,51 @@ def test_sampler_matches_plain_loop_past_the_cache_cap(case, seed, cap):
         assert sample_trajectory(model, 200, seed, initial) == expected
 
 
+def _bundled(name):
+    model = modelfile.load_bundled(name)
+    return modelfile.kind_of(model).operational(model), None
+
+
+def _kernel_kinds(mats, d):
+    """The compiled and the accumulated sampler kernels of one representation."""
+    kinds = []
+    for terms in (mats.shape[1] ** 2, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_COMPILED_TERMS", terms)
+            kinds.append(analysis._kernels(mats, d))
+    return kinds
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.one_of(
+        GENERATED_MODELS, st.builds(_bundled, st.sampled_from(modelfile.BUNDLED_MODELS))
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(case=_bundled("four_state"), seed=0)
+@example(case=_sparse_hmm(0, 4, 3), seed=0)
+@example(case=_mps_readout(0, 4), seed=0)
+def test_accumulated_kernels_match_compiled_ones(case, seed):
+    """With every representation accumulated, the sampler still draws the
+    plain loop's sequence, and along it both kinds of kernel give the same
+    entries and successors, float for float (a zero may differ in sign)."""
+    model, initial = case
+    expected = _plain_sample(model, 200, seed, initial)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_COMPILED_TERMS", 0)
+        assert sample_trajectory(model, 200, seed, initial) == expected
+    mats, v0, d = linear_representation(model, initial)
+    (entry_of, successors), (accumulated_entry_of, accumulated_successors) = _kernel_kinds(mats, d)
+    v = tuple(v0.tolist())
+    for symbol in expected:
+        entry = entry_of(v)
+        assert accumulated_entry_of(v) == entry
+        k = model.alphabet.index(symbol)
+        v = successors[k](v, entry[-2][k])
+        assert accumulated_successors[k](entry[-1], entry[-2][k]) == v
+
+
 def test_sampler_memory_does_not_grow_past_the_cache_cap():
     # the cluster readout's states never recur, so entries past the cap must
     # be dropped, not kept alive by the cache or by the links of admitted ones

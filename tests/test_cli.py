@@ -641,3 +641,19 @@ def test_documents_that_validate_work_in_every_command(tmp_path, doc):
     for argv in _model_commands(str(p), doc["alphabet"][0]):
         code, out, err = run(argv)
         assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "name,huge,unit",
+    [
+        ("even_process", "1e308,1e308", "1,1"),
+        ("four_state", "1e308,1e308,1e308,1e308", "1,1,1,1"),
+        ("four_symbol_hqmm", "1.7e308,1.7e308", "1,1"),
+    ],
+)
+def test_wordprob_initial_weights_whose_sum_overflows(paths, name, huge, unit):
+    # before, the sum overflowed to inf with a RuntimeWarning, every weight
+    # divided to 0 and wordprob printed 0.000000000000 with exit 0
+    expected = run(["wordprob", paths[name], "0", "--initial", unit])
+    assert expected[0] == 0 and expected[1].strip() != "0.000000000000"
+    assert run(["wordprob", paths[name], "0", "--initial", huge]) == expected

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 from hqmm import analysis, classical, cluster
 from hqmm.classical import HmmModel
 from hqmm.linalg import transfer_matrix, vec
-from hqmm.mps import MpsModel
+from hqmm.mps import MpsModel, mps_to_hqmm
 from hqmm.quantum import (
     HqmmModel,
     VnModel,
@@ -401,3 +402,52 @@ def test_zero_size_state_space_is_refused(build, message):
     # reduction operation maximum which has no identity"
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def _qubit_mps(bond_dim, phys_dim):
+    v = np.eye(2) / math.sqrt(2)
+    return MpsModel(
+        alphabet=("0", "1"),
+        bond_dim=bond_dim,
+        phys_dim=phys_dim,
+        tensors=(v, v),
+        projectors={"0": np.diag([1.0, 0.0]), "1": np.diag([0.0, 1.0])},
+    )
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda: HqmmModel(alphabet=("0", "1"), dim=2.0, operations={"0": [np.eye(2)], "1": []}),
+            "dimension must be an integer, got 2.0",
+        ),
+        (
+            lambda: HqmmModel(alphabet=("0", "1"), dim=1.5, operations={"0": [np.eye(2)], "1": []}),
+            "dimension must be an integer, got 1.5",
+        ),
+        (
+            lambda: _qubit_mps(2.0, 2),
+            "dimensions must be integers, got bond 2.0, physical 2",
+        ),
+        (
+            lambda: _qubit_mps(2, 2.0),
+            "dimensions must be integers, got bond 2, physical 2.0",
+        ),
+    ],
+    ids=["hqmm-2.0", "hqmm-1.5", "mps-bond", "mps-physical"],
+)
+def test_non_integer_dimension_is_refused(build, message):
+    # before, HqmmModel failed in np.stack ("'float' object cannot be
+    # interpreted as an integer") or named the shape (1.5, 1.5), and
+    # MpsModel built and then failed the same way in validate_mps
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integer_dimensions_are_accepted():
+    model = HqmmModel(alphabet=("0", "1"), dim=np.int64(2), operations={"0": [np.eye(2)], "1": []})
+    assert model.dim == 2 and type(model.dim) is int
+    readout = _qubit_mps(np.int32(2), np.int64(2))
+    assert (type(readout.bond_dim), type(readout.phys_dim)) == (int, int)
+    assert mps_to_hqmm(readout).dim == 2

@@ -5,7 +5,7 @@ named by their base name so that two checkouts give comparable lines; a command
 that writes a file adds ``, file sha256(contents)``. The list covers
 ``steady``, ``validate``, ``wordprob`` (stationary and maximally mixed start),
 ``dist``, ``entropy``, ``hankel`` and ``sample`` on every bundled model and on
-three seeded random MPS readouts, 3000-symbol draws from two models whose
+four seeded random MPS readouts, 3000-symbol draws from three models whose
 conditional states do not recur (so they run past the sampler's cache cap),
 plus ``cluster h3`` and ``cluster dist`` over a small (phi, xi) grid. It also
 covers the error paths: ``convert`` to both quantum forms and from a quantum
@@ -40,10 +40,12 @@ from hqmm.mps import MpsModel
 
 CLUSTER_PHIS = (0.3, math.pi / 8, math.pi / 4, 1.1, math.pi / 2)
 CLUSTER_XIS = (0.0, math.pi / 3, 2.5)
-MPS_SHAPES = ((2, 2), (3, 2), (4, 3))  # (bond dimension, physical dimension)
+# (bond dimension, physical dimension); D = 6 has 1296 terms per sampler
+# kernel, above the size the sampler compiles
+MPS_SHAPES = ((2, 2), (3, 2), (4, 3), (6, 2))
 # draws long enough to run past the sampler's state-cache cap, on models
 # whose conditional states do not recur
-LONG_SAMPLE_MODELS = ("cluster_phi_pi8", "mps-D3")
+LONG_SAMPLE_MODELS = ("cluster_phi_pi8", "mps-D3", "mps-D6")
 LONG_SAMPLE_LENGTH = 3000
 
 
