@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import modelfile
-from .linalg import numerical_rank
+from .linalg import checked_integer, numerical_rank
 
 logger = logging.getLogger(__name__)
 
@@ -229,6 +229,7 @@ def enumerate_distribution(model, n: int, initial=None) -> WordDistribution:
     memory estimate (``_enumeration_bytes``) exceeds
     ``ENUMERATION_BUDGET_BYTES``, before any level is built.
     """
+    n = checked_integer(n, "word length")
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
     alphabet = model.alphabet
@@ -334,8 +335,9 @@ class Xorshift64Star:
     doubles take the top 53 bits of the output word. A zero seed (the one
     state the shift register cannot leave) is replaced by a fixed odd
     constant, so every seed is usable and every sequence is reproducible
-    across implementations. ``_sample_linear`` repeats ``next_float``'s
-    arithmetic inline, so the two must change together.
+    across implementations; a non-integer seed is a ``ValueError``. The
+    sampler draws the same stream in blocks (``_xorshift_block``), so the
+    two must change together.
     """
 
     _MASK = (1 << 64) - 1
@@ -343,7 +345,7 @@ class Xorshift64Star:
     _ZERO_SEED = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
-        self.state = (int(seed) & self._MASK) or self._ZERO_SEED
+        self.state = (checked_integer(seed, "seed") & self._MASK) or self._ZERO_SEED
 
     def next_u64(self) -> int:
         x = self.state
@@ -356,6 +358,36 @@ class Xorshift64Star:
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53-bit resolution."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+
+_JUMP = 512  # xorshift64* draws generated per block
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_table() -> np.ndarray:
+    """uint64 ``(64, _JUMP)`` table whose entry ``[i, s]`` is the xorshift64*
+    state ``s + 1`` steps after ``1 << i``, built on first use by stepping
+    the 64 unit states together (uint64 shifts drop the high bits)."""
+    table = np.empty((64, _JUMP), dtype=np.uint64)
+    x = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    for s in range(_JUMP):
+        x ^= x >> np.uint64(12)
+        x ^= x << np.uint64(25)
+        x ^= x >> np.uint64(27)
+        table[:, s] = x
+    table.flags.writeable = False  # one table is shared by every call
+    return table
+
+
+def _xorshift_block(x: int, size: int) -> tuple[np.ndarray, list[float]]:
+    """uint64 states and uniforms of the ``size <= _JUMP`` draws after state
+    ``x``, equal to ``Xorshift64Star``'s. The step is linear over GF(2)
+    (Marsaglia 2003), so each state is the XOR of the table rows of ``x``'s
+    set bits (Haramoto et al. 2008)."""
+    rows = [i for i in range(64) if x >> i & 1]
+    states = np.bitwise_xor.reduce(_jump_table()[rows, :size], axis=0)
+    words = (states * np.uint64(Xorshift64Star._MULT)) >> np.uint64(11)
+    return states, (words * 2.0**-53).tolist()
 
 
 _STATE_CACHE_CAP = 256
@@ -416,8 +448,8 @@ def _kernels(mats, d):
     ``entry_of(v)`` is ``v``'s entry as ``_entry_kernel`` lays it out, and
     ``successors[k](v, m)`` is ``A_k v / m``. Up to ``_COMPILED_TERMS`` terms
     per successor they are compiled. Above it, where compiling costs more
-    than it saves, ``np.cumsum(a * x, axis=1)[:, -1]`` adds each row left to
-    right, also the exact-zero terms that ``_compile`` drops, which can
+    than it saves, ``np.add.accumulate(a * x, axis=1)[:, -1]`` adds each row
+    left to right, also the exact-zero terms that ``_compile`` drops, which can
     change at most the sign of a zero sum; so both kinds give the same
     Python floats and draw the same sequences."""
     # reduce, not sum(): from Python 3.12 sum() of floats is compensated
@@ -454,16 +486,15 @@ def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
     hashing. An empty slot computes the successor from the entry's state and
     looks it up. The states of a quantum readout almost never recur, so
     there the small cap just bounds the dead weight, and past it the sampler
-    recomputes. A zero total is raised at the step that draws from it. Each
-    draw is the arithmetic of ``Xorshift64Star.next_float``, done inline on
-    a local integer that is written back to ``rng.state`` when the loop
-    ends. One DEBUG record on the ``hqmm.analysis`` logger gives the steps,
-    the entries computed and admitted, and the cap; a step that computes no
-    entry is a cache hit.
+    recomputes. A zero total is raised at the step that draws from it. The
+    draws come in blocks from ``_xorshift_block``, each seeded by the last
+    state of the one before; ``rng.state`` ends as the state after the last
+    draw, or after the draw that raised. One DEBUG record on the
+    ``hqmm.analysis`` logger gives the steps, the entries computed and
+    admitted, and the cap; a step that computes no entry is a cache hit.
     """
     entry_of, successors = _kernels(mats, d)
     n = len(mats)
-    mask, mult = Xorshift64Star._MASK, Xorshift64Star._MULT
     bisect_right = bisect.bisect_right
     cache: dict = {}
     cap = _STATE_CACHE_CAP
@@ -474,32 +505,32 @@ def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
     out: list[str] = []
     x = rng.state
     try:
-        for _ in range(length):
-            sums = entry[n]
-            # Xorshift64Star.next_float, inlined
-            x ^= x >> 12
-            x ^= (x << 25) & mask
-            x ^= x >> 27
-            k = bisect_right(sums, (((x * mult) & mask) >> 11) * 2.0**-53 * sums[-1])
-            if k == n:
-                # u * total rounded up to total, or a zero total: take the
-                # last symbol with mass
-                k = max((i for i, w in enumerate(entry[n + 1]) if w > 0.0), default=n)
+        for start in range(0, length, _JUMP):
+            states, draws = _xorshift_block(x, min(_JUMP, length - start))
+            x = int(states[-1])
+            for u in draws:
+                sums = entry[n]
+                k = bisect_right(sums, u * sums[-1])
                 if k == n:
-                    raise ValueError("all next-symbol probabilities vanished while sampling")
-            nxt = entry[k]
-            if nxt is None:
-                v = successors[k](entry[n + 2], entry[n + 1][k])
-                nxt = cache.get(v)
-                if nxt is not None:
-                    entry[k] = nxt
-                else:
-                    nxt = entry_of(v)
-                    computed += 1
-                    if len(cache) < cap:
-                        cache[v] = entry[k] = nxt
-            entry = nxt
-            out.append(alphabet[k])
+                    # u * total rounded up to total, or a zero total: take the
+                    # last symbol with mass
+                    k = max((i for i, w in enumerate(entry[n + 1]) if w > 0.0), default=n)
+                    if k == n:
+                        x = int(states[len(out) - start])
+                        raise ValueError("all next-symbol probabilities vanished while sampling")
+                nxt = entry[k]
+                if nxt is None:
+                    v = successors[k](entry[n + 2], entry[n + 1][k])
+                    nxt = cache.get(v)
+                    if nxt is not None:
+                        entry[k] = nxt
+                    else:
+                        nxt = entry_of(v)
+                        computed += 1
+                        if len(cache) < cap:
+                            cache[v] = entry[k] = nxt
+                entry = nxt
+                out.append(alphabet[k])
     finally:
         rng.state = x
     if logger.isEnabledFor(logging.DEBUG):
@@ -520,6 +551,7 @@ def sample_trajectory(
     clamped at zero and renormalized before drawing, so round-off noise
     cannot produce invalid draws.
     """
+    length = checked_integer(length, "trajectory length")
     if length < 0:
         raise ValueError(f"trajectory length must be nonnegative, got {length}")
     mats, v0, d = linear_representation(model, initial)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -358,6 +359,16 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"non-finite entries in the {what}")
     return a
+
+
+def checked_integer(value, what: str) -> int:
+    """``value`` as a Python int, by ``operator.index``: NumPy integers
+    pass, and a float, string or other non-integer is a ``ValueError``
+    naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def checked_probability(p: float, what: str) -> float:

@@ -11,7 +11,6 @@ generator, and the single-Kraus form available for reversible generators.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -27,6 +26,7 @@ from .linalg import (
     check_projector_set,
     check_unitary,
     checked_alphabet,
+    checked_integer,
     checked_probability,
     fixed_point,
     hermitian_coordinates,
@@ -49,10 +49,7 @@ class HqmmModel:
     def __post_init__(self):
         alphabet = checked_alphabet(self.alphabet, self.operations, "operations")
         object.__setattr__(self, "alphabet", alphabet)
-        try:
-            d = operator.index(self.dim)
-        except TypeError:
-            raise ValueError(f"dimension must be an integer, got {self.dim!r}") from None
+        d = checked_integer(self.dim, "dimension")
         if d < 1:
             raise ValueError(f"dimension must be positive, got {d}")
         object.__setattr__(self, "dim", d)

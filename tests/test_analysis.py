@@ -81,6 +81,29 @@ def test_sample_negative_length():
         sample_trajectory(FAIR_COIN, -5, seed=1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: sample_trajectory(m, 3, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda m: sample_trajectory(m, 3, seed="7"), "seed must be an integer, got '7'"),
+        (lambda m: sample_trajectory(m, 2.0, 1), "trajectory length must be an integer, got 2.0"),
+        (lambda m: enumerate_distribution(m, 2.0), "word length must be an integer, got 2.0"),
+        (lambda m: Xorshift64Star(None), "seed must be an integer, got None"),
+    ],
+    ids=["float-seed", "str-seed", "float-length", "float-word-length", "generator-none-seed"],
+)
+def test_non_integer_length_or_seed_is_named_error(even, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(even)
+
+
+def test_numpy_integer_length_and_seed_are_accepted(even):
+    assert sample_trajectory(even, np.int64(20), np.uint64(42)) == list("11111100011011011011")
+    top = sample_trajectory(even, np.uint8(30), np.uint64(2**64 - 1))
+    assert top == sample_trajectory(even, 30, 2**64 - 1)
+    assert enumerate_distribution(even, np.int32(3)) == enumerate_distribution(even, 3)
+
+
 def test_linear_representation_reproduces_word_probability(even, four_state, four_symbol):
     rng = np.random.default_rng(11)
     hmm = random_hmm(rng, 3, 2)
@@ -334,6 +357,54 @@ def test_xorshift_zero_seed_usable():
     assert a == b and any(a)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    count=st.sampled_from(
+        [0, 1, analysis._JUMP - 1, analysis._JUMP, analysis._JUMP + 1, 3 * analysis._JUMP + 7]
+    ),
+)
+@example(seed=0, count=3 * analysis._JUMP + 7)
+@example(seed=2**64 - 1, count=analysis._JUMP + 1)
+def test_xorshift_blocks_chain_into_the_reference_stream(seed, count):
+    """Blocks of at most ``_JUMP`` draws, each seeded by the last state of
+    the one before, as the sampler chains them, give the reference floats
+    and end in the reference state."""
+    reference = Xorshift64Star(seed)
+    expected = [reference.next_float() for _ in range(count)]
+    x, draws = Xorshift64Star(seed).state, []
+    for start in range(0, count, analysis._JUMP):
+        states, block = analysis._xorshift_block(x, min(analysis._JUMP, count - start))
+        assert states.dtype == np.uint64 and len(block) == len(states)
+        x = int(states[-1])
+        draws += block
+    assert draws == expected
+    assert x == reference.state
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**64 - 1), dying=st.sampled_from([0.5, 2.0**-9, 2.0**-11]))
+@example(seed=1, dying=2.0**-9)
+def test_generator_state_after_vanished_mass_is_past_the_raising_draw(seed, dying):
+    """From state 0, symbol b (probability ``dying``) moves to state 1,
+    which has no outgoing mass, so the step after the first b raises. The
+    generator has then made exactly one draw more than the steps before."""
+    model = HmmModel(
+        alphabet=("a", "b"),
+        transitions={"a": [[1.0 - dying, 0.0], [0.0, 0.0]], "b": [[0.0, 0.0], [dying, 0.0]]},
+    )
+    reference = Xorshift64Star(seed)
+    steps = 1
+    while reference.next_float() < 1.0 - dying:
+        steps += 1
+    reference.next_u64()
+    mats, v0, d = linear_representation(model, [1.0, 0.0])
+    rng = Xorshift64Star(seed)
+    with pytest.raises(ValueError, match="all next-symbol probabilities vanished"):
+        analysis._sample_linear(mats, v0, d, steps + 3 * analysis._JUMP, rng, model.alphabet)
+    assert rng.state == reference.state
+
+
 def test_sample_trajectory_reproducible(even):
     assert sample_trajectory(even, 20, seed=42) == list("11111100011011011011")
     assert sample_trajectory(even, 200, seed=7) == sample_trajectory(even, 200, seed=7)
@@ -379,8 +450,8 @@ def _plain_dot(row, v):
 
 
 def test_compiled_sums_round_like_plain_loop():
-    # 600-term rows continue over several statements and 12 of them span
-    # several functions; entries span 20 decades and a third are exact zeros
+    # each 600-term row is one expression, and all 12 are one function;
+    # entries span 20 decades and a third are exact zeros
     rng = np.random.default_rng(3)
     shape = (12, 600)
     rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-20, 0, shape)
@@ -430,7 +501,8 @@ def test_sampler_matches_plain_loop():
     models = [
         sparse,
         mps.mps_to_hqmm(random_mps(rng, 3, 2)),
-        # D = 81: 6561 terms per symbol compile to more than one function
+        # D = 81: 6561 terms per symbol, over _COMPILED_TERMS, so its
+        # kernels accumulate with NumPy instead of compiling
         mps.mps_to_hqmm(random_mps(rng, 9, 2)),
     ]
     for seed, model in enumerate(models, start=1):
@@ -577,6 +649,23 @@ def test_sampler_memory_does_not_grow_past_the_cache_cap():
     # 4000 more symbols cost about 9 bytes each in the returned list; an
     # entry kept alive would cost about 500
     assert peaks[1] - peaks[0] < 4000 * 64
+
+
+def test_sampler_memory_holds_one_block_of_draws():
+    # beyond the returned list (about 9 bytes a symbol), the draws may hold
+    # one block, not memory that grows with the length; the first call
+    # builds the jump table outside the measurement
+    model = modelfile.load_bundled("four_state")
+    sample_trajectory(model, 1, 1)
+    peaks = []
+    for length in (2 * 10**4, 2 * 10**5):
+        tracemalloc.start()
+        try:
+            sample_trajectory(model, length, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * (2 * 10**5 - 2 * 10**4)
 
 
 def _sampler_counts(caplog, model, length, seed=1):

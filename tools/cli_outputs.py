@@ -12,7 +12,9 @@ covers the error paths: ``convert`` to both quantum forms and from a quantum
 source, ``wordprob`` from explicit weights, ``validate`` and ``steady`` on
 documents that fail validation or parsing, one or more of each kind, and every
 model command on documents that break a rule all kinds share (a repeated
-symbol, a start state of the wrong shape). Commands run in-process through
+symbol, a start state of the wrong shape). Last come draws from the even
+process and the cluster readout at lengths on either side of one and two of
+the sampler's 512-draw blocks of generator states. Commands run in-process through
 ``hqmm.cli.main``, from inside a temporary directory, so that the ``wrote
 <path>`` lines name a relative path. To check that a change leaves every
 printed byte as it was, run it on both checkouts and diff the outputs:
@@ -47,6 +49,10 @@ MPS_SHAPES = ((2, 2), (3, 2), (4, 3), (6, 2))
 # whose conditional states do not recur
 LONG_SAMPLE_MODELS = ("cluster_phi_pi8", "mps-D3", "mps-D6")
 LONG_SAMPLE_LENGTH = 3000
+# draws whose lengths fall on either side of the sampler's blocks of
+# generator states (512 draws each), on a recurring and a non-recurring model
+BLOCK_EDGE_MODELS = ("even_process", "cluster_phi_pi8")
+BLOCK_EDGE_LENGTHS = (1, 511, 512, 513, 1024, 1025)
 
 
 def _random_mps(rng, bond_dim, phys_dim) -> MpsModel:
@@ -250,7 +256,10 @@ def commands(workdir: Path) -> list[list[str]]:
     for phi, xi in itertools.product(CLUSTER_PHIS, CLUSTER_XIS):
         grid = ["cluster", "--phi", repr(phi), "--xi", repr(xi)]
         argvs += [grid + ["h3"], grid + ["dist", "-n", "3"]]
-    return argvs + _error_commands(workdir)
+    argvs += _error_commands(workdir)
+    for name, length in itertools.product(BLOCK_EDGE_MODELS, BLOCK_EDGE_LENGTHS):
+        argvs.append(["sample", paths[name], "-n", str(length), "--seed", "7"])
+    return argvs
 
 
 def _sha256(text: str) -> str:
