@@ -55,6 +55,15 @@ def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, 
     return kind.core.linear_representation(model, initial)
 
 
+def _checked_length(length) -> int:
+    """A word length as a Python int; a non-integer or negative one is a
+    ``ValueError``."""
+    length = checked_integer(length, "word length")
+    if length < 0:
+        raise ValueError(f"word length must be nonnegative, got {length}")
+    return length
+
+
 class WordTable(Mapping):
     """Read-only word -> probability mapping over one float64 array.
 
@@ -70,7 +79,7 @@ class WordTable(Mapping):
 
     def __init__(self, alphabet, length: int, array: np.ndarray):
         self.alphabet = tuple(alphabet)
-        self.length = length
+        self.length = length = _checked_length(length)
         if array.dtype != np.float64 or array.shape != (len(self.alphabet) ** length,):
             raise ValueError(
                 f"a length-{length} table over {len(self.alphabet)} symbols needs "
@@ -86,8 +95,7 @@ class WordTable(Mapping):
         order, into product order. Raises ``ValueError`` naming the first
         word that is not a length-``length`` tuple, has an unknown symbol or
         is missing."""
-        if length < 0:
-            raise ValueError(f"word length must be nonnegative, got {length}")
+        length = _checked_length(length)
         alphabet = tuple(alphabet)
         k = len(alphabet)
         index = {s: i for i, s in enumerate(alphabet)}
@@ -171,6 +179,7 @@ class WordDistribution:
     probabilities: Mapping[Word, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "length", _checked_length(self.length))
         table = self.probabilities
         if not (
             isinstance(table, WordTable)
@@ -229,9 +238,7 @@ def enumerate_distribution(model, n: int, initial=None) -> WordDistribution:
     memory estimate (``_enumeration_bytes``) exceeds
     ``ENUMERATION_BUDGET_BYTES``, before any level is built.
     """
-    n = checked_integer(n, "word length")
-    if n < 0:
-        raise ValueError(f"word length must be nonnegative, got {n}")
+    n = _checked_length(n)
     alphabet = model.alphabet
     mats, v0, d = linear_representation(model, initial)
     need = _enumeration_bytes(len(alphabet), n, v0.size)
@@ -392,17 +399,23 @@ def _xorshift_block(x: int, size: int) -> tuple[np.ndarray, list[float]]:
 
 _STATE_CACHE_CAP = 256
 _COMPILED_TERMS = 256  # terms (D^2) of the largest successor kernel compiled
+_KERNEL_MEMO = 16  # representations whose compiled kernels a process keeps
+
+
+def _sum_of_terms(row, params) -> str:
+    """``row . params`` as one expression over the nonzero entries, left to
+    right: ``repr`` round-trips every float, and an exact-zero term changes
+    at most the sign of a zero sum."""
+    return " + ".join(f"{c!r}*{x}" for c, x in zip(row, params) if c != 0.0) or "0.0"
 
 
 def _compile(rows, params, tail="", packed=0, after=(), result=None):
     """Straight-line function of ``params`` returning ``(row . x)tail`` per row.
 
     ``x`` is the first ``len(row)`` parameters. Each sum is one expression
-    running left to right over the row's nonzero entries: ``repr``
-    round-trips every float, and an exact-zero term changes at most the sign
-    of a zero sum, so the result rounds exactly like the plain loop over all
-    terms. The compiler's cost grows with the terms, so the sampler compiles
-    only kernels of up to ``_COMPILED_TERMS`` terms.
+    (``_sum_of_terms``), so the result rounds exactly like the plain loop
+    over all terms. The compiler's cost grows with the terms, so the sampler
+    compiles only kernels of up to ``_COMPILED_TERMS`` terms.
 
     With ``packed = n`` the first ``n`` parameters arrive as one tuple, the
     argument ``v``, which the body unpacks: cheaper than spreading the state
@@ -413,13 +426,27 @@ def _compile(rows, params, tail="", packed=0, after=(), result=None):
     args = ["v", *params[packed:]] if packed else list(params)
     lines = [f"{', '.join(params[:packed])}, = v"] if packed else []
     for i, row in enumerate(rows):
-        terms = " + ".join(f"{c!r}*{x}" for c, x in zip(row, params) if c != 0.0) or "0.0"
+        terms = _sum_of_terms(row, params)
         lines.append(f"y{i} = ({terms}){tail}" if tail else f"y{i} = {terms}")
     default = ", ".join(f"y{i}" for i in range(len(rows)))
     lines += [*after, f"return {result or f'({default},)'}"]
-    namespace: dict = {}
-    exec(f"def f({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines), namespace)
-    return namespace["f"]
+    return _define(f"def f({', '.join(args)}):", lines, {})
+
+
+def _define(header, lines, namespace):
+    """The function ``f`` defined by ``header`` and the body ``lines``, with
+    ``namespace`` as its globals. ``f`` is taken out of them, so that it
+    holds no reference cycle and is freed as soon as it is dropped."""
+    exec(header + "\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace.pop("f")
+
+
+def _clamped_sums(n) -> list[str]:
+    """Statements ``c_k = max(w_0, 0) + ... + max(w_k, 0)`` over the masses
+    ``y0 ... y{n-1}``, summed left to right."""
+    return ["c0 = y0 if y0 > 0.0 else 0.0"] + [
+        f"c{k} = c{k - 1} + y{k} if y{k} > 0.0 else c{k - 1}" for k in range(1, n)
+    ]
 
 
 def _entry_kernel(units, params):
@@ -427,39 +454,54 @@ def _entry_kernel(units, params):
     entry of a state tuple ``v`` of the ``params`` coordinates.
 
     ``masses`` holds ``w_k = units[k] . v`` per symbol and ``sums`` their
-    clamped running sums ``c_k = max(w_0, 0) + ... + max(w_k, 0)``, summed
-    left to right, so that the first ``c_k`` beyond ``u * c_{n-1}`` draws
-    symbol ``k``. The entry keeps its own state ``v``, from which the
-    successors are computed; slot ``k < n`` receives the entry of symbol
-    ``k``'s successor once ``_sample_linear`` links the two.
+    clamped running sums ``c_k`` (``_clamped_sums``), so that the first
+    ``c_k`` beyond ``u * c_{n-1}`` draws symbol ``k``. The entry keeps its
+    own state ``v``, from which the successors are computed; slot ``k < n``
+    receives the entry of symbol ``k``'s successor once ``_sample_linear``
+    links the two.
     """
     n = len(units)
-    sums = ["c0 = y0 if y0 > 0.0 else 0.0"] + [
-        f"c{k} = c{k - 1} + y{k} if y{k} > 0.0 else c{k - 1}" for k in range(1, n)
-    ]
     ys = ", ".join(f"y{k}" for k in range(n))
     cs = ", ".join(f"c{k}" for k in range(n))
     result = f"[{'None, ' * n}({cs},), ({ys},), v]"
-    return _compile(units, params, packed=len(params), after=sums, result=result)
+    return _compile(units, params, packed=len(params), after=_clamped_sums(n), result=result)
+
+
+def _units(mats, d):
+    """Per symbol, the row ``<1| A_s``: each column's first ``d`` entries
+    added left to right."""
+    # reduce, not sum(): from Python 3.12 sum() of floats is compensated
+    return [[functools.reduce(operator.add, col) for col in a[:d].T.tolist()] for a in mats]
+
+
+def _last_with_mass(masses) -> int:
+    """The symbol a draw takes when ``u * total`` rounded up to the total:
+    the last one with positive mass. With none, the total is zero and the
+    draw raises ``ValueError``."""
+    k = max((i for i, w in enumerate(masses) if w > 0.0), default=None)
+    if k is None:
+        raise ValueError("all next-symbol probabilities vanished while sampling")
+    return k
+
+
+def _compiles(mats) -> bool:
+    return mats.shape[1] ** 2 <= _COMPILED_TERMS
 
 
 def _kernels(mats, d):
     """The sampler's ``(entry_of, successors)`` on state tuples ``v``:
     ``entry_of(v)`` is ``v``'s entry as ``_entry_kernel`` lays it out, and
     ``successors[k](v, m)`` is ``A_k v / m``. Up to ``_COMPILED_TERMS`` terms
-    per successor they are compiled. Above it, where compiling costs more
-    than it saves, ``np.add.accumulate(a * x, axis=1)[:, -1]`` adds each row
-    left to right, also the exact-zero terms that ``_compile`` drops, which can
+    per successor they are compiled, once per process and representation
+    (``_compiled_kernels``). Above it, where compiling costs more than it
+    saves, ``np.add.accumulate(a * x, axis=1)[:, -1]`` adds each row left to
+    right, also the exact-zero terms that ``_compile`` drops, which can
     change at most the sign of a zero sum; so both kinds give the same
     Python floats and draw the same sequences."""
-    # reduce, not sum(): from Python 3.12 sum() of floats is compensated
-    units = [[functools.reduce(operator.add, col) for col in a[:d].T.tolist()] for a in mats]
-    if mats.shape[1] ** 2 <= _COMPILED_TERMS:
-        params = [f"x{j}" for j in range(mats.shape[1])]
-        compiled = [_compile(a.tolist(), params + ["m"], " / m", packed=len(params)) for a in mats]
-        return _entry_kernel(units, params), compiled
+    if _compiles(mats):
+        return _compiled_kernels(mats.tobytes(), mats.shape, d)
     n = len(mats)
-    units = np.array(units)
+    units = np.array(_units(mats, d))
     accumulate = np.add.accumulate  # np.cumsum without its wrapper's microseconds
 
     def entry_of(v):
@@ -470,7 +512,90 @@ def _kernels(mats, d):
     def successor(a):
         return lambda v, m: tuple((accumulate(a * v, axis=1)[:, -1] / m).tolist())
 
-    return entry_of, [successor(a) for a in mats]
+    return entry_of, tuple(successor(a) for a in mats)
+
+
+# The compiled kernels are memoized on the representation's content (its
+# float64 bytes, shape and d), never on an object's identity, so that a
+# process compiles each representation once however often it samples it; at
+# most _KERNEL_MEMO representations of each kind of kernel are kept.
+
+
+@functools.lru_cache(maxsize=_KERNEL_MEMO)
+def _compiled_kernels(data: bytes, shape: tuple, d: int):
+    """``_kernels``' compiled ``(entry_of, successors)`` of the float64
+    matrices ``data``."""
+    mats = np.frombuffer(data).reshape(shape)
+    params = [f"x{j}" for j in range(shape[1])]
+    successors = tuple(
+        _compile(a.tolist(), params + ["m"], " / m", packed=len(params)) for a in mats
+    )
+    return _entry_kernel(_units(mats, d), params), successors
+
+
+def _run_kernel(mats, d):
+    """The sampler's ``run(v, draws, out, symbols) -> v`` past the state
+    cache's cap: from state tuple ``v`` it draws one symbol per uniform of
+    ``draws``, appends it to ``out`` and returns the last state. Each step
+    computes the masses, their clamped running sums, the choice (the first
+    ``k`` with ``c_k > u c_{n-1}``, as ``bisect_right`` finds it, else
+    ``_last_with_mass``) and the successor with the terms, order and
+    division of ``_kernels``' entry and successor kernels, and keeps
+    nothing. Up to ``_COMPILED_TERMS`` terms it is one straight-line loop
+    (``_compiled_run``); above it, each step calls ``_kernels``' accumulated
+    ones."""
+    if _compiles(mats):
+        return _compiled_run(mats.tobytes(), mats.shape, d)
+    entry_of, successors = _kernels(mats, d)
+    n = len(mats)
+    bisect_right = bisect.bisect_right
+
+    def run(v, draws, out, symbols):
+        for u in draws:
+            entry = entry_of(v)
+            sums, masses = entry[n], entry[n + 1]
+            k = bisect_right(sums, u * sums[-1])
+            if k == n:
+                k = _last_with_mass(masses)
+            v = successors[k](v, masses[k])
+            out.append(symbols[k])
+        return v
+
+    return run
+
+
+@functools.lru_cache(maxsize=_KERNEL_MEMO)
+def _compiled_run(data: bytes, shape: tuple, d: int):
+    """``_run_kernel``'s straight-line loop for the float64 matrices
+    ``data``, with the coordinates held as locals. The rounding edge, where
+    no ``c_k`` exceeds ``u c_{n-1}``, calls the compiled successor kernel."""
+    mats = np.frombuffer(data).reshape(shape)
+    n = shape[0]
+    params = [f"x{j}" for j in range(shape[1])]
+    state, ys = ", ".join(params) + ",", ", ".join(f"y{k}" for k in range(n)) + ","
+    step = [f"y{k} = {_sum_of_terms(unit, params)}" for k, unit in enumerate(_units(mats, d))]
+    step += [*_clamped_sums(n), f"t = u * c{n - 1}"]
+    for k, a in enumerate(mats.tolist()):
+        successor = ", ".join(f"({_sum_of_terms(row, params)}) / y{k}" for row in a)
+        step += [f"{'elif' if k else 'if'} c{k} > t:", f"    {state} = {successor},"]
+        step += [f"    append(s{k})"]
+    step += [
+        "else:",
+        f"    k = last_with_mass(({ys}))",
+        f"    {state} = successors[k](({state}), ({ys})[k])",
+        "    append(symbols[k])",
+    ]
+    lines = [
+        f"{state} = v",
+        f"{', '.join(f's{k}' for k in range(n))}, = symbols",
+        "append = out.append",
+        "for u in draws:",
+        *(f"    {line}" for line in step),
+        f"return ({state})",
+    ]
+    successors = _compiled_kernels(data, shape, d)[1]
+    namespace = {"last_with_mass": _last_with_mass, "successors": successors}
+    return _define("def f(v, draws, out, symbols):", lines, namespace)
 
 
 def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
@@ -478,19 +603,20 @@ def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
 
     One kernel builds a state's entry (all symbol masses ``<1| A_s v``,
     their clamped running sums, the state and successor slots) and one per
-    symbol its successor, compiled for small representations and accumulated
-    with NumPy for large ones (``_kernels``). The first ``_STATE_CACHE_CAP``
+    symbol its successor (``_kernels``). The first ``_STATE_CACHE_CAP``
     entries are admitted to a cache keyed on the exact state, and an
     admitted successor is linked into its predecessor's slot, so recurring
     states (a unifilar generator's) step by following links, with no
     hashing. An empty slot computes the successor from the entry's state and
     looks it up. The states of a quantum readout almost never recur, so
-    there the small cap just bounds the dead weight, and past it the sampler
-    recomputes. A zero total is raised at the step that draws from it. The
-    draws come in blocks from ``_xorshift_block``, each seeded by the last
-    state of the one before; ``rng.state`` ends as the state after the last
-    draw, or after the draw that raised. One DEBUG record on the
-    ``hqmm.analysis`` logger gives the steps, the entries computed and
+    there the small cap just bounds the dead weight: the first miss once the
+    cache is full hands the rest of the draw to ``_run_kernel``, which keeps
+    no entries, and the loop does nothing else from then on. A zero total is
+    raised at the step that draws from it. The draws come in blocks from
+    ``_xorshift_block``, each seeded by the last state of the one before;
+    ``rng.state`` ends as the state after the last draw, or after the draw
+    that raised. One DEBUG record on the ``hqmm.analysis`` logger gives the
+    steps, the entries computed (past the hand-over, one state per step) and
     admitted, and the cap; a step that computes no entry is a cache hit.
     """
     entry_of, successors = _kernels(mats, d)
@@ -503,34 +629,42 @@ def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
     if len(cache) < cap:
         cache[v] = entry
     out: list[str] = []
+    run = None
     x = rng.state
     try:
         for start in range(0, length, _JUMP):
             states, draws = _xorshift_block(x, min(_JUMP, length - start))
             x = int(states[-1])
+            if run is not None:
+                v = run(v, draws, out, alphabet)
+                continue
             for u in draws:
                 sums = entry[n]
                 k = bisect_right(sums, u * sums[-1])
                 if k == n:
-                    # u * total rounded up to total, or a zero total: take the
-                    # last symbol with mass
-                    k = max((i for i, w in enumerate(entry[n + 1]) if w > 0.0), default=n)
-                    if k == n:
-                        x = int(states[len(out) - start])
-                        raise ValueError("all next-symbol probabilities vanished while sampling")
+                    k = _last_with_mass(entry[n + 1])
                 nxt = entry[k]
                 if nxt is None:
                     v = successors[k](entry[n + 2], entry[n + 1][k])
                     nxt = cache.get(v)
                     if nxt is not None:
                         entry[k] = nxt
-                    else:
-                        nxt = entry_of(v)
+                    elif len(cache) < cap:
+                        nxt = cache[v] = entry[k] = entry_of(v)
                         computed += 1
-                        if len(cache) < cap:
-                            cache[v] = entry[k] = nxt
+                    else:
+                        # a miss with the cache full: the run kernel draws the rest
+                        out.append(alphabet[k])
+                        computed += 1 + length - len(out)
+                        run = _run_kernel(mats, d)
+                        v = run(v, draws[len(out) - start :], out, alphabet)
+                        break
                 entry = nxt
                 out.append(alphabet[k])
+    except ValueError:
+        # a vanished mass: the raising draw is the one after the len(out) drawn
+        x = int(states[len(out) - start])
+        raise
     finally:
         rng.state = x
     if logger.isEnabledFor(logging.DEBUG):

@@ -239,6 +239,31 @@ def test_word_distribution_names_an_incomplete_or_foreign_table():
         analysis.WordTable(("0", "1"), 2, np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: analysis.WordTable(("0", "1"), 2.0, np.zeros(4)), "must be an integer, got 2.0"),
+        (lambda: analysis.WordTable(("0", "1"), -1, np.zeros(1)), "must be nonnegative, got -1"),
+        (lambda: WordDistribution(2.0, ("0", "1"), {}), "must be an integer, got 2.0"),
+        (lambda: WordDistribution("2", ("0", "1"), {}), "must be an integer, got '2'"),
+        (
+            lambda: analysis.WordTable.from_mapping(("0", "1"), 1.5, {}),
+            "must be an integer, got 1.5",
+        ),
+    ],
+    ids=["table-float", "table-negative", "distribution-float", "distribution-str", "mapping"],
+)
+def test_word_table_length_must_be_a_nonnegative_integer(call, message):
+    with pytest.raises(ValueError, match=f"^word length {re.escape(message)}$"):
+        call()
+
+
+def test_word_distribution_takes_a_numpy_integer_length_as_int(even):
+    table = enumerate_distribution(even, 2).probabilities
+    dist = WordDistribution(np.int64(2), even.alphabet, table)
+    assert type(dist.length) is int and dist.probabilities is table
+
+
 def test_word_table_is_read_only(even):
     dist = enumerate_distribution(even, 2)
     with pytest.raises(TypeError):
@@ -467,6 +492,11 @@ def _plain_sample(model, length, seed, initial=None):
     """Uncached per-step loop with the clamped, renormalized draw that
     ``sample_trajectory`` must reproduce bit for bit."""
     mats, v0, d = linear_representation(model, initial)
+    return _plain_sample_linear(mats, v0, d, length, seed, model.alphabet)
+
+
+def _plain_sample_linear(mats, v0, d, length, seed, alphabet):
+    """``_plain_sample`` on a linear representation."""
     rows = mats.tolist()
     units = [[_plain_dot([1.0] * d, col) for col in a[:d].T.tolist()] for a in mats]
     rng = Xorshift64Star(seed)
@@ -487,7 +517,7 @@ def _plain_sample(model, length, seed, initial=None):
                 if u < acc:
                     break
         v = [_plain_dot(row, v) / masses[choice] for row in rows[choice]]
-        out.append(model.alphabet[choice])
+        out.append(alphabet[choice])
     return out
 
 
@@ -688,6 +718,200 @@ def test_sampler_logs_its_cache_counts(caplog):
     # start, and the cache fills to the cap
     pi8 = modelfile.load_bundled("cluster_phi_pi8")
     assert _sampler_counts(caplog, pi8, 2 * cap) == (2 * cap, 2 * cap + 1, cap, cap)
+
+
+KERNEL_KINDS = pytest.mark.parametrize("kind", ["compiled", "accumulated"])
+
+
+def _kind_terms(kind, mats):
+    """The ``_COMPILED_TERMS`` that gives ``mats`` the kernels of ``kind``."""
+    return mats.shape[1] ** 2 if kind == "compiled" else 0
+
+
+def _clear_kernel_memo():
+    analysis._compiled_kernels.cache_clear()
+    analysis._compiled_run.cache_clear()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    dying=st.sampled_from([0.5, 2.0**-9, 2.0**-11]),
+    kind=st.sampled_from(["compiled", "accumulated"]),
+)
+@example(seed=1, dying=0.5, kind="compiled")
+@example(seed=1, dying=2.0**-9, kind="accumulated")
+def test_run_kernel_raises_vanished_mass_at_the_draw_that_meets_it(seed, dying, kind):
+    """With no cache, the run kernel draws from the first step on. The steps
+    up to the first b are drawn; the next one meets state 1, which has no
+    outgoing mass, and raises, one draw past the steps before it."""
+    model = HmmModel(
+        alphabet=("a", "b"),
+        transitions={"a": [[1.0 - dying, 0.0], [0.0, 0.0]], "b": [[0.0, 0.0], [dying, 0.0]]},
+    )
+    reference = Xorshift64Star(seed)
+    steps = 1
+    while reference.next_float() < 1.0 - dying:
+        steps += 1
+    reference.next_u64()
+    mats, v0, d = linear_representation(model, [1.0, 0.0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_STATE_CACHE_CAP", 0)
+        patch.setattr(analysis, "_COMPILED_TERMS", _kind_terms(kind, mats))
+        drawn = analysis._sample_linear(mats, v0, d, steps, Xorshift64Star(seed), model.alphabet)
+        assert drawn == ["a"] * (steps - 1) + ["b"]
+        rng = Xorshift64Star(seed)
+        with pytest.raises(ValueError, match="all next-symbol probabilities vanished"):
+            analysis._sample_linear(mats, v0, d, steps + 3 * analysis._JUMP, rng, model.alphabet)
+    assert rng.state == reference.state
+
+
+@KERNEL_KINDS
+def test_run_kernel_takes_last_symbol_with_mass_at_a_subnormal_total(kind):
+    # masses of one unit (5e-324) each for a and b: u * total rounds up to
+    # the total whenever u >= 0.75, on every step, since the state stays 1.0;
+    # the draw then takes b, not the massless c
+    mats = np.array([[[5e-324]], [[5e-324]], [[0.0]]])
+    v0 = np.array([1.0])
+    seed, length = 3, 300
+    rng = Xorshift64Star(seed)
+    assert sum(rng.next_float() >= 0.75 for _ in range(length)) > 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_STATE_CACHE_CAP", 0)
+        patch.setattr(analysis, "_COMPILED_TERMS", _kind_terms(kind, mats))
+        drawn = analysis._sample_linear(mats, v0, 1, length, Xorshift64Star(seed), "abc")
+    assert drawn == _plain_sample_linear(mats, v0, 1, length, seed, "abc")
+    assert set(drawn) == {"a", "b"}
+
+
+@KERNEL_KINDS
+@pytest.mark.parametrize("cap", [analysis._JUMP - 1, analysis._JUMP, analysis._JUMP + 1])
+def test_hand_over_at_the_edges_of_a_block(caplog, kind, cap):
+    """The cluster readout misses on every step, so the cache fills at step
+    ``cap`` and the run kernel takes the draws that follow it: the last one
+    of the first block, none of it, or all but the first of the second."""
+    model = modelfile.load_bundled("cluster_phi_pi8")
+    mats, _, _ = linear_representation(model)
+    length = 2 * analysis._JUMP + 100
+    handed = []
+    run_kernel = analysis._run_kernel
+
+    def recording_run_kernel(mats, d):
+        run = run_kernel(mats, d)
+
+        def recording_run(v, draws, out, symbols):
+            handed.append(len(draws))
+            return run(v, draws, out, symbols)
+
+        return recording_run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_STATE_CACHE_CAP", cap)
+        patch.setattr(analysis, "_COMPILED_TERMS", _kind_terms(kind, mats))
+        patch.setattr(analysis, "_run_kernel", recording_run_kernel)
+        assert _sampler_counts(caplog, model, length) == (length, length + 1, cap, cap)
+        assert sample_trajectory(model, length, 1) == _plain_sample(model, length, 1)
+    assert handed[0] == -cap % analysis._JUMP
+    assert sum(handed) == 2 * (length - cap)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.one_of(
+        GENERATED_MODELS, st.builds(_bundled, st.sampled_from(modelfile.BUNDLED_MODELS))
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(case=_mps_readout(0, 4), seed=0)
+@example(case=_cluster(math.pi / 8, 0.0), seed=0)
+@example(case=_sparse_hmm(0, 4, 3), seed=0)
+def test_compiled_and_accumulated_run_kernels_agree_after_every_step(case, seed):
+    """Both kinds of run kernel, stepped one draw at a time, hold the same
+    state float for float after every step (a zero may differ in sign)."""
+    model, initial = case
+    mats, v0, d = linear_representation(model, initial)
+    runs = []
+    for kind in ("compiled", "accumulated"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_COMPILED_TERMS", _kind_terms(kind, mats))
+            runs.append(analysis._run_kernel(mats, d))
+    rng = Xorshift64Star(seed)
+    states, outs = [tuple(v0.tolist())] * 2, ([], [])
+    for _ in range(150):
+        draws = [rng.next_float()]
+        states = [run(v, draws, out, model.alphabet) for run, v, out in zip(runs, states, outs)]
+        assert states[0] == states[1]
+        assert outs[0] == outs[1]
+    assert outs[0] == _plain_sample(model, 150, seed, initial)
+
+
+@pytest.mark.parametrize("cap", [0, analysis._STATE_CACHE_CAP])
+def test_kernel_memo_tells_representations_one_ulp_apart(cap):
+    """With a second uniform ``u >= 0.5``, symbol a of mass ``u`` and b of
+    mass ``1 - u`` total exactly 1, so the second draw takes b; with a's
+    mass one ulp up, the total still rounds to 1 and the draw takes a. The
+    state stays 1.0, so with no cache that draw is the run kernel's. Each
+    representation must draw its own sequence whichever is compiled first."""
+
+    def second_uniform(seed):
+        rng = Xorshift64Star(seed)
+        rng.next_float()
+        return rng.next_float()
+
+    seed = next(s for s in itertools.count(1) if second_uniform(s) >= 0.5)
+    u = second_uniform(seed)
+    v0, length = np.array([1.0]), 600
+    reps = [np.array([[[a]], [[1.0 - u]]]) for a in (u, np.nextafter(u, 1.0))]
+    expected = [_plain_sample_linear(mats, v0, 1, length, seed, "ab") for mats in reps]
+    assert expected[0][1] == "b" and expected[1][1] == "a"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_STATE_CACHE_CAP", cap)
+        for order in ((0, 1), (1, 0)):
+            _clear_kernel_memo()
+            for i in order:
+                rng = Xorshift64Star(seed)
+                assert analysis._sample_linear(reps[i], v0, 1, length, rng, "ab") == expected[i]
+
+
+def test_accumulated_draws_use_no_memoized_kernel():
+    """A representation whose compiled kernels are memoized draws with the
+    accumulated ones once ``_COMPILED_TERMS`` is below its size: neither memo
+    is consulted, and the sequence is still the plain loop's."""
+    model, initial = _mps_readout(0, 3)
+    expected = _plain_sample(model, 300, 5, initial)
+    memos = (analysis._compiled_kernels, analysis._compiled_run)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_STATE_CACHE_CAP", 4)
+        assert sample_trajectory(model, 300, 5, initial) == expected
+        warm = [memo.cache_info() for memo in memos]
+        assert all(info.currsize > 0 for info in warm)
+        patch.setattr(analysis, "_COMPILED_TERMS", 0)
+        assert sample_trajectory(model, 300, 5, initial) == expected
+        assert [memo.cache_info() for memo in memos] == warm
+
+
+def test_kernel_memo_memory_is_bounded():
+    """Past the memo's size, compiling more representations evicts older
+    ones: the memory held after three times as many as it keeps is about
+    the memory held after as many as it keeps."""
+    size = analysis._KERNEL_MEMO
+    sample_trajectory(FAIR_COIN, 1, 1)  # the jump table, outside the measurement
+    _clear_kernel_memo()
+    held = []
+    tracemalloc.start()
+    try:
+        for count in (size, 3 * size):
+            for model_seed in range(len(held) * size, count):
+                model, initial = _mps_readout(model_seed, 4)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(analysis, "_STATE_CACHE_CAP", 0)
+                    sample_trajectory(model, 2, 1, initial)
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        _clear_kernel_memo()
+    assert analysis._compiled_run.cache_info().maxsize == size
+    assert held[1] - held[0] < held[0] / 4
 
 
 def _plain_marginalize(probabilities):

@@ -14,7 +14,10 @@ documents that fail validation or parsing, one or more of each kind, and every
 model command on documents that break a rule all kinds share (a repeated
 symbol, a start state of the wrong shape). Last come draws from the even
 process and the cluster readout at lengths on either side of one and two of
-the sampler's 512-draw blocks of generator states. Commands run in-process through
+the sampler's 512-draw blocks of generator states, then two more 3000-symbol
+draws past the cache cap: one from ``cluster_phi_pi4``, which hits the cache on
+a few steps before the cap, and one from the (4, 3) MPS readout, whose 256-term
+kernels are the largest the sampler compiles. Commands run in-process through
 ``hqmm.cli.main``, from inside a temporary directory, so that the ``wrote
 <path>`` lines name a relative path. To check that a change leaves every
 printed byte as it was, run it on both checkouts and diff the outputs:
@@ -53,6 +56,9 @@ LONG_SAMPLE_LENGTH = 3000
 # generator states (512 draws each), on a recurring and a non-recurring model
 BLOCK_EDGE_MODELS = ("even_process", "cluster_phi_pi8")
 BLOCK_EDGE_LENGTHS = (1, 511, 512, 513, 1024, 1025)
+# more draws past the cap: a model whose states recur now and then, and the
+# largest representation whose kernels are compiled
+LATE_LONG_SAMPLE_MODELS = ("cluster_phi_pi4", "mps-D4")
 
 
 def _random_mps(rng, bond_dim, phys_dim) -> MpsModel:
@@ -259,6 +265,8 @@ def commands(workdir: Path) -> list[list[str]]:
     argvs += _error_commands(workdir)
     for name, length in itertools.product(BLOCK_EDGE_MODELS, BLOCK_EDGE_LENGTHS):
         argvs.append(["sample", paths[name], "-n", str(length), "--seed", "7"])
+    for name in LATE_LONG_SAMPLE_MODELS:
+        argvs.append(["sample", paths[name], "-n", str(LONG_SAMPLE_LENGTH), "--seed", "7"])
     return argvs
 
 
