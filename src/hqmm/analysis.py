@@ -402,69 +402,12 @@ _COMPILED_TERMS = 256  # terms (D^2) of the largest successor kernel compiled
 _KERNEL_MEMO = 16  # representations whose compiled kernels a process keeps
 
 
-def _sum_of_terms(row, params) -> str:
-    """``row . params`` as one expression over the nonzero entries, left to
-    right: ``repr`` round-trips every float, and an exact-zero term changes
-    at most the sign of a zero sum."""
-    return " + ".join(f"{c!r}*{x}" for c, x in zip(row, params) if c != 0.0) or "0.0"
-
-
-def _compile(rows, params, tail="", packed=0, after=(), result=None):
-    """Straight-line function of ``params`` returning ``(row . x)tail`` per row.
-
-    ``x`` is the first ``len(row)`` parameters. Each sum is one expression
-    (``_sum_of_terms``), so the result rounds exactly like the plain loop
-    over all terms. The compiler's cost grows with the terms, so the sampler
-    compiles only kernels of up to ``_COMPILED_TERMS`` terms.
-
-    With ``packed = n`` the first ``n`` parameters arrive as one tuple, the
-    argument ``v``, which the body unpacks: cheaper than spreading the state
-    into a new argument tuple on every call. Row ``i``'s value is ``y{i}``;
-    the statements ``after`` run once all are computed, and ``result``
-    replaces the returned tuple of them.
-    """
-    args = ["v", *params[packed:]] if packed else list(params)
-    lines = [f"{', '.join(params[:packed])}, = v"] if packed else []
-    for i, row in enumerate(rows):
-        terms = _sum_of_terms(row, params)
-        lines.append(f"y{i} = ({terms}){tail}" if tail else f"y{i} = {terms}")
-    default = ", ".join(f"y{i}" for i in range(len(rows)))
-    lines += [*after, f"return {result or f'({default},)'}"]
-    return _define(f"def f({', '.join(args)}):", lines, {})
-
-
 def _define(header, lines, namespace):
     """The function ``f`` defined by ``header`` and the body ``lines``, with
     ``namespace`` as its globals. ``f`` is taken out of them, so that it
     holds no reference cycle and is freed as soon as it is dropped."""
     exec(header + "\n" + "".join(f"    {line}\n" for line in lines), namespace)
     return namespace.pop("f")
-
-
-def _clamped_sums(n) -> list[str]:
-    """Statements ``c_k = max(w_0, 0) + ... + max(w_k, 0)`` over the masses
-    ``y0 ... y{n-1}``, summed left to right."""
-    return ["c0 = y0 if y0 > 0.0 else 0.0"] + [
-        f"c{k} = c{k - 1} + y{k} if y{k} > 0.0 else c{k - 1}" for k in range(1, n)
-    ]
-
-
-def _entry_kernel(units, params):
-    """Straight-line ``v -> [None, ..., None, sums, masses, v]``, the cache
-    entry of a state tuple ``v`` of the ``params`` coordinates.
-
-    ``masses`` holds ``w_k = units[k] . v`` per symbol and ``sums`` their
-    clamped running sums ``c_k`` (``_clamped_sums``), so that the first
-    ``c_k`` beyond ``u * c_{n-1}`` draws symbol ``k``. The entry keeps its
-    own state ``v``, from which the successors are computed; slot ``k < n``
-    receives the entry of symbol ``k``'s successor once ``_sample_linear``
-    links the two.
-    """
-    n = len(units)
-    ys = ", ".join(f"y{k}" for k in range(n))
-    cs = ", ".join(f"c{k}" for k in range(n))
-    result = f"[{'None, ' * n}({cs},), ({ys},), v]"
-    return _compile(units, params, packed=len(params), after=_clamped_sums(n), result=result)
 
 
 def _units(mats, d):
@@ -484,25 +427,35 @@ def _last_with_mass(masses) -> int:
     return k
 
 
-def _compiles(mats) -> bool:
-    return mats.shape[1] ** 2 <= _COMPILED_TERMS
-
-
 def _kernels(mats, d):
-    """The sampler's ``(entry_of, successors)`` on state tuples ``v``:
-    ``entry_of(v)`` is ``v``'s entry as ``_entry_kernel`` lays it out, and
-    ``successors[k](v, m)`` is ``A_k v / m``. Up to ``_COMPILED_TERMS`` terms
-    per successor they are compiled, once per process and representation
-    (``_compiled_kernels``). Above it, where compiling costs more than it
-    saves, ``np.add.accumulate(a * x, axis=1)[:, -1]`` adds each row left to
-    right, also the exact-zero terms that ``_compile`` drops, which can
-    change at most the sign of a zero sum; so both kinds give the same
-    Python floats and draw the same sequences."""
-    if _compiles(mats):
+    """The sampler's ``(entry_of, successors, run)`` on state tuples ``v``.
+
+    ``entry_of(v)`` is ``v``'s cache entry ``[None, ..., None, sums,
+    masses, v]``: ``masses`` holds ``w_k = <1| A_k v`` per symbol and
+    ``sums`` their clamped running sums ``c_k = max(w_0, 0) + ... +
+    max(w_k, 0)``, added left to right, so that the first ``c_k`` beyond
+    ``u * c_{n-1}`` draws symbol ``k``; slot ``k < n`` receives the entry of
+    symbol ``k``'s successor once ``_sample_linear`` links the two.
+    ``successors[k](v, m)`` is ``A_k v / m``. And
+    ``run(v, draws, out, symbols) -> v`` draws one symbol per uniform of
+    ``draws`` from state ``v``, appends it to ``out`` and returns the last
+    state, keeping nothing: each step computes what the other two do, and
+    where no ``c_k`` exceeds ``u c_{n-1}`` takes ``_last_with_mass``.
+
+    Up to ``_COMPILED_TERMS`` terms per successor all three are compiled,
+    once per process and representation (``_compiled_kernels``). Above it,
+    where compiling costs more than it saves,
+    ``np.add.accumulate(a * x, axis=1)[:, -1]`` adds each row left to right,
+    also the exact-zero terms that the compiled sums drop, which can change
+    at most the sign of a zero sum, and ``run`` loops over the other two;
+    so both kinds give the same Python floats and draw the same sequences.
+    """
+    if mats.shape[1] ** 2 <= _COMPILED_TERMS:
         return _compiled_kernels(mats.tobytes(), mats.shape, d)
     n = len(mats)
     units = np.array(_units(mats, d))
     accumulate = np.add.accumulate  # np.cumsum without its wrapper's microseconds
+    bisect_right = bisect.bisect_right
 
     def entry_of(v):
         masses = tuple(accumulate(units * v, axis=1)[:, -1].tolist())
@@ -512,43 +465,7 @@ def _kernels(mats, d):
     def successor(a):
         return lambda v, m: tuple((accumulate(a * v, axis=1)[:, -1] / m).tolist())
 
-    return entry_of, tuple(successor(a) for a in mats)
-
-
-# The compiled kernels are memoized on the representation's content (its
-# float64 bytes, shape and d), never on an object's identity, so that a
-# process compiles each representation once however often it samples it; at
-# most _KERNEL_MEMO representations of each kind of kernel are kept.
-
-
-@functools.lru_cache(maxsize=_KERNEL_MEMO)
-def _compiled_kernels(data: bytes, shape: tuple, d: int):
-    """``_kernels``' compiled ``(entry_of, successors)`` of the float64
-    matrices ``data``."""
-    mats = np.frombuffer(data).reshape(shape)
-    params = [f"x{j}" for j in range(shape[1])]
-    successors = tuple(
-        _compile(a.tolist(), params + ["m"], " / m", packed=len(params)) for a in mats
-    )
-    return _entry_kernel(_units(mats, d), params), successors
-
-
-def _run_kernel(mats, d):
-    """The sampler's ``run(v, draws, out, symbols) -> v`` past the state
-    cache's cap: from state tuple ``v`` it draws one symbol per uniform of
-    ``draws``, appends it to ``out`` and returns the last state. Each step
-    computes the masses, their clamped running sums, the choice (the first
-    ``k`` with ``c_k > u c_{n-1}``, as ``bisect_right`` finds it, else
-    ``_last_with_mass``) and the successor with the terms, order and
-    division of ``_kernels``' entry and successor kernels, and keeps
-    nothing. Up to ``_COMPILED_TERMS`` terms it is one straight-line loop
-    (``_compiled_run``); above it, each step calls ``_kernels``' accumulated
-    ones."""
-    if _compiles(mats):
-        return _compiled_run(mats.tobytes(), mats.shape, d)
-    entry_of, successors = _kernels(mats, d)
-    n = len(mats)
-    bisect_right = bisect.bisect_right
+    successors = tuple(successor(a) for a in mats)
 
     def run(v, draws, out, symbols):
         for u in draws:
@@ -561,65 +478,88 @@ def _run_kernel(mats, d):
             out.append(symbols[k])
         return v
 
-    return run
+    return entry_of, successors, run
+
+
+# The compiled kernels are memoized on the representation's content (its
+# float64 bytes, shape and d), never on an object's identity, so that a
+# process compiles each representation once however often it samples it; at
+# most _KERNEL_MEMO representations are kept.
 
 
 @functools.lru_cache(maxsize=_KERNEL_MEMO)
-def _compiled_run(data: bytes, shape: tuple, d: int):
-    """``_run_kernel``'s straight-line loop for the float64 matrices
-    ``data``, with the coordinates held as locals. The rounding edge, where
-    no ``c_k`` exceeds ``u c_{n-1}``, calls the compiled successor kernel."""
+def _compiled_kernels(data: bytes, shape: tuple, d: int):
+    """``_kernels``' compiled ``(entry_of, successors, run)`` of the float64
+    matrices ``data``.
+
+    Each sum is one expression over the nonzero terms, left to right:
+    ``repr`` round-trips every float, so it rounds exactly like the plain
+    loop over all terms, and an exact-zero term changes at most the sign of
+    a zero sum. The masses, their clamped sums and every successor row are
+    written once, and all three functions are built from those same
+    strings, so they add the same terms in the same order and divide the
+    same way. The coordinates are locals ``x0 ...``, unpacked from the state
+    tuple ``v``: cheaper than spreading it into an argument tuple per call.
+    ``run`` holds them across its steps, and at the rounding edge calls the
+    compiled successor kernel.
+    """
     mats = np.frombuffer(data).reshape(shape)
     n = shape[0]
-    params = [f"x{j}" for j in range(shape[1])]
-    state, ys = ", ".join(params) + ",", ", ".join(f"y{k}" for k in range(n)) + ","
-    step = [f"y{k} = {_sum_of_terms(unit, params)}" for k, unit in enumerate(_units(mats, d))]
-    step += [*_clamped_sums(n), f"t = u * c{n - 1}"]
-    for k, a in enumerate(mats.tolist()):
-        successor = ", ".join(f"({_sum_of_terms(row, params)}) / y{k}" for row in a)
-        step += [f"{'elif' if k else 'if'} c{k} > t:", f"    {state} = {successor},"]
+
+    def names(prefix, count):
+        return ", ".join(f"{prefix}{i}" for i in range(count)) + ","
+
+    def dot(row):
+        return " + ".join(f"{c!r}*x{j}" for j, c in enumerate(row) if c != 0.0) or "0.0"
+
+    state, ys = names("x", shape[1]), names("y", n)
+    masses = [f"y{k} = {dot(unit)}" for k, unit in enumerate(_units(mats, d))]
+    masses += ["c0 = y0 if y0 > 0.0 else 0.0"]
+    masses += [f"c{k} = c{k - 1} + y{k} if y{k} > 0.0 else c{k - 1}" for k in range(1, n)]
+    rows = [[f"({dot(row)})" for row in a] for a in mats.tolist()]
+
+    def divided(k, by):
+        return ", ".join(f"{row} / {by}" for row in rows[k]) + ","
+
+    entry = [f"{state} = v", *masses, f"return [{'None, ' * n}({names('c', n)}), ({ys}), v]"]
+    successors = tuple(
+        _define("def f(v, m):", [f"{state} = v", f"return ({divided(k, 'm')})"], {})
+        for k in range(n)
+    )
+    step = [*masses, f"t = u * c{n - 1}"]
+    for k in range(n):
+        step += [f"{'elif' if k else 'if'} c{k} > t:", f"    {state} = {divided(k, f'y{k}')}"]
         step += [f"    append(s{k})"]
-    step += [
-        "else:",
-        f"    k = last_with_mass(({ys}))",
-        f"    {state} = successors[k](({state}), ({ys})[k])",
-        "    append(symbols[k])",
-    ]
-    lines = [
-        f"{state} = v",
-        f"{', '.join(f's{k}' for k in range(n))}, = symbols",
-        "append = out.append",
-        "for u in draws:",
-        *(f"    {line}" for line in step),
-        f"return ({state})",
-    ]
-    successors = _compiled_kernels(data, shape, d)[1]
+    step += ["else:", f"    k = last_with_mass(({ys}))"]
+    step += [f"    {state} = successors[k](({state}), ({ys})[k])", "    append(symbols[k])"]
+    loop = [f"{state} = v", f"{names('s', n)} = symbols", "append = out.append", "for u in draws:"]
+    loop += [*(f"    {line}" for line in step), f"return ({state})"]
     namespace = {"last_with_mass": _last_with_mass, "successors": successors}
-    return _define("def f(v, draws, out, symbols):", lines, namespace)
+    run = _define("def f(v, draws, out, symbols):", loop, namespace)
+    return _define("def f(v):", entry, {}), successors, run
 
 
 def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
-    """Iterated conditional update ``v -> A_s v / <1| A_s v`` on plain floats.
+    """Iterated conditional update ``v -> A_s v / <1| A_s v`` on plain floats,
+    with the kernels of ``_kernels``.
 
-    One kernel builds a state's entry (all symbol masses ``<1| A_s v``,
-    their clamped running sums, the state and successor slots) and one per
-    symbol its successor (``_kernels``). The first ``_STATE_CACHE_CAP``
-    entries are admitted to a cache keyed on the exact state, and an
-    admitted successor is linked into its predecessor's slot, so recurring
-    states (a unifilar generator's) step by following links, with no
-    hashing. An empty slot computes the successor from the entry's state and
-    looks it up. The states of a quantum readout almost never recur, so
-    there the small cap just bounds the dead weight: the first miss once the
-    cache is full hands the rest of the draw to ``_run_kernel``, which keeps
-    no entries, and the loop does nothing else from then on. A zero total is
-    raised at the step that draws from it. The draws come in blocks from
-    ``_xorshift_block``, each seeded by the last state of the one before;
-    ``rng.state`` ends as the state after the last draw, or after the draw
-    that raised. One DEBUG record on the ``hqmm.analysis`` logger gives the
-    steps, the entries computed (past the hand-over, one state per step) and
-    admitted, and the cap; a step that computes no entry is a cache hit.
+    The first ``_STATE_CACHE_CAP`` entries are admitted to a cache keyed on
+    the exact state, and an admitted successor is linked into its
+    predecessor's slot, so recurring states (a unifilar generator's) step by
+    following links, with no hashing. An empty slot computes the successor
+    from the entry's state and looks it up. The states of a quantum readout
+    almost never recur, so there the small cap just bounds the dead weight:
+    the first miss once the cache is full hands the rest of the draw to the
+    ``run`` kernel, which keeps no entries, and the loop does nothing else
+    from then on. A zero total is raised at the step that draws from it.
+    The draws come in blocks from ``_xorshift_block``, each seeded by the
+    last state of the one before; ``rng.state`` ends as the state after the
+    last draw, or after the draw that raised. One DEBUG record on the
+    ``hqmm.analysis`` logger gives the steps, the entries computed (past the
+    hand-over, one state per step) and admitted, and the cap; a step that
+    computes no entry is a cache hit.
     """
-    entry_of, successors = _kernels(mats, d)
+    entry_of, successors, run = _kernels(mats, d)
     n = len(mats)
     bisect_right = bisect.bisect_right
     cache: dict = {}
@@ -629,13 +569,13 @@ def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
     if len(cache) < cap:
         cache[v] = entry
     out: list[str] = []
-    run = None
+    handed = False
     x = rng.state
     try:
         for start in range(0, length, _JUMP):
             states, draws = _xorshift_block(x, min(_JUMP, length - start))
             x = int(states[-1])
-            if run is not None:
+            if handed:
                 v = run(v, draws, out, alphabet)
                 continue
             for u in draws:
@@ -656,7 +596,7 @@ def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
                         # a miss with the cache full: the run kernel draws the rest
                         out.append(alphabet[k])
                         computed += 1 + length - len(out)
-                        run = _run_kernel(mats, d)
+                        handed = True
                         v = run(v, draws[len(out) - start :], out, alphabet)
                         break
                 entry = nxt

@@ -8,6 +8,7 @@ cluster (kraus | dist | h3), scan-entropy, sample. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -313,7 +314,9 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help to sys.stderr and sys.stdout
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 2
         return code

@@ -124,8 +124,14 @@ def oracle_word_probability(
     return float(np.vdot(t, t).real)
 
 
+def _parity_bias(basis: MeasurementBasis) -> float:
+    """``c = cos(xi)(sin(2 phi) + sin(6 phi))``: the length-3 words of even
+    parity each have probability ``1/8 + c/32``, the odd ones ``1/8 - c/32``."""
+    return math.cos(basis.xi) * (math.sin(2 * basis.phi) + math.sin(6 * basis.phi))
+
+
 def _even_odd_split(basis: MeasurementBasis) -> tuple[float, float]:
-    c = math.cos(basis.xi) * (math.sin(2 * basis.phi) + math.sin(6 * basis.phi))
+    c = _parity_bias(basis)
     return 0.125 + c / 32.0, 0.125 - c / 32.0
 
 
@@ -150,7 +156,7 @@ def h3_closed_form(basis: MeasurementBasis) -> float:
     pi/4, or xi = pi/2); base-2 logarithms are forced by that maximum.
     """
     phi, xi = basis.phi, basis.xi
-    c = math.cos(xi) * (math.sin(2 * phi) + math.sin(6 * phi))
+    c = _parity_bias(basis)
     h = 5.0 - 0.5 * math.log2(16.0 - c * c)
     gain = 0.5 * math.cos(xi) * math.cos(2 * phi) ** 2 * math.sin(2 * phi)
     if gain != 0.0:

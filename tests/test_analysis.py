@@ -475,17 +475,19 @@ def _plain_dot(row, v):
 
 
 def test_compiled_sums_round_like_plain_loop():
-    # each 600-term row is one expression, and all 12 are one function;
-    # entries span 20 decades and a third are exact zeros
+    # 12 symbols over 16 coordinates, the largest compiled kernels: each row
+    # is one expression; entries span 20 decades and a third are exact zeros
     rng = np.random.default_rng(3)
-    shape = (12, 600)
-    rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-20, 0, shape)
-    rows *= rng.random(shape) < 0.67
-    rows[5] = 0.0
-    v = rng.normal(size=600).tolist()
-    names = [f"x{j}" for j in range(600)]
-    f = analysis._compile(rows.tolist(), names + ["m"], " / m")
-    assert f(*v, 3.0) == tuple(_plain_dot(row, v) / 3.0 for row in rows.tolist())
+    shape, d = (12, 16, 16), 4
+    mats = rng.normal(size=shape) * 10.0 ** rng.uniform(-20, 0, shape)
+    mats *= rng.random(shape) < 0.67
+    mats[5] = 0.0
+    v = rng.normal(size=16).tolist()
+    entry_of, successors, _ = analysis._compiled_kernels(mats.tobytes(), shape, d)
+    units = [[_plain_dot([1.0] * d, col) for col in a[:d].T.tolist()] for a in mats]
+    assert entry_of(tuple(v))[-2] == tuple(_plain_dot(unit, v) for unit in units)
+    for successor, a in zip(successors, mats.tolist()):
+        assert successor(tuple(v), 3.0) == tuple(_plain_dot(row, v) / 3.0 for row in a)
 
 
 def _plain_sample(model, length, seed, initial=None):
@@ -630,7 +632,7 @@ def _kernel_kinds(mats, d):
     for terms in (mats.shape[1] ** 2, 0):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "_COMPILED_TERMS", terms)
-            kinds.append(analysis._kernels(mats, d))
+            kinds.append(analysis._kernels(mats, d)[:2])
     return kinds
 
 
@@ -730,7 +732,6 @@ def _kind_terms(kind, mats):
 
 def _clear_kernel_memo():
     analysis._compiled_kernels.cache_clear()
-    analysis._compiled_run.cache_clear()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -794,21 +795,21 @@ def test_hand_over_at_the_edges_of_a_block(caplog, kind, cap):
     mats, _, _ = linear_representation(model)
     length = 2 * analysis._JUMP + 100
     handed = []
-    run_kernel = analysis._run_kernel
+    kernels = analysis._kernels
 
-    def recording_run_kernel(mats, d):
-        run = run_kernel(mats, d)
+    def recording_kernels(mats, d):
+        entry_of, successors, run = kernels(mats, d)
 
         def recording_run(v, draws, out, symbols):
             handed.append(len(draws))
             return run(v, draws, out, symbols)
 
-        return recording_run
+        return entry_of, successors, recording_run
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_STATE_CACHE_CAP", cap)
         patch.setattr(analysis, "_COMPILED_TERMS", _kind_terms(kind, mats))
-        patch.setattr(analysis, "_run_kernel", recording_run_kernel)
+        patch.setattr(analysis, "_kernels", recording_kernels)
         assert _sampler_counts(caplog, model, length) == (length, length + 1, cap, cap)
         assert sample_trajectory(model, length, 1) == _plain_sample(model, length, 1)
     assert handed[0] == -cap % analysis._JUMP
@@ -834,7 +835,7 @@ def test_compiled_and_accumulated_run_kernels_agree_after_every_step(case, seed)
     for kind in ("compiled", "accumulated"):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "_COMPILED_TERMS", _kind_terms(kind, mats))
-            runs.append(analysis._run_kernel(mats, d))
+            runs.append(analysis._kernels(mats, d)[2])
     rng = Xorshift64Star(seed)
     states, outs = [tuple(v0.tolist())] * 2, ([], [])
     for _ in range(150):
@@ -875,19 +876,19 @@ def test_kernel_memo_tells_representations_one_ulp_apart(cap):
 
 def test_accumulated_draws_use_no_memoized_kernel():
     """A representation whose compiled kernels are memoized draws with the
-    accumulated ones once ``_COMPILED_TERMS`` is below its size: neither memo
-    is consulted, and the sequence is still the plain loop's."""
+    accumulated ones once ``_COMPILED_TERMS`` is below its size: the memo
+    is not consulted, and the sequence is still the plain loop's."""
     model, initial = _mps_readout(0, 3)
     expected = _plain_sample(model, 300, 5, initial)
-    memos = (analysis._compiled_kernels, analysis._compiled_run)
+    memo = analysis._compiled_kernels
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_STATE_CACHE_CAP", 4)
         assert sample_trajectory(model, 300, 5, initial) == expected
-        warm = [memo.cache_info() for memo in memos]
-        assert all(info.currsize > 0 for info in warm)
+        warm = memo.cache_info()
+        assert warm.currsize > 0
         patch.setattr(analysis, "_COMPILED_TERMS", 0)
         assert sample_trajectory(model, 300, 5, initial) == expected
-        assert [memo.cache_info() for memo in memos] == warm
+        assert memo.cache_info() == warm
 
 
 def test_kernel_memo_memory_is_bounded():
@@ -910,7 +911,7 @@ def test_kernel_memo_memory_is_bounded():
     finally:
         tracemalloc.stop()
         _clear_kernel_memo()
-    assert analysis._compiled_run.cache_info().maxsize == size
+    assert analysis._compiled_kernels.cache_info().maxsize == size
     assert held[1] - held[0] < held[0] / 4
 
 

@@ -187,6 +187,19 @@ def test_usage_error_on_missing_subcommand():
     assert code == 2
 
 
+def test_argparse_usage_error_goes_to_the_given_err(paths):
+    code, out, err = run(["dist", paths["even_process"]])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: hqmm dist ")
+    assert "error: the following arguments are required: -n" in err
+
+
+def test_help_goes_to_the_given_out():
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: hqmm ")
+
+
 def test_steady_even(paths):
     code, out, _ = run(["steady", paths["even_process"]])
     assert code == 0

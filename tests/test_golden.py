@@ -79,11 +79,14 @@ def test_golden_sequence(name, seed):
 
 
 def test_golden_sequences_survive_cache_overflow(monkeypatch):
-    # past the cap, states are recomputed instead of cached; output must not change
+    # past the cap, states are recomputed instead of cached; output must not
+    # change, with compiled kernels or, no terms compiled, accumulated ones
     monkeypatch.setattr(analysis, "_STATE_CACHE_CAP", 8)
-    for name in ("cluster_phi_pi8", "four_state"):
-        seq = analysis.sample_trajectory(_model(name), STEPS, 1)
-        assert hashlib.sha256(" ".join(seq).encode()).hexdigest() == GOLDEN[name][1]
+    for terms in (analysis._COMPILED_TERMS, 0):
+        monkeypatch.setattr(analysis, "_COMPILED_TERMS", terms)
+        for name in ("cluster_phi_pi8", "four_state"):
+            seq = analysis.sample_trajectory(_model(name), STEPS, 1)
+            assert hashlib.sha256(" ".join(seq).encode()).hexdigest() == GOLDEN[name][1]
 
 
 GOLDEN_CLI = {
