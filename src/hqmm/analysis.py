@@ -55,12 +55,12 @@ def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, 
     return kind.core.linear_representation(model, initial)
 
 
-def _checked_length(length) -> int:
-    """A word length as a Python int; a non-integer or negative one is a
-    ``ValueError``."""
-    length = checked_integer(length, "word length")
+def _checked_length(length, what: str = "word length") -> int:
+    """A length as a Python int; a non-integer or negative one is a
+    ``ValueError`` naming ``what``."""
+    length = checked_integer(length, what)
     if length < 0:
-        raise ValueError(f"word length must be nonnegative, got {length}")
+        raise ValueError(f"{what} must be nonnegative, got {length}")
     return length
 
 
@@ -222,6 +222,9 @@ def _enumeration_bytes(k: int, n: int, dim: int) -> int:
     tables are the point of an enumeration, so neither that term nor
     ``ENUMERATION_BUDGET_BYTES`` was lowered when the table became an array.
     """
+    if k > 1 and n > 1100:
+        # past 2**1100 words, where building k**n would take minutes at a huge n
+        return 2**1100
     words = k**n
     return 8 * dim * (words + words // k) + words * (_WORD_ENTRY_BYTES + 8 * n)
 
@@ -243,10 +246,13 @@ def enumerate_distribution(model, n: int, initial=None) -> WordDistribution:
     mats, v0, d = linear_representation(model, initial)
     need = _enumeration_bytes(len(alphabet), n, v0.size)
     if need > ENUMERATION_BUDGET_BYTES:
+        try:
+            size = f"about {need / 2**30:.3g} GiB"
+        except OverflowError:
+            size = "more than 1e308 GiB"
         raise ValueError(
             f"enumeration of {len(alphabet)}^{n} words over {v0.size} coordinates "
-            f"needs about {need / 2**30:.3g} GiB, over the "
-            f"{ENUMERATION_BUDGET_BYTES / 2**30:g} GiB budget"
+            f"needs {size}, over the {ENUMERATION_BUDGET_BYTES / 2**30:g} GiB budget"
         )
     states = v0[np.newaxis]
     for _ in range(n):
@@ -625,8 +631,6 @@ def sample_trajectory(
     clamped at zero and renormalized before drawing, so round-off noise
     cannot produce invalid draws.
     """
-    length = checked_integer(length, "trajectory length")
-    if length < 0:
-        raise ValueError(f"trajectory length must be nonnegative, got {length}")
+    length = _checked_length(length, "trajectory length")
     mats, v0, d = linear_representation(model, initial)
     return _sample_linear(mats, v0, d, length, Xorshift64Star(seed), tuple(model.alphabet))

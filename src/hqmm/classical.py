@@ -18,7 +18,7 @@ from .config import TOL
 from .linalg import (
     Violation,
     _finite,
-    _fixed_vector,
+    _stationary_vector,
     check_prob_vector,
     checked_alphabet,
     checked_probability,
@@ -120,16 +120,12 @@ def steady_state(m: HmmModel) -> tuple[np.ndarray, bool]:
 
     Returns ``(pi_star, unique)``. A degenerate eigenvalue-1 space is resolved
     by projecting the uniform distribution onto it (renormalized) and flagged
-    ``unique=False``.
+    ``unique=False``. It is the solve of ``linalg.fixed_point``, with all
+    ``n_states`` coordinates as the mass.
     """
-    t = m.total()
-    d = t.shape[0]
-    ones = np.ones(d)
-    v, unique = _fixed_vector(t, ones, ones / d, TOL)
-    v = v / v.sum()
-    pi = np.clip(v.real, 0.0, None)
-    pi = pi / pi.sum()
-    return pi, unique
+    pi, unique = _stationary_vector(m.total(), m.n_states)
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum(), unique
 
 
 def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:

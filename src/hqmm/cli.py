@@ -325,7 +325,7 @@ def main(argv=None, out=None, err=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=err)
         return 2
-    except (modelfile.ModelFileError, ValueError) as e:
+    except (modelfile.ModelFileError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=err)
         return 1
 

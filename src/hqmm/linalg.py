@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +53,14 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def checked_square(m, size: int, name: str) -> np.ndarray:
+    """``as_matrix(m, name)``; raises ``ValueError`` unless it is ``size x size``."""
+    a = as_matrix(m, name)
+    if a.shape != (size, size):
+        raise ValueError(f"{name} has shape {a.shape}, expected ({size}, {size})")
     return a
 
 
@@ -217,12 +225,10 @@ def hermitian_real_form(transfer: np.ndarray) -> np.ndarray:
     return m.real.copy()
 
 
-def _dense_fixed_vector(
-    matrix: np.ndarray, target: np.ndarray, tols: Tolerances
-) -> tuple[np.ndarray, int]:
+def _dense_fixed_vector(matrix: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
     """Fixed vector of ``matrix`` and the dimension of its fixed space.
 
-    Eigenvalues within ``tols.eigenvalue_one`` of 1 give the dimension of the
+    Eigenvalues within ``TOL.eigenvalue_one`` of 1 give the dimension of the
     fixed space. Eigenvectors from a dense eigensolve can lose many digits on
     non-normal maps (the cluster channel's transfer matrix is defective), so
     the fixed directions are taken from the backward-stable SVD of
@@ -231,11 +237,11 @@ def _dense_fixed_vector(
     no eigenvalue lies within the window (the map is not trace-preserving).
     """
     evals = np.linalg.eigvals(matrix)
-    count = int(np.count_nonzero(np.abs(evals - 1.0) <= tols.eigenvalue_one))
+    count = int(np.count_nonzero(np.abs(evals - 1.0) <= TOL.eigenvalue_one))
     if count == 0:
         raise ValueError(
             "no eigenvalue within "
-            f"{tols.eigenvalue_one:g} of 1: map is not trace-preserving"
+            f"{TOL.eigenvalue_one:g} of 1: map is not trace-preserving"
         )
     n = matrix.shape[0]
     _, _, vh = np.linalg.svd(matrix - np.eye(n))
@@ -246,12 +252,12 @@ def _dense_fixed_vector(
 
 
 def _certified_fixed_vector(
-    matrix: np.ndarray, unit: np.ndarray, target: np.ndarray, tols: Tolerances
+    matrix: np.ndarray, unit: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, float] | None:
     """The unique fixed vector with ``unit @ v == 1``, or ``None``.
 
     With ``A = matrix - I`` and ``unit @ A == 0`` (checked to within
-    ``tols.completeness``), the bordered matrix ``M = A + target unit^T`` has,
+    ``TOL.completeness``), the bordered matrix ``M = A + target unit^T`` has,
     by Brauer's theorem, the eigenvalue ``unit @ target == 1`` in place of
     the eigenvalue 0 of ``A`` that ``unit`` belongs to, and ``lambda - 1``
     for each other eigenvalue ``lambda`` of ``matrix``. Every eigenvalue of
@@ -266,7 +272,7 @@ def _certified_fixed_vector(
     n = matrix.shape[0]
     bordered = matrix.copy()
     bordered.flat[:: n + 1] -= 1.0
-    if np.max(np.abs(unit @ bordered)) > tols.completeness:
+    if np.max(np.abs(unit @ bordered)) > TOL.completeness:
         return None
     bordered += np.outer(target, unit)
     try:
@@ -277,13 +283,13 @@ def _certified_fixed_vector(
     # finite exactly when an entry of inv is not
     magnitude = np.abs(inv)
     bound = float(min(magnitude.sum(axis=0).max(), magnitude.sum(axis=1).max()))
-    if not math.isfinite(bound) or 2.0 * bound * tols.eigenvalue_one >= 1.0:
+    if not math.isfinite(bound) or 2.0 * bound * TOL.eigenvalue_one >= 1.0:
         return None
     return inv @ target, bound
 
 
 def _fixed_vector(
-    matrix: np.ndarray, unit: np.ndarray, target: np.ndarray, tols: Tolerances
+    matrix: np.ndarray, unit: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, bool]:
     """Fixed vector of ``matrix`` and whether its fixed space is one-dimensional.
 
@@ -297,18 +303,18 @@ def _fixed_vector(
     degenerate fixed space, or a singular bordered matrix) falls back to the
     eigenvalue count and SVD of ``_dense_fixed_vector``, which also resolves
     a degenerate space by projecting ``target`` onto it, and raises
-    ``ValueError`` when no eigenvalue lies within ``tols.eigenvalue_one``
+    ``ValueError`` when no eigenvalue lies within ``TOL.eigenvalue_one``
     of 1. One DEBUG record on the ``hqmm.linalg`` logger names the path, its
     inverse-norm bound or fixed-space dimension and the residual
     ``||L v - v||`` of the unit-norm vector.
     """
-    certified = _certified_fixed_vector(matrix, unit, target, tols)
+    certified = _certified_fixed_vector(matrix, unit, target)
     if certified is not None:
         v, bound = certified
         unique = True
         path = f"certificate, inverse-norm bound {bound:.3e}"
     else:
-        v, count = _dense_fixed_vector(matrix, target, tols)
+        v, count = _dense_fixed_vector(matrix, target)
         unique = count == 1
         path = f"eigen-count, fixed-space dimension {count}"
     if logger.isEnabledFor(logging.DEBUG):
@@ -318,6 +324,18 @@ def _fixed_vector(
             "fixed vector of order %d by %s, residual %.3e", matrix.shape[0], path, residual
         )
     return v, unique
+
+
+def _stationary_vector(matrix: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
+    """``_fixed_vector`` of a real map that preserves the sum (mass) of the first
+    ``d`` coordinates, scaled to unit mass; a vanishing mass is a ``ValueError``."""
+    unit = np.zeros(matrix.shape[0])
+    unit[:d] = 1.0
+    x, unique = _fixed_vector(matrix, unit, unit / d)
+    mass = x[:d].sum()
+    if abs(mass) < 1e-12:
+        raise ValueError("fixed-point candidate has vanishing trace")
+    return x / mass, unique
 
 
 def fixed_point(transfer: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -344,15 +362,8 @@ def fixed_point(transfer: np.ndarray) -> tuple[np.ndarray, bool]:
     (the map is not trace-preserving).
     """
     real = hermitian_real_form(as_matrix(transfer, "transfer matrix"))
-    n = real.shape[0]
-    d = math.isqrt(n)
-    unit = np.zeros(n)
-    unit[:d] = 1.0
-    x, unique = _fixed_vector(real, unit, unit / d, TOL)
-    tr = x[:d].sum()
-    if abs(tr) < 1e-12:
-        raise ValueError("fixed-point candidate has vanishing trace")
-    return _from_hermitian_coordinates(x / tr), unique
+    x, unique = _stationary_vector(real, math.isqrt(real.shape[0]))
+    return _from_hermitian_coordinates(x), unique
 
 
 def _finite(a: np.ndarray, what: str) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import TOL
 from .cluster import MeasurementBasis, basis_vectors
-from .linalg import Violation, as_matrix, check_projector_set, checked_alphabet
+from .linalg import Violation, check_projector_set, checked_alphabet, checked_square
 from .quantum import HqmmModel, checked_initial, initial_violations
 
 
@@ -55,21 +55,11 @@ class MpsModel:
                 f"need one tensor per physical level: got {len(self.tensors)}, "
                 f"expected {self.phys_dim}"
             )
-        tensors = tuple(as_matrix(v, f"tensor V^{i}") for i, v in enumerate(self.tensors))
-        for i, v in enumerate(tensors):
-            if v.shape != (self.bond_dim, self.bond_dim):
-                raise ValueError(
-                    f"tensor V^{i} has shape {v.shape}, expected "
-                    f"({self.bond_dim}, {self.bond_dim})"
-                )
+        tensors = tuple(
+            checked_square(v, bond, f"tensor V^{i}") for i, v in enumerate(self.tensors)
+        )
         object.__setattr__(self, "tensors", tensors)
-        projs = {s: as_matrix(self.projectors[s], f"projector {s!r}") for s in alphabet}
-        for s, p in projs.items():
-            if p.shape != (self.phys_dim, self.phys_dim):
-                raise ValueError(
-                    f"projector for {s!r} has shape {p.shape}, expected "
-                    f"({self.phys_dim}, {self.phys_dim})"
-                )
+        projs = {s: checked_square(self.projectors[s], phys, f"projector {s!r}") for s in alphabet}
         object.__setattr__(self, "projectors", projs)
         if self.initial is not None:
             object.__setattr__(self, "initial", checked_initial(self.initial, self.bond_dim))

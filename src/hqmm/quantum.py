@@ -28,6 +28,7 @@ from .linalg import (
     checked_alphabet,
     checked_integer,
     checked_probability,
+    checked_square,
     fixed_point,
     hermitian_coordinates,
     hermitian_real_form,
@@ -53,15 +54,10 @@ class HqmmModel:
         if d < 1:
             raise ValueError(f"dimension must be positive, got {d}")
         object.__setattr__(self, "dim", d)
-        ops = {}
-        for s in alphabet:
-            mats = [as_matrix(k, f"Kraus operator for {s!r}") for k in self.operations[s]]
-            for k in mats:
-                if k.shape != (d, d):
-                    raise ValueError(
-                        f"Kraus operator for {s!r} has shape {k.shape}, expected ({d}, {d})"
-                    )
-            ops[s] = mats
+        ops = {
+            s: [checked_square(k, d, f"Kraus operator for {s!r}") for k in self.operations[s]]
+            for s in alphabet
+        }
         # the d x d stacks and grams come only after every shape is checked and
         # an operator is found, so that empty lists cannot allocate them for any d
         if not any(ops.values()):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -619,6 +620,52 @@ def test_sampler_matches_plain_loop_past_the_cache_cap(case, seed, cap):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_STATE_CACHE_CAP", cap)
         assert sample_trajectory(model, 200, seed, initial) == expected
+
+
+def _stochastic(case):
+    """A generated case whose HMM columns are rescaled so that the matrices
+    sum to a column-stochastic one: a sparse HMM loses the mass of the
+    entries it zeroes, so its tables do not sum to 1."""
+    model, initial = case
+    if isinstance(model, HmmModel):
+        mass = model.total().sum(axis=0)
+        model = HmmModel(model.alphabet, {s: t / mass for s, t in model.transitions.items()})
+    return model, initial
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=GENERATED_MODELS.map(_stochastic), n=st.integers(1, 6))
+@example(case=_stochastic(_sparse_hmm(0, 5, 3)), n=6)
+@example(case=_mps_readout(0, 4), n=6)
+def test_generated_distributions_are_normalized_and_consistent(case, n):
+    """Each table sums to 1 and sums out its last symbol to the shorter
+    table. From the stationary state (``initial=None``, with an MPS
+    readout's own start dropped) it also sums out its first symbol to it."""
+    model, initial = case
+    dist = enumerate_distribution(model, n, initial)
+    shorter = enumerate_distribution(model, n - 1, initial).probabilities.array
+    assert abs(dist.total() - 1.0) <= 1e-12
+    assert np.max(np.abs(dist.marginalize_last().probabilities.array - shorter)) <= 1e-12
+    if getattr(model, "initial", None) is not None:
+        model = dataclasses.replace(model, initial=None)
+    table = enumerate_distribution(model, n).probabilities.array
+    shorter = enumerate_distribution(model, n - 1).probabilities.array
+    first_out = table.reshape(len(model.alphabet), -1).sum(axis=0)
+    assert np.max(np.abs(first_out - shorter)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=GENERATED_MODELS.map(_stochastic))
+@example(case=_stochastic(_sparse_hmm(0, 5, 3)))
+@example(case=_mps_readout(0, 4))
+def test_generated_hankel_rank_is_at_most_the_representation_size(case):
+    """Over all words up to length 3, the Hankel rank is at most the size of
+    the linear representation: d for an HMM, d^2 for a quantum model."""
+    model, _ = case
+    words = [w for n in range(4) for w in itertools.product(model.alphabet, repeat=n)]
+    size = linear_representation(model)[1].size
+    assert size == model.dim ** (1 if isinstance(model, HmmModel) else 2)
+    assert state_count_lower_bound(model, words, words) <= size
 
 
 def _bundled(name):

@@ -73,6 +73,14 @@ def test_steady_state_non_unique_flagged():
     assert_allclose(pi, [0.5, 0.5], atol=1e-12)
 
 
+def test_steady_state_refuses_a_fixed_vector_without_mass():
+    # the only fixed vector, (1, -1), sums to 0; scaling it by its round-off
+    # sum and clipping gave the distribution (0, 1), flagged unique
+    m = HmmModel(alphabet=("0",), transitions={"0": 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])})
+    with pytest.raises(ValueError, match="fixed-point candidate has vanishing trace"):
+        steady_state(m)
+
+
 def test_word_probability_forbidden_word(even):
     assert word_probability(even, "010") == 0.0
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -670,3 +671,123 @@ def test_wordprob_initial_weights_whose_sum_overflows(paths, name, huge, unit):
     expected = run(["wordprob", paths[name], "0", "--initial", unit])
     assert expected[0] == 0 and expected[1].strip() != "0.000000000000"
     assert run(["wordprob", paths[name], "0", "--initial", huge]) == expected
+
+
+# enumerations whose memory estimate is past the float range ended in an
+# OverflowError from the budget message, and at -n 3 * 10**8 the exact
+# estimate took about 1.7 s to build before it
+HUGE_ENUMERATIONS = [
+    ["dist", "@even_process", "-n", "2000"],
+    ["entropy", "@four_state", "-n", "600"],
+    ["cluster", "--phi", "0.3", "--xi", "0", "dist", "-n", "1100"],
+    ["dist", "@even_process", "-n", str(3 * 10**8)],
+]
+# scan-entropy grids whose axis NumPy cannot allocate ended in its MemoryError
+HUGE_GRIDS = [
+    ["scan-entropy", "--phi-steps", str(10**11), "--xi-steps", "2", "-o", "@out"],
+    ["scan-entropy", "--phi-steps", "2", "--xi-steps", str(10**11), "-o", "@out"],
+]
+
+
+def _resolve(argv, paths, tmp_path):
+    """``@name`` is a bundled model's path, ``@missing`` a file that does not
+    exist and ``@out`` an output path."""
+    names = dict(paths, missing=str(tmp_path / "missing.json"), out=str(tmp_path / "out.csv"))
+    return [names[a[1:]] if a.startswith("@") else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", HUGE_ENUMERATIONS, ids=lambda argv: " ".join(argv))
+def test_huge_enumeration_is_refused_fast_by_the_budget(paths, tmp_path, argv):
+    start = time.perf_counter()
+    code, out, err = run(_resolve(argv, paths, tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: enumeration of ") and err.endswith(" GiB budget\n")
+
+
+@pytest.mark.parametrize("argv", HUGE_GRIDS, ids=["phi", "xi"])
+def test_grid_that_cannot_be_allocated_is_one_error_line(paths, tmp_path, argv):
+    code, out, err = run(_resolve(argv, paths, tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+_SUBCOMMANDS = [
+    "validate", "steady", "wordprob", "dist", "entropy", "hankel", "convert", "cluster",
+    "scan-entropy", "sample",
+]
+_FILES = st.sampled_from([f"@{name}" for name in modelfile.BUNDLED_MODELS] + ["@missing"])
+_ENUMERATION_LENGTHS = st.one_of(st.sampled_from([-1, 0, 1, 7]), st.integers(10**3, 10**12))
+_REALS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "0", "0.3", "2.5"])
+_INITIALS = st.sampled_from(
+    ["steady", "mixed", "", ",", "1,", "1,0", "0,0", "nan,1", "-1,2", "a,b", "1e308,1e308"]
+    + ["1,1,1,1"]
+)
+_WORDS = st.sampled_from(["", ";", ";0;1", "0;;1", "2", "x", "0,1", "01;10;3"])
+
+
+@st.composite
+def _argument_vectors(draw):
+    """An ``hqmm`` command line: every subcommand, with counts, reals and
+    strings at and past their edges. Every case is fast by design: ``sample``
+    draws at most 10**4 symbols, and a ``scan-entropy`` grid has at most
+    31 x 31 points or an axis of at least 10**11 that cannot be allocated."""
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    if command in ("validate", "steady"):
+        return [command, draw(_FILES)]
+    if command == "wordprob":
+        argv = ["wordprob", draw(_FILES), draw(_WORDS)]
+        return argv + (["--initial", draw(_INITIALS)] if draw(st.booleans()) else [])
+    if command in ("dist", "entropy"):
+        return [command, draw(_FILES), "-n", str(draw(_ENUMERATION_LENGTHS))]
+    if command == "hankel":
+        argv = ["hankel", draw(_FILES)]
+        for flag, values in (("--rows", _WORDS), ("--cols", _WORDS), ("--tol", _REALS)):
+            if draw(st.booleans()):
+                argv += [flag, draw(values)]
+        return argv
+    if command == "convert":
+        target = draw(st.sampled_from(["hqmm-embed", "hqmm-pure"]))
+        return ["convert", draw(_FILES), "--to", target, "-o", "@out"]
+    if command == "cluster":
+        argv = ["cluster", "--phi", draw(_REALS), "--xi", draw(_REALS)]
+        tail = draw(st.sampled_from(["kraus", "h3", "dist"]))
+        if tail == "dist":
+            return argv + ["dist", "-n", str(draw(_ENUMERATION_LENGTHS))]
+        return argv + [tail]
+    if command == "scan-entropy":
+        small = st.integers(-1, 31)
+        steps = draw(
+            st.one_of(
+                st.tuples(small, small),
+                st.tuples(st.integers(10**11, 10**12), small),
+                st.tuples(small, st.integers(10**11, 10**12)),
+            )
+        )
+        phi_steps, xi_steps = (str(n) for n in steps)
+        return ["scan-entropy", "--phi-steps", phi_steps, "--xi-steps", xi_steps, "-o", "@out"]
+    lengths = st.one_of(st.sampled_from([-1, 0, 1, 7]), st.integers(0, 10**4))
+    seed = draw(st.integers(-(2**70), 2**70))
+    return ["sample", draw(_FILES), "-n", str(draw(lengths)), "--seed", str(seed)]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_argument_vectors())
+@example(argv=HUGE_ENUMERATIONS[0])
+@example(argv=HUGE_ENUMERATIONS[1])
+@example(argv=HUGE_ENUMERATIONS[2])
+@example(argv=HUGE_GRIDS[0])
+@example(argv=HUGE_GRIDS[1])
+def test_argument_vectors_give_named_errors(paths, tmp_path, argv):
+    """Every command line exits 0, 1 or 2 without raising, and no exit 0
+    prints nan."""
+    code, out, err = run(_resolve(argv, paths, tmp_path))
+    assert code in (0, 1, 2), (argv, err)
+    assert code != 0 or "nan" not in out.lower(), (argv, out)

@@ -188,11 +188,11 @@ def _stochastic_case(total):
 def _assert_matches_dense(matrix, unit, target):
     """``_fixed_vector`` gives the dense helper's verdict and, normalized by
     the unit functional, its state; returns whether the certificate settled it."""
-    v, unique = _fixed_vector(matrix, unit, target, TOL)
-    w, count = _dense_fixed_vector(matrix, target, TOL)
+    v, unique = _fixed_vector(matrix, unit, target)
+    w, count = _dense_fixed_vector(matrix, target)
     assert unique == (count == 1)
     assert_allclose(v / (unit @ v), w / (unit @ w), rtol=0, atol=1e-12)
-    return _certified_fixed_vector(matrix, unit, target, TOL) is not None
+    return _certified_fixed_vector(matrix, unit, target) is not None
 
 
 def _amplitude_damping(gamma):
@@ -241,7 +241,7 @@ def test_certificate_matches_dense_on_cluster_angles(phi, xi):
 )
 def test_certificate_abstains_on_degenerate_channels(transfer):
     case = _channel_case(transfer)
-    assert _certified_fixed_vector(*case, TOL) is None
+    assert _certified_fixed_vector(*case) is None
     assert not _assert_matches_dense(*case)
     rho, unique = fixed_point(transfer)
     assert not unique
@@ -253,11 +253,11 @@ def test_certificate_abstains_on_block_diagonal_channel():
     a = random_unitary(np.random.default_rng(5), 2)
     transfer = transfer_matrix([np.block([[a, np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])])
     transfer, unit, target = _channel_case(transfer)
-    assert _certified_fixed_vector(transfer, unit, target, TOL) is None
+    assert _certified_fixed_vector(transfer, unit, target) is None
     assert not _assert_matches_dense(transfer, unit, target)
     rho, unique = fixed_point(transfer)
     assert not unique
-    w, count = _dense_fixed_vector(transfer, target, TOL)
+    w, count = _dense_fixed_vector(transfer, target)
     assert count > 1
     expected = unvec(w) / np.trace(unvec(w))
     assert_allclose(rho, expected, atol=1e-12)
@@ -277,7 +277,7 @@ def test_certificate_on_amplitude_damping(gamma, certified, unique):
     count decides. At 1e-7 the bound (about 2e7) certifies the decay to
     |0><0|."""
     case = _channel_case(_amplitude_damping(gamma))
-    assert (_certified_fixed_vector(*case, TOL) is not None) == certified
+    assert (_certified_fixed_vector(*case) is not None) == certified
     assert _assert_matches_dense(*case) == certified
     rho, found_unique = fixed_point(case[0])
     assert found_unique == unique
@@ -287,7 +287,7 @@ def test_certificate_on_amplitude_damping(gamma, certified, unique):
 def test_certificate_skips_trace_decreasing_map_with_unit_eigenvalue():
     transfer = transfer_matrix([np.diag([1.0, 0.5])])
     case = _channel_case(transfer)
-    assert _certified_fixed_vector(*case, TOL) is None
+    assert _certified_fixed_vector(*case) is None
     rho, unique = fixed_point(transfer)
     assert unique
     assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-15)
@@ -295,15 +295,15 @@ def test_certificate_skips_trace_decreasing_map_with_unit_eigenvalue():
 
 def test_certificate_skips_scaled_identity():
     case = _channel_case(transfer_matrix([0.5 * np.eye(2)]))
-    assert _certified_fixed_vector(*case, TOL) is None
+    assert _certified_fixed_vector(*case) is None
     with pytest.raises(ValueError, match="not trace-preserving"):
-        _fixed_vector(*case, TOL)
+        _fixed_vector(*case)
 
 
 def test_certificate_solves_bordered_system():
     model = mps.mps_to_hqmm(random_mps(np.random.default_rng(8), 6, 2))
     transfer, unit, target = _channel_case(transfer_matrix(model.operations))
-    v, bound = _certified_fixed_vector(transfer, unit, target, TOL)
+    v, bound = _certified_fixed_vector(transfer, unit, target)
     assert unit @ v == pytest.approx(1.0, abs=1e-13)
     assert np.max(np.abs(transfer @ v - v)) < 1e-13
     assert 1.0 <= bound < 1.0 / (2 * TOL.eigenvalue_one)
@@ -479,7 +479,7 @@ def test_hermitian_real_form_matches_basis_product(kraus):
 def test_fixed_point_in_real_coordinates_matches_dense_oracle(kraus):
     transfer, _, target = _channel_case(transfer_matrix(kraus))
     rho, unique = fixed_point(transfer)
-    w, count = _dense_fixed_vector(transfer, target, TOL)
+    w, count = _dense_fixed_vector(transfer, target)
     assert unique == (count == 1)
     expected = unvec(w) / np.trace(unvec(w))
     assert_allclose(rho, expected, rtol=0, atol=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -441,6 +442,31 @@ def test_non_integer_dimension_is_refused(build, message):
     # before, HqmmModel failed in np.stack ("'float' object cannot be
     # interpreted as an integer") or named the shape (1.5, 1.5), and
     # MpsModel built and then failed the same way in validate_mps
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda: HqmmModel(alphabet=("0",), dim=2, operations={"0": [np.eye(2), np.eye(3)]}),
+            "Kraus operator for '0' has shape (3, 3), expected (2, 2)",
+        ),
+        (
+            lambda: dataclasses.replace(_qubit_mps(2, 2), tensors=(np.eye(2), np.eye(3))),
+            "tensor V^1 has shape (3, 3), expected (2, 2)",
+        ),
+        (
+            lambda: dataclasses.replace(
+                _qubit_mps(2, 2), projectors={"0": np.eye(3), "1": np.eye(2)}
+            ),
+            "projector '0' has shape (3, 3), expected (2, 2)",
+        ),
+    ],
+    ids=["kraus", "tensor", "projector"],
+)
+def test_wrong_shaped_matrix_is_named(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 

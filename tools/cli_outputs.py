@@ -17,7 +17,11 @@ process and the cluster readout at lengths on either side of one and two of
 the sampler's 512-draw blocks of generator states, then two more 3000-symbol
 draws past the cache cap: one from ``cluster_phi_pi4``, which hits the cache on
 a few steps before the cap, and one from the (4, 3) MPS readout, whose 256-term
-kernels are the largest the sampler compiles. Commands run in-process through
+kernels are the largest the sampler compiles. The list ends with ``validate``
+and ``steady`` on an MPS document whose projector has the wrong shape, then
+commands that must be refused fast with one error line: enumerations whose
+memory estimate is past the float range, and ``scan-entropy`` grids too large
+to allocate. Commands run in-process through
 ``hqmm.cli.main``, from inside a temporary directory, so that the ``wrote
 <path>`` lines name a relative path. To check that a change leaves every
 printed byte as it was, run it on both checkouts and diff the outputs:
@@ -139,6 +143,22 @@ KRAUS_DOCS = {
     "hqmm-no-kraus-huge": {"0": [], "1": []},
     "hqmm-empty-first-huge": {"0": [], "1": [[[1.0]]]},
 }
+
+
+# an MPS document whose projector for "0" is 3 x 3 on a 2-level physical space
+WRONG_PROJECTOR_DOC = {
+    "kind": "mps",
+    "alphabet": ["0", "1"],
+    "bond_dimension": 1,
+    "physical_dimension": 2,
+    "tensors": [[[0.6]], [[0.8]]],
+    "projectors": {
+        "0": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "1": [[0.0, 0.0], [0.0, 1.0]],
+    },
+}
+# a grid axis whose points alone need 800 GB
+HUGE_STEPS = "100000000000"
 
 
 # documents that break a rule every kind shares: a repeated symbol (the
@@ -267,6 +287,15 @@ def commands(workdir: Path) -> list[list[str]]:
         argvs.append(["sample", paths[name], "-n", str(length), "--seed", "7"])
     for name in LATE_LONG_SAMPLE_MODELS:
         argvs.append(["sample", paths[name], "-n", str(LONG_SAMPLE_LENGTH), "--seed", "7"])
+    for path in _write_documents(workdir, {"mps-projector-3x3": WRONG_PROJECTOR_DOC}):
+        argvs += [["validate", path], ["steady", path]]
+    argvs += [
+        ["dist", paths["even_process"], "-n", "2000"],
+        ["entropy", paths["four_state"], "-n", "600"],
+        ["cluster", "--phi", "0.3", "--xi", "0", "dist", "-n", "1100"],
+        ["scan-entropy", "--phi-steps", HUGE_STEPS, "--xi-steps", "2", "-o", "grid.csv"],
+        ["scan-entropy", "--phi-steps", "2", "--xi-steps", HUGE_STEPS, "-o", "grid.csv"],
+    ]
     return argvs
 
 
