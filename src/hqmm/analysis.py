@@ -80,10 +80,13 @@ class WordTable(Mapping):
     def __init__(self, alphabet, length: int, array: np.ndarray):
         self.alphabet = tuple(alphabet)
         self.length = length = _checked_length(length)
-        if array.dtype != np.float64 or array.shape != (len(self.alphabet) ** length,):
+        k = len(self.alphabet)
+        # k**length up to the 4300 digits Python prints; past them it can take seconds
+        words = k**length if k < 2 or length * math.log10(k) < 4300 else f"{k}^{length}"
+        if array.dtype != np.float64 or array.shape != (words,):
             raise ValueError(
-                f"a length-{length} table over {len(self.alphabet)} symbols needs "
-                f"{len(self.alphabet) ** length} float64 entries, got {array.dtype} {array.shape}"
+                f"a length-{length} table over {k} symbols needs "
+                f"{words} float64 entries, got {array.dtype} {array.shape}"
             )
         array.flags.writeable = False
         self.array = array
@@ -98,6 +101,7 @@ class WordTable(Mapping):
         length = _checked_length(length)
         alphabet = tuple(alphabet)
         k = len(alphabet)
+        _require_budget(_enumeration_bytes(max(k, 1), length, 0), f"a table of {k}^{length} words")
         index = {s: i for i, s in enumerate(alphabet)}
         array = np.zeros(k**length)
         filled = np.zeros(k**length, dtype=bool)
@@ -210,6 +214,17 @@ class WordDistribution:
         return WordDistribution(self.length - 1, self.alphabet, table)
 
 
+def _require_budget(need: int, what: str) -> None:
+    """Raise ``ValueError`` when ``need`` bytes pass ``ENUMERATION_BUDGET_BYTES``."""
+    if need > ENUMERATION_BUDGET_BYTES:
+        try:
+            size = f"about {need / 2**30:.3g} GiB"
+        except OverflowError:
+            size = "more than 1e308 GiB"
+        budget = ENUMERATION_BUDGET_BYTES / 2**30
+        raise ValueError(f"{what} needs {size}, over the {budget:g} GiB budget")
+
+
 def _enumeration_bytes(k: int, n: int, dim: int) -> int:
     """Peak memory estimate, in bytes, of a length-``n`` enumeration over
     ``k`` symbols of a representation with ``dim`` real coordinates.
@@ -245,15 +260,7 @@ def enumerate_distribution(model, n: int, initial=None) -> WordDistribution:
     alphabet = model.alphabet
     mats, v0, d = linear_representation(model, initial)
     need = _enumeration_bytes(len(alphabet), n, v0.size)
-    if need > ENUMERATION_BUDGET_BYTES:
-        try:
-            size = f"about {need / 2**30:.3g} GiB"
-        except OverflowError:
-            size = "more than 1e308 GiB"
-        raise ValueError(
-            f"enumeration of {len(alphabet)}^{n} words over {v0.size} coordinates "
-            f"needs {size}, over the {ENUMERATION_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
+    _require_budget(need, f"enumeration of {len(alphabet)}^{n} words over {v0.size} coordinates")
     states = v0[np.newaxis]
     for _ in range(n):
         states = np.einsum("sij,pj->psi", mats, states).reshape(-1, v0.size)
@@ -619,6 +626,13 @@ def _sample_linear(mats, v0, d, length, rng, alphabet) -> list[str]:
     return out
 
 
+def _trajectory_bytes(length: int, alphabet) -> int:
+    """Peak memory estimate, in bytes, of a ``length``-symbol draw: per symbol a list slot
+    (8 bytes, up to an eighth more as the list grows) and, in a printed line such as
+    the CLI's, its characters and a separator at up to 4 bytes each."""
+    return length * (9 + 4 * (1 + max(map(len, alphabet))))
+
+
 def sample_trajectory(
     model, length: int, seed: int, initial=None
 ) -> list[str]:
@@ -629,8 +643,10 @@ def sample_trajectory(
     (model, length, seed); the generator is the documented xorshift64* shift
     register, so sequences are reproducible. Per-step probabilities are
     clamped at zero and renormalized before drawing, so round-off noise
-    cannot produce invalid draws.
+    cannot produce invalid draws. Refuses lengths whose memory estimate
+    (``_trajectory_bytes``) exceeds ``ENUMERATION_BUDGET_BYTES``, before any draw.
     """
     length = _checked_length(length, "trajectory length")
     mats, v0, d = linear_representation(model, initial)
+    _require_budget(_trajectory_bytes(length, model.alphabet), f"a trajectory of {length} symbols")
     return _sample_linear(mats, v0, d, length, Xorshift64Star(seed), tuple(model.alphabet))

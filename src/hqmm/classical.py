@@ -169,19 +169,26 @@ def word_probability(
     return checked_probability(float(v.sum()), "word probability")
 
 
+def _first_crowded(m: HmmModel, axis: int) -> tuple[str, int] | None:
+    """The first ``(symbol, column)`` (``axis=0``) or ``(symbol, row)``
+    (``axis=1``) of the ``T_s`` with more than one entry of magnitude above
+    ``TOL.zero_entry``, or None."""
+    for s in m.alphabet:
+        counts = (np.abs(m.transitions[s]) > TOL.zero_entry).sum(axis=axis)
+        bad = np.nonzero(counts > 1)[0]
+        if bad.size:
+            return s, int(bad[0])
+    return None
+
+
 def is_deterministic(m: HmmModel) -> tuple[bool, tuple[str, int] | None]:
     """Whether every column of every ``T_s`` has at most one nonzero entry.
 
     Entries of magnitude at most ``TOL.zero_entry`` count as zero. The
     witness names the first offending ``(symbol, column)``.
     """
-    for s in m.alphabet:
-        t = m.transitions[s]
-        counts = (np.abs(t) > TOL.zero_entry).sum(axis=0)
-        bad = np.nonzero(counts > 1)[0]
-        if bad.size:
-            return False, (s, int(bad[0]))
-    return True, None
+    witness = _first_crowded(m, axis=0)
+    return witness is None, witness
 
 
 def is_reversible(m: HmmModel) -> tuple[bool, tuple[str, int] | None]:
@@ -196,10 +203,5 @@ def is_reversible(m: HmmModel) -> tuple[bool, tuple[str, int] | None]:
             f"reversibility is only defined for deterministic generators; "
             f"symbol {witness[0]!r} column {witness[1]} has multiple nonzero entries"
         )
-    for s in m.alphabet:
-        t = m.transitions[s]
-        counts = (np.abs(t) > TOL.zero_entry).sum(axis=1)
-        bad = np.nonzero(counts > 1)[0]
-        if bad.size:
-            return False, (s, int(bad[0]))
-    return True, None
+    witness = _first_crowded(m, axis=1)
+    return witness is None, witness

@@ -49,7 +49,9 @@ def _read(path: str) -> str:
 
 
 def _load(path: str):
-    return modelfile.parse_model(_read(path))
+    """The model of a file, reduced to a kind with a ``core`` (``Kind.operational``)."""
+    model = modelfile.parse_model(_read(path))
+    return modelfile.kind_of(model).operational(model)
 
 
 def _open_output(path: str):
@@ -57,11 +59,6 @@ def _open_output(path: str):
         return open(path, "w", newline="\n")
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e}") from None
-
-
-def _operational(model):
-    """Reduce any model kind to one that supports word probabilities."""
-    return modelfile.kind_of(model).operational(model)
 
 
 def _parse_initial(text: str | None, model):
@@ -103,10 +100,6 @@ def _word_list(text: str, alphabet) -> list[tuple[str, ...]]:
         raise UsageError(str(e)) from None
 
 
-def _basis(args) -> cluster.MeasurementBasis:
-    return cluster.MeasurementBasis(phi=args.phi, xi=args.xi)
-
-
 def _print_distribution(dist: analysis.WordDistribution, alphabet, csv_path, out) -> None:
     items = sorted(dist.probabilities.items())
     if csv_path:
@@ -132,7 +125,7 @@ def cmd_validate(args, out, err) -> int:
 
 
 def cmd_steady(args, out, err) -> int:
-    model = _operational(_load(args.file))
+    model = _load(args.file)
     state, unique = modelfile.kind_of(model).core.steady_state(model)
     print(f"steady state ({'unique' if unique else 'non-unique, canonical'}):", file=out)
     if state.ndim == 1:
@@ -143,7 +136,7 @@ def cmd_steady(args, out, err) -> int:
 
 
 def cmd_wordprob(args, out, err) -> int:
-    model = _operational(_load(args.file))
+    model = _load(args.file)
     try:
         word = modelfile.parse_word(args.word, model.alphabet)
     except ValueError as e:
@@ -154,21 +147,21 @@ def cmd_wordprob(args, out, err) -> int:
 
 
 def cmd_dist(args, out, err) -> int:
-    model = _operational(_load(args.file))
+    model = _load(args.file)
     dist = analysis.enumerate_distribution(model, _at_least(args.n, "-n"))
     _print_distribution(dist, model.alphabet, args.csv, out)
     return 0
 
 
 def cmd_entropy(args, out, err) -> int:
-    model = _operational(_load(args.file))
+    model = _load(args.file)
     dist = analysis.enumerate_distribution(model, _at_least(args.n, "-n"))
     print(_fmt(analysis.block_entropy(dist)), file=out)
     return 0
 
 
 def cmd_hankel(args, out, err) -> int:
-    model = _operational(_load(args.file))
+    model = _load(args.file)
     rows = _word_list(args.rows, model.alphabet) if args.rows is not None else None
     cols = _word_list(args.cols, model.alphabet) if args.cols is not None else None
     block = analysis.hankel_block(model, rows, cols)
@@ -182,7 +175,7 @@ def cmd_hankel(args, out, err) -> int:
 
 
 def cmd_convert(args, out, err) -> int:
-    model = _load(args.file)
+    model = modelfile.parse_model(_read(args.file))
     if modelfile.kind_of(model) is not modelfile.KINDS["hmm"]:
         raise ValueError("convert expects a classical (hmm) model file")
     if args.to == "hqmm-embed":
@@ -196,19 +189,17 @@ def cmd_convert(args, out, err) -> int:
 
 
 def cmd_cluster(args, out, err) -> int:
-    basis = _basis(args)
+    basis = cluster.MeasurementBasis(phi=args.phi, xi=args.xi)
+    model = cluster.cluster_kraus(basis)
     if args.cluster_cmd == "kraus":
-        model = cluster.cluster_kraus(basis)
         for s in model.alphabet:
             print(f"K_{s}:", file=out)
             _print_matrix(model.operations[s][0], out)
-        return 0
-    if args.cluster_cmd == "dist":
-        model = cluster.cluster_kraus(basis)
+    elif args.cluster_cmd == "dist":
         dist = analysis.enumerate_distribution(model, _at_least(args.n, "-n"))
         _print_distribution(dist, model.alphabet, args.csv, out)
-        return 0
-    print(_fmt(cluster.h3_closed_form(basis)), file=out)
+    else:
+        print(_fmt(cluster.h3_closed_form(basis)), file=out)
     return 0
 
 
@@ -226,7 +217,7 @@ def cmd_scan_entropy(args, out, err) -> int:
 
 
 def cmd_sample(args, out, err) -> int:
-    model = _operational(_load(args.file))
+    model = _load(args.file)
     symbols = analysis.sample_trajectory(model, _at_least(args.n, "-n"), args.seed)
     print(modelfile.format_word(symbols, model.alphabet), file=out)
     return 0

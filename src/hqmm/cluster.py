@@ -130,18 +130,14 @@ def _parity_bias(basis: MeasurementBasis) -> float:
     return math.cos(basis.xi) * (math.sin(2 * basis.phi) + math.sin(6 * basis.phi))
 
 
-def _even_odd_split(basis: MeasurementBasis) -> tuple[float, float]:
-    c = _parity_bias(basis)
-    return 0.125 + c / 32.0, 0.125 - c / 32.0
-
-
 def length3_closed_form(basis: MeasurementBasis) -> dict[tuple[str, str, str], float]:
     """Stationary length-3 word distribution.
 
     Words with an even number of 1s share ``1/8 + cos(xi)(sin(2 phi) +
     sin(6 phi))/32``; the odd-parity words share the complementary value.
     """
-    p_even, p_odd = _even_odd_split(basis)
+    c = _parity_bias(basis)
+    p_even, p_odd = 0.125 + c / 32.0, 0.125 - c / 32.0
     dist = {}
     for b in range(8):
         word = tuple(format(b, "03b"))

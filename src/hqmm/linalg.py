@@ -15,7 +15,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -96,14 +96,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def _iter_kraus(kraus) -> Iterable[np.ndarray]:
-    if isinstance(kraus, Mapping):
-        for ops in kraus.values():
-            yield from ops
-    else:
-        yield from kraus
-
-
 def transfer_matrix(kraus) -> np.ndarray:
     """Superoperator matrix of ``rho -> sum K rho K^dagger`` over all operators.
 
@@ -112,7 +104,9 @@ def transfer_matrix(kraus) -> np.ndarray:
     matrix L with ``L @ vec(rho) == vec(sum K rho K^dagger)`` under
     column-stacking.
     """
-    ops = [np.asarray(k, dtype=complex) for k in _iter_kraus(kraus)]
+    if isinstance(kraus, Mapping):
+        kraus = [k for ops in kraus.values() for k in ops]
+    ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
         raise ValueError("at least one Kraus operator is required")
     d = ops[0].shape[0]
@@ -364,6 +358,12 @@ def fixed_point(transfer: np.ndarray) -> tuple[np.ndarray, bool]:
     real = hermitian_real_form(as_matrix(transfer, "transfer matrix"))
     x, unique = _stationary_vector(real, math.isqrt(real.shape[0]))
     return _from_hermitian_coordinates(x), unique
+
+
+def require_valid(problems: list[Violation], what: str) -> None:
+    """Raise ``ValueError("invalid <what>: ...")`` naming every violation, if any."""
+    if problems:
+        raise ValueError(f"invalid {what}: " + "; ".join(str(p) for p in problems))
 
 
 def _finite(a: np.ndarray, what: str) -> np.ndarray:

@@ -11,6 +11,7 @@ models are run through their validator; failures surface as
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 from types import ModuleType
@@ -96,13 +97,21 @@ def _alphabet(doc: dict) -> tuple[str, ...]:
     return tuple(raw)
 
 
-def _symbol_matrices(doc, field: str, alphabet, real_only=False) -> dict[str, np.ndarray]:
+def _matrices(raw, path: str) -> list[np.ndarray]:
+    """An array of matrices, such as a Kraus list or the MPS tensors."""
+    if not isinstance(raw, list):
+        _fail(path, "expected an array of matrices")
+    return [_matrix(m, f"{path}[{i}]") for i, m in enumerate(raw)]
+
+
+def _symbol_keyed(doc, field: str, alphabet, read: Callable = _matrix) -> dict:
+    """The field ``{symbol: value}``, with each value read by ``read(value, path)``."""
     raw = _get(doc, field)
     if not isinstance(raw, dict):
         _fail(field, "expected an object keyed by symbol")
     if set(raw) != set(alphabet):
         _fail(field, f"keys {sorted(raw)} do not match the alphabet {sorted(alphabet)}")
-    return {s: _matrix(raw[s], f'{field}["{s}"]', real_only) for s in alphabet}
+    return {s: read(raw[s], f'{field}["{s}"]') for s in alphabet}
 
 
 def _encode_matrix(m: np.ndarray, real_only: bool = False):
@@ -112,30 +121,22 @@ def _encode_matrix(m: np.ndarray, real_only: bool = False):
     return [[[z.real, z.imag] for z in map(complex, row)] for row in m]
 
 
-def _encode_symbol_matrices(mats: dict, alphabet, real_only: bool = False) -> dict:
+def _encode_symbol_keyed(mats: dict, alphabet, real_only: bool = False) -> dict:
     return {s: _encode_matrix(mats[s], real_only) for s in alphabet}
 
 
 def _read_hmm(doc, alphabet, dim) -> dict:
-    return {"transitions": _symbol_matrices(doc, "transitions", alphabet, real_only=True)}
+    real_matrix = functools.partial(_matrix, real_only=True)
+    return {"transitions": _symbol_keyed(doc, "transitions", alphabet, real_matrix)}
 
 
 def _write_hmm(m: HmmModel) -> dict:
-    return {"transitions": _encode_symbol_matrices(m.transitions, m.alphabet, real_only=True)}
+    return {"transitions": _encode_symbol_keyed(m.transitions, m.alphabet, real_only=True)}
 
 
 def _read_hqmm(doc, alphabet, dim) -> dict:
-    raw_ops = _get(doc, "operations")
-    if not isinstance(raw_ops, dict) or set(raw_ops) != set(alphabet):
-        _fail("operations", "expected an object keyed by every alphabet symbol")
-    operations = {}
-    for s in alphabet:
-        ks = raw_ops[s]
-        if not isinstance(ks, list):
-            _fail(f'operations["{s}"]', "expected an array of matrices")
-        # an empty array is the zero operation: the symbol never occurs
-        operations[s] = [_matrix(k, f'operations["{s}"][{i}]') for i, k in enumerate(ks)]
-    return {"dim": dim, "operations": operations}
+    # an empty array is the zero operation: the symbol never occurs
+    return {"dim": dim, "operations": _symbol_keyed(doc, "operations", alphabet, _matrices)}
 
 
 def _write_hqmm(m: HqmmModel) -> dict:
@@ -144,29 +145,24 @@ def _write_hqmm(m: HqmmModel) -> dict:
 
 def _read_vn(doc, alphabet, dim) -> dict:
     return {
-        "projectors": _symbol_matrices(doc, "projectors", alphabet),
+        "projectors": _symbol_keyed(doc, "projectors", alphabet),
         "unitary": _matrix(_get(doc, "unitary"), "unitary"),
     }
 
 
 def _write_vn(m: VnModel) -> dict:
     return {
-        "projectors": _encode_symbol_matrices(m.projectors, m.alphabet),
+        "projectors": _encode_symbol_keyed(m.projectors, m.alphabet),
         "unitary": _encode_matrix(m.unitary),
     }
 
 
 def _read_mps(doc, alphabet, dim) -> dict:
-    bond_dim = _size(doc, "bond_dimension")
-    phys_dim = _size(doc, "physical_dimension")
-    raw_tensors = _get(doc, "tensors")
-    if not isinstance(raw_tensors, list):
-        _fail("tensors", "expected an array of matrices")
     return {
-        "bond_dim": bond_dim,
-        "phys_dim": phys_dim,
-        "tensors": tuple(_matrix(t, f"tensors[{i}]") for i, t in enumerate(raw_tensors)),
-        "projectors": _symbol_matrices(doc, "projectors", alphabet),
+        "bond_dim": _size(doc, "bond_dimension"),
+        "phys_dim": _size(doc, "physical_dimension"),
+        "tensors": _matrices(_get(doc, "tensors"), "tensors"),
+        "projectors": _symbol_keyed(doc, "projectors", alphabet),
     }
 
 
@@ -175,7 +171,7 @@ def _write_mps(m: MpsModel) -> dict:
         "bond_dimension": m.bond_dim,
         "physical_dimension": m.phys_dim,
         "tensors": [_encode_matrix(v) for v in m.tensors],
-        "projectors": _encode_symbol_matrices(m.projectors, m.alphabet),
+        "projectors": _encode_symbol_keyed(m.projectors, m.alphabet),
     }
 
 

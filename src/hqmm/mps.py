@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import TOL
 from .cluster import MeasurementBasis, basis_vectors
-from .linalg import Violation, check_projector_set, checked_alphabet, checked_square
+from .linalg import Violation, check_projector_set, checked_alphabet, checked_square, require_valid
 from .quantum import HqmmModel, checked_initial, initial_violations
 
 
@@ -81,9 +81,7 @@ def validate_mps(m: MpsModel) -> list[Violation]:
 def mps_to_hqmm(m: MpsModel) -> HqmmModel:
     """Reduce the readout to a D-level model with ``phys_dim`` Kraus operators
     per symbol, ``K_s^i = sum_j P_s[i, j] V^j``."""
-    problems = validate_mps(m)
-    if problems:
-        raise ValueError("invalid MPS model: " + "; ".join(str(p) for p in problems))
+    require_valid(validate_mps(m), "MPS model")
     ops: dict[str, list[np.ndarray]] = {}
     for s in m.alphabet:
         p = m.projectors[s]

@@ -33,6 +33,7 @@ from .linalg import (
     hermitian_coordinates,
     hermitian_real_form,
     hermitize,
+    require_valid,
     transfer_matrix,
 )
 
@@ -115,8 +116,6 @@ def apply_symbol(m: HqmmModel, symbol: str, rho: np.ndarray) -> np.ndarray:
     if np.shape(rho) != (d, d):
         raise ValueError(f"state must have shape ({d}, {d}), got {np.shape(rho)}")
     flat = m._flats[symbol]
-    if flat.shape[1] == 0:
-        return np.zeros((d, d), dtype=complex)
     out = flat @ (rho @ m._adjoints[symbol]).reshape(flat.shape[1], d)
     return hermitize(out)
 
@@ -258,9 +257,7 @@ def embed_classical(m: classical.HmmModel) -> HqmmModel:
     entry; conditional states stay diagonal, so the embedded model carries no
     coherence while reproducing the classical word probabilities exactly.
     """
-    problems = classical.validate_hmm(m)
-    if problems:
-        raise ValueError("invalid HMM: " + "; ".join(str(p) for p in problems))
+    require_valid(classical.validate_hmm(m), "HMM")
     d = m.n_states
     ops: dict[str, list[np.ndarray]] = {}
     for s in m.alphabet:
@@ -273,8 +270,7 @@ def embed_classical(m: classical.HmmModel) -> HqmmModel:
                     k[i, j] = np.sqrt(t[i, j])
                     kraus.append(k)
         ops[s] = kraus
-    initial = state_from_weights(m.prior) if m.prior is not None else None
-    return HqmmModel(alphabet=m.alphabet, dim=d, operations=ops, initial=initial)
+    return _from_classical(m, ops)
 
 
 def pure_from_reversible(m: classical.HmmModel) -> HqmmModel:
@@ -282,8 +278,9 @@ def pure_from_reversible(m: classical.HmmModel) -> HqmmModel:
 
     ``K_s = sum_j sqrt(P(s|j)) |I_j(s)><j|`` where ``I_j(s)`` is the unique
     target state; trace preservation follows from reversibility. Raises
-    ``ValueError`` for non-reversible input.
+    ``ValueError`` for invalid or non-reversible input.
     """
+    require_valid(classical.validate_hmm(m), "HMM")
     rev, witness = classical.is_reversible(m)
     if not rev:
         raise ValueError(
@@ -301,8 +298,13 @@ def pure_from_reversible(m: classical.HmmModel) -> HqmmModel:
             if nz.size:
                 k[nz[0], j] = np.sqrt(col[nz[0]])
         ops[s] = [k]
+    return _from_classical(m, ops)
+
+
+def _from_classical(m: classical.HmmModel, ops) -> HqmmModel:
+    """The model of these Kraus lists on ``m``'s states, started from its prior."""
     initial = state_from_weights(m.prior) if m.prior is not None else None
-    return HqmmModel(alphabet=m.alphabet, dim=d, operations=ops, initial=initial)
+    return HqmmModel(alphabet=m.alphabet, dim=m.n_states, operations=ops, initial=initial)
 
 
 @dataclass(frozen=True)
@@ -338,9 +340,7 @@ class VnModel:
         """One Kraus operator ``P_s U`` per symbol. The projectors must form a
         complete orthogonal set and ``U`` must be unitary; the raised
         ``ValueError`` names each check of ``validate_vn`` that fails."""
-        problems = validate_vn(self)
-        if problems:
-            raise ValueError("invalid projective generator: " + "; ".join(str(p) for p in problems))
+        require_valid(validate_vn(self), "projective generator")
         ops = {s: [self.projectors[s] @ self.unitary] for s in self.alphabet}
         return HqmmModel(alphabet=self.alphabet, dim=self.dim, operations=ops, initial=self.initial)
 

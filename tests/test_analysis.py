@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import re
+import time
 import tracemalloc
 from collections import Counter
 
@@ -180,6 +181,11 @@ def test_marginal_consistency(even, four_state, four_symbol):
                 assert abs(reduced.probabilities[w] - p) < 1e-10
 
 
+def test_marginalize_the_empty_word_distribution(even):
+    with pytest.raises(ValueError, match="^cannot marginalize the empty-word distribution$"):
+        enumerate_distribution(even, 0).marginalize_last()
+
+
 def test_block_entropy_uniform_and_deterministic():
     model = cluster.cluster_kraus(cluster.MeasurementBasis(math.pi / 4, 0.0))
     dist = enumerate_distribution(model, 3, initial=np.eye(2) / 2)
@@ -238,6 +244,32 @@ def test_word_distribution_names_an_incomplete_or_foreign_table():
         WordDistribution(-1, ("0", "1"), {})
     with pytest.raises(ValueError, match="needs 4 float64 entries"):
         analysis.WordTable(("0", "1"), 2, np.zeros(3))
+
+
+def test_word_table_prints_its_size_where_python_can():
+    # 3**9000 has 4295 digits, under the 4300 that Python prints
+    message = (
+        f"a length-9000 table over 3 symbols needs {3**9000} float64 entries, got float64 (1,)"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        analysis.WordTable(("a", "b", "c"), 9000, np.zeros(1))
+
+
+@pytest.mark.parametrize("length", [10**6, 10**7])
+def test_word_table_of_a_huge_length_is_refused_fast(length):
+    """Both built ``3**length`` (seconds at 10**7). Then the table raised
+    Python's limit on the digits of an integer's text, and ``from_mapping``
+    NumPy's ``Maximum allowed dimension exceeded``, in place of a message of
+    their own."""
+    start = time.perf_counter()
+    table = f"a length-{length} table over 3 symbols needs 3^{length} float64 entries, got"
+    table += " float64 (1,)"
+    with pytest.raises(ValueError, match=f"^{re.escape(table)}$"):
+        analysis.WordTable(("a", "b", "c"), length, np.zeros(1))
+    mapping = f"a table of 3^{length} words needs more than 1e308 GiB, over the 2 GiB budget"
+    with pytest.raises(ValueError, match=f"^{re.escape(mapping)}$"):
+        analysis.WordTable.from_mapping(("a", "b", "c"), length, {("a",) * 3: 1.0})
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,33 @@ def test_validate_reports_bad_column():
     )
     problems = validate_hmm(m)
     assert any(v.check == "column-stochastic" and v.index == 0 for v in problems)
+
+
+def test_validate_reports_entry_out_of_range():
+    # the columns still sum to 1, so the range check is the only one that fails
+    m = HmmModel(alphabet=("0",), transitions={"0": np.array([[1.2, 0.0], [-0.2, 1.0]])})
+    assert [str(v) for v in validate_hmm(m)] == [
+        "[entry-range] symbol='0': entry [1,0] = -0.2 outside [0, 1]"
+    ]
+
+
+def test_validate_reports_non_finite_entry():
+    m = HmmModel(alphabet=("0", "1"), transitions={"0": [[math.nan]], "1": [[0.5]]})
+    assert [str(v) for v in validate_hmm(m)] == ["[finite] symbol='0': non-finite entries"]
+
+
+@pytest.mark.parametrize(
+    "transitions, message",
+    [
+        ({"0": [[0.5, 0.5]]}, "transition matrix for '0' must be square"),
+        ({"0": [0.5, 0.5]}, "transition matrix for '0' must be square"),
+        ({"0": [[0.5]], "1": np.eye(2) / 2}, "transition matrices have mixed dimensions"),
+    ],
+    ids=["non-square", "vector", "mixed"],
+)
+def test_transition_matrices_must_be_square_and_of_one_size(transitions, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HmmModel(alphabet=tuple(transitions), transitions=transitions)
 
 
 def test_steady_state_even(even):

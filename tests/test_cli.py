@@ -1,3 +1,4 @@
+import argparse
 import copy
 import io
 import itertools
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hqmm
-from hqmm import classical, modelfile
+from hqmm import analysis, classical, cli, modelfile
 from hqmm.cli import main
 
 
@@ -703,6 +705,54 @@ def test_huge_enumeration_is_refused_fast_by_the_budget(paths, tmp_path, argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err.startswith("error: enumeration of ") and err.endswith(" GiB budget\n")
+
+
+def test_huge_sample_is_refused_fast_by_the_budget(paths):
+    """``sample`` keeps every symbol, about 9 bytes each, so ``-n 10**12``
+    ran until memory ran out. A child process with a timeout runs it first,
+    so that a sampler without the budget fails here without filling memory."""
+    argv = ["sample", paths["even_process"], "-n", str(10**12), "--seed", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(hqmm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hqmm.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+        check=False,
+    )
+    message = "error: a trajectory of 1000000000000 symbols needs about 1.58e+04 GiB, "
+    message += "over the 2 GiB budget\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+    start = time.perf_counter()
+    assert run(argv) == (1, "", message)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("name", ["even_process", "even-long-symbols"])
+def test_trajectory_bytes_bounds_traced_peak(paths, tmp_path, name):
+    """The estimate that ``sample``'s budget checks bounds the traced peak
+    of ``cmd_sample`` at 10**5 symbols of the even process, with its own
+    one-character symbols and with four-character ones."""
+    if name == "even-long-symbols":
+        even = modelfile.load_bundled("even_process")
+        renamed = dict(zip(even.alphabet, ("even", "odds")))
+        model = classical.HmmModel(
+            alphabet=tuple(renamed.values()),
+            transitions={renamed[s]: t for s, t in even.transitions.items()},
+        )
+        path = tmp_path / "long.json"
+        path.write_text(modelfile.serialize_model(model))
+    else:
+        path, model = paths[name], modelfile.load_bundled(name)
+    args = argparse.Namespace(file=str(path), n=10**5, seed=7)
+    tracemalloc.start()
+    try:
+        cli.cmd_sample(args, io.StringIO(), io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= analysis._trajectory_bytes(10**5, model.alphabet)
 
 
 @pytest.mark.parametrize("argv", HUGE_GRIDS, ids=["phi", "xi"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,12 @@ def test_oracle_computational_basis_point():
 def test_oracle_word_too_long():
     with pytest.raises(ValueError, match="exceeds"):
         oracle_word_probability(build_cluster(2), MeasurementBasis(1.0, 0.0), "000")
+
+
+def test_oracle_unknown_symbol():
+    message = "unknown symbol '2'; cluster alphabet is ('0', '1')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        oracle_word_probability(build_cluster(3), MeasurementBasis(1.0, 0.0), "02")
 
 
 def test_oracle_matches_hqmm_small():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +249,58 @@ def test_parse_rejects_dimension_mismatch(kind):
     doc = dict(_integer_field_docs()[f"{kind}:dimension"], dimension=5)
     with pytest.raises(ModelFileError, match=r"^dimension: 5 does not match the 1 x 1 matrices"):
         parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "doc_id, field",
+    [
+        ("hmm:dimension", "transitions"),
+        ("dimension", "operations"),
+        ("vn:dimension", "projectors"),
+        ("bond_dimension", "projectors"),
+    ],
+    ids=["hmm", "hqmm", "vn", "mps"],
+)
+def test_symbol_keyed_fields_share_their_messages(doc_id, field):
+    """Every symbol-keyed field refuses a value that is not an object, or
+    whose keys are not the alphabet, in the same words; an hqmm
+    ``operations`` object used to get a message of its own."""
+    doc = _integer_field_docs()[doc_id]
+    parse_model(json.dumps(doc))  # the unmodified document is valid
+    keyed, alphabet = doc[field], doc["alphabet"]
+    cases = [
+        (list(keyed.values()), "expected an object keyed by symbol"),
+        ({}, f"keys [] do not match the alphabet {alphabet}"),
+        ({**keyed, "x": []}, f"keys {[*alphabet, 'x']} do not match the alphabet {alphabet}"),
+    ]
+    for value, message in cases:
+        with pytest.raises(ModelFileError, match=f"^{re.escape(f'{field}: {message}')}$"):
+            parse_model(json.dumps(dict(doc, **{field: value})))
+
+
+def test_operations_missing_a_symbol_are_named_like_other_fields():
+    doc = {"kind": "hqmm", "alphabet": ["0", "1"], "dimension": 1, "operations": {"0": [[[1.0]]]}}
+    message = "operations: keys ['0'] do not match the alphabet ['0', '1']"
+    with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+        parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "top-level value must be an object"),
+        ('"hmm"', "top-level value must be an object"),
+        (
+            '{"kind": "hmm", "alphabet": ["0"], "dimension": 1, "transitions": {"0": [[1%s]]}}'
+            % ("0" * 400),
+            'transitions["0"][0][0]: integer too large for a floating-point number',
+        ),
+    ],
+    ids=["array", "string", "huge-integer"],
+)
+def test_parse_names_a_non_object_document_and_a_huge_integer(text, message):
+    with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+        parse_model(text)
 
 
 def _generated_model(kind, seed, d, k, with_initial, metadata):

@@ -21,6 +21,7 @@ from hqmm.quantum import (
     steady_state,
     symbol_probability,
     validate_hqmm,
+    validate_vn,
     vn_generator,
     word_probability,
 )
@@ -179,6 +180,44 @@ def test_vn_generator_rejects_non_unitary():
         vn_generator([p0, p1], 0.5 * np.eye(2), ("0", "1"))
 
 
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "projectors, unitary, problems",
+    [
+        (
+            {"0": _P0, "1": _P1},
+            np.eye(3),
+            ["[shape]: projector/unitary dimensions disagree"],
+        ),
+        (
+            {"0": _P0, "1": np.diag([0.0, 1.0, 0.0])},
+            np.eye(2),
+            [
+                "[shape] symbol='1': projector is (3, 3), expected (2, 2)",
+                "[shape]: projector/unitary dimensions disagree",
+            ],
+        ),
+        (
+            # idempotent, mutually orthogonal and complete, but not Hermitian
+            {"0": np.array([[1.0, 1.0], [0.0, 0.0]]), "1": np.array([[0.0, -1.0], [0.0, 1.0]])},
+            np.eye(2),
+            [
+                "[hermitian] symbol='0': projector is not Hermitian",
+                "[hermitian] symbol='1': projector is not Hermitian",
+            ],
+        ),
+    ],
+    ids=["unitary-3x3", "projector-3x3", "not-hermitian"],
+)
+def test_validate_vn_names_shape_and_hermiticity(projectors, unitary, problems):
+    m = VnModel(alphabet=("0", "1"), projectors=projectors, unitary=unitary)
+    assert [str(v) for v in validate_vn(m)] == problems
+    with pytest.raises(ValueError, match="^invalid projective generator: "):
+        m.to_hqmm()
+
+
 def test_embed_classical_even(even):
     embedded = embed_classical(even)
     assert embedded.dim == 2
@@ -264,6 +303,20 @@ def test_pure_from_reversible_permutation_cycle():
     for s in m.alphabet:
         (k,) = pure.operations[s]
         assert_allclose(k, math.sqrt(0.5) * cycle, atol=1e-15)
+
+
+def test_both_conversions_refuse_an_invalid_hmm_alike():
+    # deterministic and reversible, but its columns sum to 0.9 and 0.5;
+    # pure_from_reversible used to return a model that fails validate_hqmm
+    m = HmmModel(alphabet=("0",), transitions={"0": np.array([[0.0, 0.5], [0.9, 0.0]])})
+    assert classical.is_reversible(m) == (True, None)
+    message = (
+        "invalid HMM: [column-stochastic] index=0: column 0 of sum_s T_s sums to 0.9; "
+        "[column-stochastic] index=1: column 1 of sum_s T_s sums to 0.5"
+    )
+    for convert in (embed_classical, pure_from_reversible):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convert(m)
 
 
 def test_pure_from_reversible_rejects_four_state(four_state):

@@ -21,12 +21,19 @@ kernels are the largest the sampler compiles. The list ends with ``validate``
 and ``steady`` on an MPS document whose projector has the wrong shape, then
 commands that must be refused fast with one error line: enumerations whose
 memory estimate is past the float range, and ``scan-entropy`` grids too large
-to allocate. Commands run in-process through
-``hqmm.cli.main``, from inside a temporary directory, so that the ``wrote
-<path>`` lines name a relative path. To check that a change leaves every
-printed byte as it was, run it on both checkouts and diff the outputs:
+to allocate. After them come ``validate`` and ``steady`` on documents that each
+break one rule of the model files (an HMM entry out of range or not finite,
+a non-square or mixed-size transition matrix, projectors and a unitary of
+different sizes, a non-Hermitian projector, a top-level array, an integer
+past the float range, an ``operations`` object missing a symbol). Commands
+run in-process through ``hqmm.cli.main``, from inside a temporary directory,
+so that the ``wrote <path>`` lines name a relative path. ``tools/cli_outputs.txt`` records the
+output; to check that a change leaves every printed byte as it was, diff
+against it (CI does so on Python 3.11):
 
-    PYTHONPATH=src python tools/cli_outputs.py > after.txt
+    PYTHONPATH=src python tools/cli_outputs.py | diff tools/cli_outputs.txt -
+
+A change that adds commands appends their lines to that file.
 """
 
 from __future__ import annotations
@@ -160,6 +167,68 @@ WRONG_PROJECTOR_DOC = {
 # a grid axis whose points alone need 800 GB
 HUGE_STEPS = "100000000000"
 
+# documents that each break one rule of the model files
+_P0, _P1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]
+REFUSED_DOCS = {
+    "hmm-entry-range": {
+        "kind": "hmm",
+        "alphabet": ["0"],
+        "dimension": 2,
+        "transitions": {"0": [[1.2, 0.0], [-0.2, 1.0]]},
+    },
+    "hmm-nan": {
+        "kind": "hmm",
+        "alphabet": ["0", "1"],
+        "dimension": 1,
+        "transitions": {"0": [[math.nan]], "1": [[0.5]]},
+    },
+    "hmm-not-square": {
+        "kind": "hmm",
+        "alphabet": ["0"],
+        "dimension": 1,
+        "transitions": {"0": [[0.5, 0.5]]},
+    },
+    "hmm-mixed-dimensions": {
+        "kind": "hmm",
+        "alphabet": ["0", "1"],
+        "dimension": 1,
+        "transitions": {"0": [[0.5]], "1": [[0.5, 0.0], [0.0, 0.5]]},
+    },
+    "vn-unitary-3x3": {
+        "kind": "vn",
+        "alphabet": ["0", "1"],
+        "dimension": 3,
+        "projectors": {"0": _P0, "1": _P1},
+        "unitary": np.eye(3).tolist(),
+    },
+    "vn-projector-3x3": {
+        "kind": "vn",
+        "alphabet": ["0", "1"],
+        "dimension": 2,
+        "projectors": {"0": _P0, "1": np.diag([0.0, 1.0, 0.0]).tolist()},
+        "unitary": np.eye(2).tolist(),
+    },
+    "vn-not-hermitian": {
+        "kind": "vn",
+        "alphabet": ["0", "1"],
+        "dimension": 2,
+        "projectors": {"0": [[1.0, 1.0], [0.0, 0.0]], "1": [[0.0, -1.0], [0.0, 1.0]]},
+        "unitary": np.eye(2).tolist(),
+    },
+    "top-level-array": [],
+    "hmm-huge-integer": {
+        "kind": "hmm",
+        "alphabet": ["0"],
+        "dimension": 1,
+        "transitions": {"0": [[10**400]]},
+    },
+    "hqmm-operations-missing-symbol": {
+        "kind": "hqmm",
+        "alphabet": ["0", "1"],
+        "dimension": 1,
+        "operations": {"0": [[[1.0]]]},
+    },
+}
 
 # documents that break a rule every kind shares: a repeated symbol (the
 # repeat has a zero projector, so the projector set is still complete and
@@ -296,6 +365,8 @@ def commands(workdir: Path) -> list[list[str]]:
         ["scan-entropy", "--phi-steps", HUGE_STEPS, "--xi-steps", "2", "-o", "grid.csv"],
         ["scan-entropy", "--phi-steps", "2", "--xi-steps", HUGE_STEPS, "-o", "grid.csv"],
     ]
+    for path in _write_documents(workdir, REFUSED_DOCS):
+        argvs += [["validate", path], ["steady", path]]
     return argvs
 
 
