@@ -456,12 +456,18 @@ def check_prob_vector(p) -> list[Violation]:
     return problems
 
 
+def check_identity(m: np.ndarray, tol: float, check: str, name: str) -> list[Violation]:
+    """One ``check`` violation naming ``name`` if the square ``m`` deviates
+    from the identity by more than ``tol`` in some entry, else none."""
+    dev = float(np.max(np.abs(m - np.eye(m.shape[0]))))
+    if dev > tol:
+        return [Violation(check, f"{name} deviates from identity by {dev:.3e}")]
+    return []
+
+
 def check_unitary(u: np.ndarray) -> list[Violation]:
     """``U^dagger U == I`` within ``TOL.unitary``; ``u`` must be square."""
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > TOL.unitary:
-        return [Violation("unitary", f"U^dagger U deviates from identity by {dev:.3e}")]
-    return []
+    return check_identity(u.conj().T @ u, TOL.unitary, "unitary", "U^dagger U")
 
 
 def check_projector_set(

@@ -17,7 +17,14 @@ import numpy as np
 
 from .config import TOL
 from .cluster import MeasurementBasis, basis_vectors
-from .linalg import Violation, check_projector_set, checked_alphabet, checked_square, require_valid
+from .linalg import (
+    Violation,
+    check_identity,
+    check_projector_set,
+    checked_alphabet,
+    checked_square,
+    require_valid,
+)
 from .quantum import HqmmModel, checked_initial, initial_violations
 
 
@@ -67,13 +74,8 @@ class MpsModel:
 
 def validate_mps(m: MpsModel) -> list[Violation]:
     """Isometry condition on the tensors and completeness of the projectors."""
-    problems: list[Violation] = []
     gram = sum(v.conj().T @ v for v in m.tensors)
-    dev = float(np.max(np.abs(gram - np.eye(m.bond_dim))))
-    if dev > TOL.completeness:
-        problems.append(
-            Violation("isometry", f"sum_i V^i^dagger V^i deviates from identity by {dev:.3e}")
-        )
+    problems = check_identity(gram, TOL.completeness, "isometry", "sum_i V^i^dagger V^i")
     problems += check_projector_set([m.projectors[s] for s in m.alphabet], list(m.alphabet))
     return problems + initial_violations(m)
 

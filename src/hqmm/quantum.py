@@ -23,6 +23,7 @@ from .linalg import (
     _finite,
     as_matrix,
     check_density_matrix,
+    check_identity,
     check_projector_set,
     check_unitary,
     checked_alphabet,
@@ -137,14 +138,9 @@ def validate_hqmm(m: HqmmModel) -> list[Violation]:
                     symbol=s,
                 )
             )
-    dev = float(np.max(np.abs(total - np.eye(d))))
-    if dev > TOL.completeness:
-        problems.append(
-            Violation(
-                "completeness",
-                f"sum over all symbols of K^dagger K deviates from identity by {dev:.3e}",
-            )
-        )
+    problems += check_identity(
+        total, TOL.completeness, "completeness", "sum over all symbols of K^dagger K"
+    )
     return problems + initial_violations(m)
 
 
@@ -220,8 +216,6 @@ def coherence_check(m: HqmmModel, words: Iterable[Iterable[str]], initial=None) 
     do not.
     """
     rho0 = resolve_initial(m, initial)
-    if m.dim == 1:
-        return 0.0
     off = ~np.eye(m.dim, dtype=bool)
     worst = 0.0
     for word in words:
@@ -232,7 +226,7 @@ def coherence_check(m: HqmmModel, words: Iterable[Iterable[str]], initial=None) 
             if p <= TOL.impossible:
                 break
             rho = hermitize(sigma / p)
-            worst = max(worst, float(np.max(np.abs(rho[off]))))
+            worst = max(worst, float(np.max(np.abs(rho[off]), initial=0.0)))
     return worst
 
 
@@ -253,32 +247,22 @@ def vn_generator(
 def embed_classical(m: classical.HmmModel) -> HqmmModel:
     """Diagonal embedding of a stochastic generator.
 
-    One Kraus operator ``sqrt(T_s[i, j]) |i><j|`` per nonzero transition
+    One Kraus operator ``sqrt(T_s[i, j]) |i><j|`` per positive transition
     entry; conditional states stay diagonal, so the embedded model carries no
     coherence while reproducing the classical word probabilities exactly.
     """
     require_valid(classical.validate_hmm(m), "HMM")
-    d = m.n_states
-    ops: dict[str, list[np.ndarray]] = {}
-    for s in m.alphabet:
-        t = m.transitions[s]
-        kraus = []
-        for i in range(d):
-            for j in range(d):
-                if t[i, j] > 0.0:
-                    k = np.zeros((d, d), dtype=complex)
-                    k[i, j] = np.sqrt(t[i, j])
-                    kraus.append(k)
-        ops[s] = kraus
+    ops = {s: list(_rank_one_terms(m.transitions[s], 0.0)) for s in m.alphabet}
     return _from_classical(m, ops)
 
 
 def pure_from_reversible(m: classical.HmmModel) -> HqmmModel:
     """Single-Kraus (pure-operation) model for a reversible generator.
 
-    ``K_s = sum_j sqrt(P(s|j)) |I_j(s)><j|`` where ``I_j(s)`` is the unique
-    target state; trace preservation follows from reversibility. Raises
-    ``ValueError`` for invalid or non-reversible input.
+    ``K_s = sum_j sqrt(P(s|j)) |I_j(s)><j|``, the sum of the embedding's terms
+    for ``s`` above ``TOL.zero_entry``; ``I_j(s)`` is the unique target state,
+    and trace preservation follows from reversibility. Raises ``ValueError``
+    for invalid or non-reversible input.
     """
     require_valid(classical.validate_hmm(m), "HMM")
     rev, witness = classical.is_reversible(m)
@@ -287,18 +271,17 @@ def pure_from_reversible(m: classical.HmmModel) -> HqmmModel:
             f"model is not reversible: symbol {witness[0]!r} row {witness[1]} "
             "has multiple nonzero entries"
         )
-    d = m.n_states
-    ops: dict[str, list[np.ndarray]] = {}
-    for s in m.alphabet:
-        t = m.transitions[s]
-        k = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            col = t[:, j]
-            nz = np.nonzero(np.abs(col) > TOL.zero_entry)[0]
-            if nz.size:
-                k[nz[0], j] = np.sqrt(col[nz[0]])
-        ops[s] = [k]
+    ops = {s: [_rank_one_terms(m.transitions[s], TOL.zero_entry).sum(0)] for s in m.alphabet}
     return _from_classical(m, ops)
+
+
+def _rank_one_terms(t: np.ndarray, floor: float) -> np.ndarray:
+    """``sqrt(t[i, j]) |i><j|`` for each entry of ``t`` above ``floor``, row by
+    row, stacked along the first axis."""
+    rows, cols = np.nonzero(t > floor)
+    terms = np.zeros((rows.size, *t.shape), dtype=complex)
+    terms[np.arange(rows.size), rows, cols] = np.sqrt(t[rows, cols])
+    return terms
 
 
 def _from_classical(m: classical.HmmModel, ops) -> HqmmModel:
@@ -350,7 +333,9 @@ def validate_vn(m: VnModel) -> list[Violation]:
     u = m.unitary
     d = u.shape[0]
     if u.shape != (d, d) or any(p.shape != (d, d) for p in m.projectors.values()):
-        problems.append(Violation("shape", "projector/unitary dimensions disagree"))
+        # a projector whose size differs from the others' is named already
+        if not any(v.check == "shape" for v in problems):
+            problems.append(Violation("shape", "projector/unitary dimensions disagree"))
     else:
         problems += check_unitary(u)
     return problems + initial_violations(m)

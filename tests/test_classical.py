@@ -72,6 +72,11 @@ def test_transition_matrices_must_be_square_and_of_one_size(transitions, message
         HmmModel(alphabet=tuple(transitions), transitions=transitions)
 
 
+def test_transition_matrices_missing_a_symbol_are_refused():
+    with pytest.raises(ValueError, match="^transition matrices must cover exactly the alphabet$"):
+        HmmModel(alphabet=("0", "1"), transitions={"0": np.eye(1)})
+
+
 def test_steady_state_even(even):
     pi, unique = steady_state(even)
     assert unique

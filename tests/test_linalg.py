@@ -14,6 +14,7 @@ from hqmm.linalg import (
     _certified_fixed_vector,
     _dense_fixed_vector,
     _fixed_vector,
+    as_matrix,
     check_density_matrix,
     check_projector_set,
     check_prob_vector,
@@ -409,6 +410,36 @@ def test_check_prob_vector_diagnostics():
     assert any(
         v.check == "normalization" for v in check_prob_vector(np.array([0.5, 0.1]))
     )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: transfer_matrix([]), "at least one Kraus operator is required"),
+        (lambda: unvec(np.ones(3)), "vector of length 3 is not a vectorized square matrix"),
+        (
+            lambda: as_matrix(np.zeros((2, 2, 2))),
+            "matrix must be 2-dimensional, got shape (2, 2, 2)",
+        ),
+    ],
+    ids=["transfer-matrix-of-nothing", "unvec-length-3", "as-matrix-3d"],
+)
+def test_malformed_arguments_are_named_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "check, argument, problems",
+    [
+        (check_projector_set, [], ["[projectors]: no projectors given"]),
+        (check_density_matrix, np.ones(3) / 3, ["[shape]: state must be square, got shape (3,)"]),
+        (check_prob_vector, np.eye(2) / 2, ["[shape]: probability vector must be 1-d, got (2, 2)"]),
+    ],
+    ids=["no-projectors", "state-vector", "prob-matrix"],
+)
+def test_malformed_inputs_are_the_only_violation(check, argument, problems):
+    assert [str(v) for v in check(argument)] == problems
 
 
 def test_check_projector_set_rejects_non_orthogonal():

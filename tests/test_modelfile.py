@@ -303,6 +303,56 @@ def test_parse_names_a_non_object_document_and_a_huge_integer(text, message):
         parse_model(text)
 
 
+_PROJECTORS = {"0": [[1.0, 0.0], [0.0, 0.0]], "1": [[0.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"kind": "hqmm", "dimension": 1, "operations": {"0": [[[math.nan]]], "1": [[[1.0]]]}},
+            "Kraus operator for '0' contains non-finite entries",
+        ),
+        (
+            {"kind": "hqmm", "dimension": 1, "operations": {"0": [[[math.inf]]], "1": [[[1.0]]]}},
+            "Kraus operator for '0' contains non-finite entries",
+        ),
+        (
+            {
+                "kind": "hqmm",
+                "dimension": 1,
+                "operations": {"0": [[[0.6]]], "1": [[[0.8]]]},
+                "initial": [[math.nan]],
+            },
+            "initial state contains non-finite entries",
+        ),
+        (
+            {
+                "kind": "vn",
+                "dimension": 2,
+                "projectors": _PROJECTORS,
+                "unitary": [[math.nan, 0.0], [0.0, 1.0]],
+            },
+            "unitary contains non-finite entries",
+        ),
+        (
+            {
+                "kind": "hmm",
+                "dimension": 1,
+                "transitions": {"0": [[0.5]], "1": [[0.5]]},
+                "prior": [],
+            },
+            "prior: expected a non-empty array",
+        ),
+    ],
+    ids=["kraus-nan", "kraus-infinity", "initial-nan", "unitary-nan", "prior-empty"],
+)
+def test_parse_names_non_finite_entries_and_an_empty_prior(doc, message):
+    text = json.dumps(dict(doc, alphabet=["0", "1"]))
+    with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+        parse_model(text)
+
+
 def _generated_model(kind, seed, d, k, with_initial, metadata):
     """A valid model of ``kind`` with ``d`` states (or bond dimension) and
     ``k`` symbols (or physical levels), drawn from ``seed``."""

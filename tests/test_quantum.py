@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hqmm import analysis, classical, cluster
@@ -14,6 +16,7 @@ from hqmm.mps import MpsModel, mps_to_hqmm
 from hqmm.quantum import (
     HqmmModel,
     VnModel,
+    apply_symbol,
     coherence_check,
     conditional_update,
     embed_classical,
@@ -173,6 +176,18 @@ def test_vn_generator_rejects_bad_projectors():
         vn_generator([smeared, np.eye(2) - smeared], np.eye(2), ("0", "1"))
 
 
+def test_vn_generator_refuses_more_projectors_than_symbols():
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    with pytest.raises(ValueError, match="^need exactly one projector per symbol$"):
+        vn_generator([p0, p1, p0], np.eye(2), ("0", "1"))
+
+
+def test_apply_symbol_refuses_an_unknown_symbol(four_symbol):
+    message = f"unknown symbol 'x'; alphabet is {four_symbol.alphabet}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_symbol(four_symbol, "x", np.eye(2) / 2)
+
+
 def test_vn_generator_rejects_non_unitary():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
@@ -194,10 +209,7 @@ _P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         (
             {"0": _P0, "1": np.diag([0.0, 1.0, 0.0])},
             np.eye(2),
-            [
-                "[shape] symbol='1': projector is (3, 3), expected (2, 2)",
-                "[shape]: projector/unitary dimensions disagree",
-            ],
+            ["[shape] symbol='1': projector is (3, 3), expected (2, 2)"],
         ),
         (
             # idempotent, mutually orthogonal and complete, but not Hermitian
@@ -319,6 +331,80 @@ def test_both_conversions_refuse_an_invalid_hmm_alike():
             convert(m)
 
 
+def test_pure_from_reversible_drops_a_tolerated_negative_entry():
+    # a valid HMM may hold entries down to -TOL.stochastic; the pure form took
+    # the square root of this one, and so held nan where the embedding drops it
+    m = HmmModel(
+        alphabet=("0", "1"),
+        transitions={
+            "0": np.array([[0.0, 0.0], [-1e-13, 0.0]]),
+            "1": np.array([[1.0000000000001, 0.0], [0.0, 1.0]]),
+        },
+    )
+    pure = pure_from_reversible(m)
+    assert validate_hqmm(pure) == []
+    embedded = embed_classical(m)
+    for n in range(1, 5):
+        got = analysis.enumerate_distribution(pure, n).probabilities.array
+        want = analysis.enumerate_distribution(embedded, n).probabilities.array
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def _reversible_hmm(seed, n_states, n_symbols):
+    """Per symbol a random permutation times column weights; each column's
+    weights sum to 1 over the symbols, and some of them are zero."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_symbols), size=n_states).T
+    weights *= (rng.random(weights.shape) > 0.25) | (weights == weights.max(axis=0))
+    weights /= weights.sum(axis=0)
+    alphabet = tuple(str(k) for k in range(n_symbols))
+    transitions = {
+        s: np.eye(n_states)[rng.permutation(n_states)] * weights[k]
+        for k, s in enumerate(alphabet)
+    }
+    return HmmModel(alphabet=alphabet, transitions=transitions), rng.dirichlet(np.ones(n_states))
+
+
+def _plain_rank_one_terms(t):
+    """The per-entry loop whose operators the embedding must equal bit for bit."""
+    d = t.shape[0]
+    terms = []
+    for i in range(d):
+        for j in range(d):
+            if t[i, j] > 0.0:
+                k = np.zeros((d, d), dtype=complex)
+                k[i, j] = math.sqrt(t[i, j])
+                terms.append(k)
+    return terms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4), n_symbols=st.integers(1, 3))
+def test_generated_reversible_hmms_convert_to_both_quantum_forms(seed, n_states, n_symbols):
+    """The embedding equals the per-entry loop and the pure form its sum, bit
+    for bit. Both are valid and reproduce the source's word distributions up
+    to length 5, from a generated prior and from the stationary state, which
+    the classical and quantum solves reach by different arithmetic; the
+    embedding carries no coherence."""
+    m, prior = _reversible_hmm(seed, n_states, n_symbols)
+    embedded, pure = embed_classical(m), pure_from_reversible(m)
+    for s, t in m.transitions.items():
+        plain = _plain_rank_one_terms(t)
+        assert len(embedded.operations[s]) == len(plain)
+        assert all(np.array_equal(k, p) for k, p in zip(embedded.operations[s], plain))
+        assert np.array_equal(pure.operations[s][0], sum(plain, np.zeros(t.shape)))
+    starts = ((prior, np.diag(prior), 1e-14), (None, None, 1e-12))
+    for model in (embedded, pure):
+        assert validate_hqmm(model) == []
+        for classical_start, quantum_start, tol in starts:
+            for n in range(1, 6):
+                want = analysis.enumerate_distribution(m, n, classical_start)
+                got = analysis.enumerate_distribution(model, n, quantum_start)
+                assert np.max(np.abs(got.probabilities.array - want.probabilities.array)) <= tol
+    words = list(itertools.product(m.alphabet, repeat=4))
+    assert coherence_check(embedded, words) <= 1e-12
+
+
 def test_pure_from_reversible_rejects_four_state(four_state):
     with pytest.raises(ValueError, match="not reversible"):
         pure_from_reversible(four_state)
@@ -329,6 +415,15 @@ def test_coherence_check_embedded_models(even, four_state):
     assert coherence_check(embed_classical(even), words4) <= 1e-12
     words3 = list(itertools.product(four_state.alphabet, repeat=3))
     assert coherence_check(embed_classical(four_state), words3) <= 1e-12
+
+
+def test_coherence_check_walks_the_words_of_a_one_level_model():
+    # a 1-level model has no off-diagonal entries, and its words used to go
+    # unread, so an unknown symbol returned 0.0
+    m = HqmmModel(alphabet=("a",), dim=1, operations={"a": [np.eye(1)]})
+    assert coherence_check(m, [("a", "a")]) == 0.0
+    with pytest.raises(ValueError, match="unknown symbol 'x'"):
+        coherence_check(m, [("a", "x")])
 
 
 def test_coherence_check_embedded_from_coherent_start(even):

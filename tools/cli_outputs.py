@@ -25,7 +25,11 @@ to allocate. After them come ``validate`` and ``steady`` on documents that each
 break one rule of the model files (an HMM entry out of range or not finite,
 a non-square or mixed-size transition matrix, projectors and a unitary of
 different sizes, a non-Hermitian projector, a top-level array, an integer
-past the float range, an ``operations`` object missing a symbol). Commands
+past the float range, an ``operations`` object missing a symbol). Then
+``convert`` to the pure form of a reversible HMM with a tolerated negative
+entry, which both conversions drop, and ``validate`` and ``steady`` on
+documents with a ``NaN`` or ``Infinity`` Kraus entry, a ``NaN`` initial state
+or unitary entry, or an empty prior. Commands
 run in-process through ``hqmm.cli.main``, from inside a temporary directory,
 so that the ``wrote <path>`` lines name a relative path. ``tools/cli_outputs.txt`` records the
 output; to check that a change leaves every printed byte as it was, diff
@@ -230,6 +234,51 @@ REFUSED_DOCS = {
     },
 }
 
+# a valid, reversible HMM whose one entry for "0" is a tolerated -1e-13
+NEGATIVE_ENTRY_DOC = {
+    "kind": "hmm",
+    "alphabet": ["0", "1"],
+    "dimension": 2,
+    "transitions": {"0": [[0.0, 0.0], [-1e-13, 0.0]], "1": [[1.0000000000001, 0.0], [0.0, 1.0]]},
+}
+
+# documents with a non-finite matrix entry or an empty prior
+NON_FINITE_DOCS = {
+    "hqmm-kraus-nan": {
+        "kind": "hqmm",
+        "alphabet": ["0", "1"],
+        "dimension": 1,
+        "operations": {"0": [[[math.nan]]], "1": [[[1.0]]]},
+    },
+    "hqmm-kraus-infinity": {
+        "kind": "hqmm",
+        "alphabet": ["0", "1"],
+        "dimension": 1,
+        "operations": {"0": [[[math.inf]]], "1": [[[1.0]]]},
+    },
+    "hqmm-initial-nan": {
+        "kind": "hqmm",
+        "alphabet": ["0", "1"],
+        "dimension": 1,
+        "operations": {"0": [[[0.6]]], "1": [[[0.8]]]},
+        "initial": [[math.nan]],
+    },
+    "vn-unitary-nan": {
+        "kind": "vn",
+        "alphabet": ["0", "1"],
+        "dimension": 2,
+        "projectors": {"0": _P0, "1": _P1},
+        "unitary": [[math.nan, 0.0], [0.0, 1.0]],
+    },
+    "hmm-prior-empty": {
+        "kind": "hmm",
+        "alphabet": ["0", "1"],
+        "dimension": 1,
+        "transitions": {"0": [[0.5]], "1": [[0.5]]},
+        "prior": [],
+    },
+}
+
 # documents that break a rule every kind shares: a repeated symbol (the
 # repeat has a zero projector, so the projector set is still complete and
 # orthogonal) or an ``initial`` state that is not dimension x dimension
@@ -366,6 +415,10 @@ def commands(workdir: Path) -> list[list[str]]:
         ["scan-entropy", "--phi-steps", "2", "--xi-steps", HUGE_STEPS, "-o", "grid.csv"],
     ]
     for path in _write_documents(workdir, REFUSED_DOCS):
+        argvs += [["validate", path], ["steady", path]]
+    (path,) = _write_documents(workdir, {"hmm-negative-entry": NEGATIVE_ENTRY_DOC})
+    argvs.append(["convert", path, "--to", "hqmm-pure", "-o", "pure-negative-entry.json"])
+    for path in _write_documents(workdir, NON_FINITE_DOCS):
         argvs += [["validate", path], ["steady", path]]
     return argvs
 
