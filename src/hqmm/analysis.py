@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import modelfile
-from .linalg import checked_integer, numerical_rank
+from .linalg import checked_integer, checked_word, numerical_rank
 
 logger = logging.getLogger(__name__)
 
@@ -292,17 +292,6 @@ class HankelBlock:
     matrix: np.ndarray
 
 
-def _as_words(words, alphabet) -> tuple[Word, ...]:
-    out = []
-    for w in words:
-        word = tuple(w)
-        for s in word:
-            if s not in alphabet:
-                raise ValueError(f"unknown symbol {s!r}; alphabet is {tuple(alphabet)}")
-        out.append(word)
-    return tuple(out)
-
-
 def hankel_block(
     model,
     row_words: Iterable[Iterable[str]] | None = None,
@@ -316,8 +305,8 @@ def hankel_block(
     already holds that state passes it to skip a second solve."""
     alphabet = tuple(model.alphabet)
     default = ((),) + tuple((s,) for s in alphabet)
-    rows = _as_words(row_words, alphabet) if row_words is not None else default
-    cols = _as_words(col_words, alphabet) if col_words is not None else default
+    rows = default if row_words is None else tuple(checked_word(w, alphabet) for w in row_words)
+    cols = default if col_words is None else tuple(checked_word(w, alphabet) for w in col_words)
     mats, v0, d = linear_representation(model, initial)
     index = {s: i for i, s in enumerate(alphabet)}
     # H = B F: row u of B is <1| A_u, column v of F is A_v v0

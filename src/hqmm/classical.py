@@ -22,6 +22,7 @@ from .linalg import (
     check_prob_vector,
     checked_alphabet,
     checked_probability,
+    checked_word,
 )
 
 
@@ -60,12 +61,6 @@ class HmmModel:
     def dim(self) -> int:
         """``n_states``, under the name the quantum models give their state count."""
         return self.n_states
-
-    def matrix(self, symbol: str) -> np.ndarray:
-        try:
-            return self.transitions[symbol]
-        except KeyError:
-            raise ValueError(f"unknown symbol {symbol!r}; alphabet is {self.alphabet}") from None
 
     def total(self) -> np.ndarray:
         """The forgetful transition matrix ``sum_s T_s``."""
@@ -141,9 +136,7 @@ def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
         p = m.prior
     else:
         return steady_state(m)[0]
-    if not np.isfinite(p).all():
-        raise ValueError("non-finite entries in the initial distribution")
-    return p
+    return _finite(p, "initial distribution")
 
 
 def state_from_weights(weights: np.ndarray) -> np.ndarray:
@@ -164,8 +157,8 @@ def word_probability(
     """``<1| T_{s_n} ... T_{s_1} |pi>`` with ``s_1`` the earliest symbol,
     clamped to [0, 1]; see ``linalg.checked_probability``."""
     v = resolve_initial(m, initial)
-    for s in word:
-        v = m.matrix(s) @ v
+    for s in checked_word(word, m.alphabet):
+        v = m.transitions[s] @ v
     return checked_probability(float(v.sum()), "word probability")
 
 

@@ -62,11 +62,15 @@ def _open_output(path: str):
 
 
 def _parse_initial(text: str | None, model):
-    if text is None or text == "steady":
+    """The state ``--initial`` names, or None without the flag (the model's own start)."""
+    if text is None:
         return None
+    core = modelfile.kind_of(model).core
+    if text == "steady":
+        return core.steady_state(model)[0]
     d = model.dim
     weights = np.full(d, 1.0 / d) if text in ("mixed", "uniform") else _weights(text, d)
-    return modelfile.kind_of(model).core.state_from_weights(weights)
+    return core.state_from_weights(weights)
 
 
 def _weights(text: str, d: int) -> np.ndarray:
@@ -244,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word", help="symbols, e.g. 010; comma-separated for multi-char alphabets")
     p.add_argument(
         "--initial",
-        help="'steady' (default), 'mixed', or comma-separated basis weights",
+        help="'steady' (the stationary state), 'mixed', or comma-separated basis weights;"
+        " default: the model's own start state, else the stationary state",
     )
     p.set_defaults(func=cmd_wordprob)
 

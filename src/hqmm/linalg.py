@@ -78,6 +78,16 @@ def checked_alphabet(alphabet, per_symbol: Mapping, field: str) -> tuple[str, ..
     return symbols
 
 
+def checked_word(word, alphabet: Sequence[str]) -> tuple[str, ...]:
+    """``word`` as a tuple; raises ``ValueError`` naming its first symbol
+    that is not in ``alphabet``, also an unhashable one."""
+    word = tuple(word)
+    for s in word:
+        if s not in alphabet:
+            raise ValueError(f"unknown symbol {s!r}; alphabet is {tuple(alphabet)}")
+    return word
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize (M + M^dagger)/2; used to stop round-off drift on channel outputs."""
     return (m + m.conj().T) / 2.0

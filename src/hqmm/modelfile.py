@@ -21,6 +21,7 @@ import numpy as np
 
 from . import classical, mps, quantum
 from .classical import HmmModel
+from .linalg import checked_word
 from .mps import MpsModel
 from .quantum import HqmmModel, VnModel
 
@@ -77,17 +78,20 @@ def _matrix(rows, path: str, real_only: bool = False) -> np.ndarray:
             _fail(f"{path}[{i}]", f"row has {len(row)} entries, expected {width}")
         for j, x in enumerate(row):
             out[i, j] = _number(x, f"{path}[{i}][{j}]")
-    if real_only:
-        if np.max(np.abs(out.imag)) > 0.0:
-            _fail(path, "entries must be real")
-        return out.real.copy()
-    return out
+    return _real(out, path) if real_only else out
 
 
 def _vector(entries, path: str) -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         _fail(path, "expected a non-empty array")
-    return np.array([_number(x, f"{path}[{i}]").real for i, x in enumerate(entries)])
+    return _real(np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(entries)]), path)
+
+
+def _real(values: np.ndarray, path: str) -> np.ndarray:
+    """The real parts of complex ``values``; a nonzero imaginary part is refused."""
+    if np.max(np.abs(values.imag)) > 0.0:
+        _fail(path, "entries must be real")
+    return values.real.copy()
 
 
 def _alphabet(doc: dict) -> tuple[str, ...]:
@@ -300,13 +304,8 @@ def parse_word(text: str, alphabet: Sequence[str]) -> tuple[str, ...]:
     if text == "":
         return ()
     if any(len(s) > 1 for s in alphabet) or "," in text:
-        word = tuple(part for part in text.split(","))
-    else:
-        word = tuple(text)
-    for s in word:
-        if s not in alphabet:
-            raise ValueError(f"unknown symbol {s!r}; alphabet is {tuple(alphabet)}")
-    return word
+        return checked_word(text.split(","), alphabet)
+    return checked_word(text, alphabet)
 
 
 def format_word(word: Iterable[str], alphabet: Sequence[str]) -> str:

@@ -30,6 +30,7 @@ from .linalg import (
     checked_integer,
     checked_probability,
     checked_square,
+    checked_word,
     fixed_point,
     hermitian_coordinates,
     hermitian_real_form,
@@ -111,8 +112,8 @@ def apply_symbol(m: HqmmModel, symbol: str, rho: np.ndarray) -> np.ndarray:
     ``[a, i d + b]``, which reshapes to row ``a k + i``, so one more product
     with ``[K_i[c, a]]`` at ``[c, a k + i]`` sums over ``a`` and ``i`` at once.
     """
-    if symbol not in m._flats:
-        raise ValueError(f"unknown symbol {symbol!r}; alphabet is {m.alphabet}")
+    if symbol not in m.alphabet:
+        checked_word((symbol,), m.alphabet)
     d = m.dim
     if np.shape(rho) != (d, d):
         raise ValueError(f"state must have shape ({d}, {d}), got {np.shape(rho)}")

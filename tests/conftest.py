@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hqmm import modelfile
 from hqmm.classical import HmmModel
 from hqmm.mps import MpsModel
 
+# every property test draws the same examples on each run, keeps no example
+# database and has no per-example deadline, since timings vary with load;
+# each test's own ``settings`` gives only its example count and any
+# suppressed health check
+settings.register_profile("hqmm", deadline=None, derandomize=True, database=None)
+settings.load_profile("hqmm")
 
 @pytest.fixture(scope="session")
 def even():

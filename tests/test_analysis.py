@@ -415,7 +415,7 @@ def test_xorshift_zero_seed_usable():
     assert a == b and any(a)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**64 - 1),
     count=st.sampled_from(
@@ -440,7 +440,7 @@ def test_xorshift_blocks_chain_into_the_reference_stream(seed, count):
     assert x == reference.state
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**64 - 1), dying=st.sampled_from([0.5, 2.0**-9, 2.0**-11]))
 @example(seed=1, dying=2.0**-9)
 def test_generator_state_after_vanished_mass_is_past_the_raising_draw(seed, dying):
@@ -628,7 +628,7 @@ GENERATED_MODELS = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(case=GENERATED_MODELS, seed=st.integers(0, 2**64 - 1))
 @example(case=_sparse_hmm(0, 4, 3), seed=0)
 @example(case=_unifilar_hmm(0, 4, 3), seed=0)
@@ -640,7 +640,7 @@ def test_sampler_matches_plain_loop_on_generated_models(case, seed):
     assert sample_trajectory(model, 300, seed, initial) == expected
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(case=GENERATED_MODELS, seed=st.integers(0, 2**64 - 1), cap=st.sampled_from([0, 1, 3]))
 @example(case=_unifilar_hmm(0, 4, 3), seed=0, cap=3)
 def test_sampler_matches_plain_loop_past_the_cache_cap(case, seed, cap):
@@ -665,7 +665,7 @@ def _stochastic(case):
     return model, initial
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(case=GENERATED_MODELS.map(_stochastic), n=st.integers(1, 6))
 @example(case=_stochastic(_sparse_hmm(0, 5, 3)), n=6)
 @example(case=_mps_readout(0, 4), n=6)
@@ -686,7 +686,7 @@ def test_generated_distributions_are_normalized_and_consistent(case, n):
     assert np.max(np.abs(first_out - shorter)) <= 1e-12
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(case=GENERATED_MODELS.map(_stochastic))
 @example(case=_stochastic(_sparse_hmm(0, 5, 3)))
 @example(case=_mps_readout(0, 4))
@@ -715,7 +715,7 @@ def _kernel_kinds(mats, d):
     return kinds
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     case=st.one_of(
         GENERATED_MODELS, st.builds(_bundled, st.sampled_from(modelfile.BUNDLED_MODELS))
@@ -813,7 +813,7 @@ def _clear_kernel_memo():
     analysis._compiled_kernels.cache_clear()
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**64 - 1),
     dying=st.sampled_from([0.5, 2.0**-9, 2.0**-11]),
@@ -895,7 +895,7 @@ def test_hand_over_at_the_edges_of_a_block(caplog, kind, cap):
     assert sum(handed) == 2 * (length - cap)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     case=st.one_of(
         GENERATED_MODELS, st.builds(_bundled, st.sampled_from(modelfile.BUNDLED_MODELS))
@@ -1019,7 +1019,7 @@ WORD_TABLE_MODELS = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     case=WORD_TABLE_MODELS,
     n=st.integers(0, 6),

@@ -133,6 +133,12 @@ def test_word_probability_unknown_symbol(even):
         word_probability(even, "02")
 
 
+def test_word_probability_names_an_unhashable_symbol(even):
+    """A list symbol raised ``TypeError: unhashable type`` from the dict lookup."""
+    with pytest.raises(ValueError, match=r"^unknown symbol \['0'\]; alphabet is \('0', '1'\)$"):
+        word_probability(even, [["0"]])
+
+
 def test_word_probability_explicit_initial(even):
     assert word_probability(even, "0", initial=[1.0, 0.0]) == pytest.approx(0.5)
     assert word_probability(even, "0", initial=[0.0, 1.0]) == 0.0

@@ -63,6 +63,39 @@ def test_wordprob_bad_initial(paths):
     assert code == 2
 
 
+def _even_with_prior(tmp_path, prior) -> str:
+    """The even process's document with this ``prior`` field, written to a file."""
+    doc = json.loads(modelfile.serialize_model(modelfile.load_bundled("even_process")))
+    path = tmp_path / "even-prior.json"
+    path.write_text(json.dumps(dict(doc, prior=prior)))
+    return str(path)
+
+
+def test_wordprob_initial_steady_is_stationary_despite_a_prior(tmp_path):
+    """``steady`` was read as no flag, so the model's prior [0, 1] gave P(0) = 0."""
+    path = _even_with_prior(tmp_path, [0.0, 1.0])
+    assert run(["wordprob", path, "0"]) == (0, "0.000000000000\n", "")
+    assert run(["wordprob", path, "0", "--initial", "steady"]) == (0, "0.333333333333\n", "")
+
+
+@pytest.mark.parametrize("name", ["four_state", "four_symbol_hqmm"])
+def test_wordprob_initial_steady_matches_a_stationary_own_start(paths, name):
+    alphabet = modelfile.load_bundled(name).alphabet
+    words = ["".join(w) for n in (0, 1, 2) for w in itertools.product(alphabet, repeat=n)]
+    for word in words[:6]:
+        own = run(["wordprob", paths[name], word])
+        assert own[0] == 0
+        assert run(["wordprob", paths[name], word, "--initial", "steady"]) == own
+
+
+def test_complex_prior_entry_is_refused(tmp_path):
+    """Its imaginary part was dropped, so the prior read as [0.5, 0.5] and
+    ``validate`` printed ok."""
+    path = _even_with_prior(tmp_path, [[0.5, 0.7], 0.5])
+    for command in ("validate", "steady"):
+        assert run([command, path]) == (1, "", "error: prior: entries must be real\n")
+
+
 def test_hankel_four_state(paths):
     code, out, _ = run(["hankel", paths["four_state"]])
     assert code == 0
@@ -615,13 +648,7 @@ def _mutated_documents(draw):
     return doc
 
 
-@settings(
-    max_examples=200,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_mutated_documents())
 def test_mutated_model_files_give_named_errors(tmp_path, doc):
     """Every mutated document exits 0, 1 or 2 without a traceback, and no
@@ -634,13 +661,7 @@ def test_mutated_model_files_give_named_errors(tmp_path, doc):
         assert code != 0 or "nan" not in out.lower(), (command, out)
 
 
-@settings(
-    max_examples=200,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_mutated_documents())
 @example(doc=SHARED_RULE_DOCS["vn-repeated-symbol"][0])
 @example(doc=SHARED_RULE_DOCS["mps-repeated-symbol"][0])
@@ -755,6 +776,33 @@ def test_trajectory_bytes_bounds_traced_peak(paths, tmp_path, name):
     assert peak <= analysis._trajectory_bytes(10**5, model.alphabet)
 
 
+class _Discard(io.TextIOBase):
+    """A text stream that drops what is written to it, like a CLI stdout sent
+    nowhere; a ``StringIO`` would also hold the whole printed table."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "name, n", [("even_process", 13), ("four_symbol_hqmm", 6), ("cluster_phi_pi8", 12)]
+)
+def test_enumeration_bytes_bounds_traced_peak(paths, name, n):
+    """The estimate that the enumeration budget checks bounds the traced peak
+    of ``cmd_dist`` over at least 2**13 words, and is at most four times it."""
+    model = cli._load(paths[name])
+    coordinates = analysis.linear_representation(model)[1].size
+    estimate = analysis._enumeration_bytes(len(model.alphabet), n, coordinates)
+    args = argparse.Namespace(file=paths[name], n=n, csv=None)
+    tracemalloc.start()
+    try:
+        assert cli.cmd_dist(args, _Discard(), io.StringIO()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate / 4 <= peak <= estimate
+
+
 @pytest.mark.parametrize("argv", HUGE_GRIDS, ids=["phi", "xi"])
 def test_grid_that_cannot_be_allocated_is_one_error_line(paths, tmp_path, argv):
     code, out, err = run(_resolve(argv, paths, tmp_path))
@@ -822,13 +870,7 @@ def _argument_vectors(draw):
     return ["sample", draw(_FILES), "-n", str(draw(lengths)), "--seed", str(seed)]
 
 
-@settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argument_vectors())
 @example(argv=HUGE_ENUMERATIONS[0])
 @example(argv=HUGE_ENUMERATIONS[1])

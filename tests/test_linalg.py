@@ -172,7 +172,7 @@ def test_fixed_point_output_is_valid_density():
 # The one-inverse certificate of a unique fixed point, checked against the
 # dense eigenvalue count and SVD as an oracle.
 
-CERTIFICATE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+CERTIFICATE_SETTINGS = settings(max_examples=40)
 
 
 def _channel_case(transfer):
@@ -455,7 +455,7 @@ def test_check_projector_set_rejects_non_orthogonal():
 # The real Hermitian-basis form against its definition, and the solve in
 # real coordinates against the dense oracle on the complex transfer matrix.
 
-KRAUS_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+KRAUS_SETTINGS = settings(max_examples=40)
 
 
 @st.composite

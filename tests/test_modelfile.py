@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqmm.classical import HmmModel
 from hqmm.modelfile import (
     BUNDLED_MODELS,
+    KINDS,
     ModelFileError,
     format_word,
     load_bundled,
@@ -115,6 +116,19 @@ def test_parse_rejects_complex_hmm_entry():
         "transitions": {"0": [[[1.0, 0.5]]]},
     }
     with pytest.raises(ModelFileError, match="real"):
+        parse_model(json.dumps(doc))
+
+
+def test_parse_rejects_complex_prior_entry():
+    """Its imaginary part was dropped, so the prior read as [1.0]."""
+    doc = {
+        "kind": "hmm",
+        "alphabet": ["0"],
+        "dimension": 1,
+        "transitions": {"0": [[1.0]]},
+        "prior": [[1.0, 0.5]],
+    }
+    with pytest.raises(ModelFileError, match=r"^prior: entries must be real$"):
         parse_model(json.dumps(doc))
 
 
@@ -381,7 +395,7 @@ def _model_arrays(m) -> list[np.ndarray]:
     return [a for a in arrays if a is not None]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     kind=st.sampled_from(["hmm", "hqmm", "vn", "mps"]),
     seed=st.integers(0, 2**32 - 1),
@@ -401,3 +415,120 @@ def test_generated_models_roundtrip_exactly(kind, seed, d, k, with_initial, meta
     for a, b in zip(before, after):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
+
+
+# any value json.loads gives, NaN and the infinities included
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=10,
+)
+MODEL_FIELDS = (
+    "alphabet",
+    "dimension",
+    "transitions",
+    "prior",
+    "operations",
+    "initial",
+    "projectors",
+    "unitary",
+    "bond_dimension",
+    "physical_dimension",
+    "tensors",
+    "metadata",
+)
+BUNDLED_DOCS = {name: json.loads(serialize_model(load_bundled(name))) for name in BUNDLED_MODELS}
+_NUMBERS = st.integers(-1, 2) | st.floats()
+_ENTRIES = _NUMBERS | st.lists(_NUMBERS, min_size=2, max_size=2)
+_MATRICES = st.lists(st.lists(_ENTRIES, min_size=1, max_size=2), min_size=1, max_size=2)
+
+
+def _shaped_fields(alphabet) -> dict:
+    """Per field, trees of the shape the field asks for, so that a document
+    gets past the shape checks to the model's own."""
+    keyed = st.fixed_dictionaries({s: _MATRICES | st.lists(_MATRICES, max_size=2) for s in alphabet})
+    sizes = st.integers(1, 2)
+    return {
+        "alphabet": st.just(list(alphabet)),
+        "dimension": sizes,
+        "transitions": keyed,
+        "prior": st.lists(_ENTRIES, min_size=1, max_size=2),
+        "operations": keyed,
+        "initial": _MATRICES,
+        "projectors": keyed,
+        "unitary": _MATRICES,
+        "bond_dimension": sizes,
+        "physical_dimension": sizes,
+        "tensors": st.lists(_MATRICES, max_size=2),
+        "metadata": st.dictionaries(st.text(max_size=3), JSON_TREES, max_size=2),
+    }
+
+
+@st.composite
+def _generated_documents(draw):
+    """A document of any kind with any subset of the known fields, each a
+    generated JSON tree, of the field's shape or of any other."""
+    alphabet = draw(st.lists(st.text(min_size=1, max_size=2), min_size=1, max_size=3, unique=True))
+    shaped = _shaped_fields(alphabet)
+    doc = {"kind": draw(st.sampled_from(sorted(KINDS)))}
+    for field in MODEL_FIELDS:
+        # the field's shape three times as often as any other tree or none
+        choice = draw(st.sampled_from(["shaped", "shaped", "shaped", "any", "absent"]))
+        if choice != "absent":
+            doc[field] = draw(shaped[field] if choice == "shaped" else JSON_TREES)
+    return doc
+
+
+def _assert_refused_or_roundtrips(doc):
+    """``doc`` is refused with a ``ModelFileError``, or its model's text
+    parses back to the same text."""
+    try:
+        model = parse_model(json.dumps(doc))
+    except ModelFileError:
+        return
+    text = serialize_model(model)
+    assert serialize_model(parse_model(text)) == text
+
+
+@settings(max_examples=120)
+@given(doc=_generated_documents())
+@example(doc={"kind": "hmm", "alphabet": ["0"], "dimension": 1, "transitions": {"0": [[1]]}})
+def test_generated_documents_are_refused_or_roundtrip(doc):
+    _assert_refused_or_roundtrips(doc)
+
+
+def _nodes(tree, path=()):
+    """The path of every node of a JSON tree, the root's first."""
+    yield path
+    if isinstance(tree, dict):
+        children = tree.items()
+    elif isinstance(tree, list):
+        children = enumerate(tree)
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replaced(tree, path, node):
+    """A copy of ``tree`` with the node at ``path`` replaced by ``node``."""
+    if not path:
+        return node
+    key, rest = path[0], path[1:]
+    if isinstance(tree, dict):
+        return {**tree, key: _replaced(tree[key], rest, node)}
+    return [_replaced(x, rest, node) if i == key else x for i, x in enumerate(tree)]
+
+
+@st.composite
+def _bundled_with_one_node_replaced(draw):
+    doc = BUNDLED_DOCS[draw(st.sampled_from(BUNDLED_MODELS))]
+    path = draw(st.sampled_from(list(_nodes(doc))))
+    return _replaced(doc, path, draw(JSON_TREES))
+
+
+@settings(max_examples=200)
+@given(doc=_bundled_with_one_node_replaced())
+def test_bundled_documents_with_a_generated_node_are_refused_or_roundtrip(doc):
+    _assert_refused_or_roundtrips(doc)

@@ -138,7 +138,7 @@ def test_cluster_mps_reproduces_readout_statistics():
 _oracle = functools.cache(build_cluster)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     phi=st.floats(0.0, math.pi),
     xi=st.floats(0.0, 2 * math.pi),

@@ -188,6 +188,21 @@ def test_apply_symbol_refuses_an_unknown_symbol(four_symbol):
         apply_symbol(four_symbol, "x", np.eye(2) / 2)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda m: word_probability(m, [["0"]]),
+        lambda m: apply_symbol(m, ["0"], np.eye(2) / 2),
+    ],
+    ids=["word_probability", "apply_symbol"],
+)
+def test_an_unhashable_symbol_is_named(four_symbol, evaluate):
+    """A list symbol raised ``TypeError: unhashable type`` from the dict lookup."""
+    message = f"unknown symbol ['0']; alphabet is {four_symbol.alphabet}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate(four_symbol)
+
+
 def test_vn_generator_rejects_non_unitary():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
@@ -378,7 +393,7 @@ def _plain_rank_one_terms(t):
     return terms
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4), n_symbols=st.integers(1, 3))
 def test_generated_reversible_hmms_convert_to_both_quantum_forms(seed, n_states, n_symbols):
     """The embedding equals the per-entry loop and the pure form its sum, bit

@@ -29,7 +29,9 @@ past the float range, an ``operations`` object missing a symbol). Then
 ``convert`` to the pure form of a reversible HMM with a tolerated negative
 entry, which both conversions drop, and ``validate`` and ``steady`` on
 documents with a ``NaN`` or ``Infinity`` Kraus entry, a ``NaN`` initial state
-or unitary entry, or an empty prior. Commands
+or unitary entry, or an empty prior. Last, ``validate`` and ``steady`` on an
+HMM document with a complex prior entry, and ``wordprob --initial steady`` on
+one whose prior is not its stationary state. Commands
 run in-process through ``hqmm.cli.main``, from inside a temporary directory,
 so that the ``wrote <path>`` lines name a relative path. ``tools/cli_outputs.txt`` records the
 output; to check that a change leaves every printed byte as it was, diff
@@ -326,6 +328,16 @@ SHARED_RULE_DOCS = {
 }
 
 
+def _even_with_priors() -> dict:
+    """The even process's document with a complex prior entry, and with its
+    own start state [0, 1], which is not the stationary one."""
+    even = json.loads(modelfile.serialize_model(modelfile.load_bundled("even_process")))
+    return {
+        "hmm-prior-complex": dict(even, prior=[[0.5, 0.7], 0.5]),
+        "hmm-prior-0-1": dict(even, prior=[0.0, 1.0]),
+    }
+
+
 def _write_documents(workdir: Path, docs: dict) -> list[str]:
     paths = []
     for name, doc in docs.items():
@@ -420,6 +432,9 @@ def commands(workdir: Path) -> list[list[str]]:
     argvs.append(["convert", path, "--to", "hqmm-pure", "-o", "pure-negative-entry.json"])
     for path in _write_documents(workdir, NON_FINITE_DOCS):
         argvs += [["validate", path], ["steady", path]]
+    complex_prior, own_prior = _write_documents(workdir, _even_with_priors())
+    argvs += [["validate", complex_prior], ["steady", complex_prior]]
+    argvs.append(["wordprob", own_prior, "0", "--initial", "steady"])
     return argvs
 
 
