@@ -23,6 +23,12 @@ from .config import TOL
 
 logger = logging.getLogger(__name__)
 
+# the transient memory of the d^4 kernels: ``transfer_matrix`` sums its terms,
+# and ``hermitian_real_form`` gathers rows and then their columns, through one
+# block of at most this many bytes; an input that fits takes one pass, which
+# is every d <= 11 (d <= 13 for ``transfer_matrix``)
+_BLOCK_BYTES = 1 << 19
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -112,7 +118,9 @@ def transfer_matrix(kraus) -> np.ndarray:
     ``kraus`` is either a mapping symbol -> list of Kraus matrices (the whole
     stochastic operation) or a flat sequence of matrices. Returns the d^2 x d^2
     matrix L with ``L @ vec(rho) == vec(sum K rho K^dagger)`` under
-    column-stacking.
+    column-stacking. L is summed one block of rows at a time, so beyond its
+    output it holds one block of terms (``_BLOCK_BYTES``, or d rows of L
+    when those are larger).
     """
     if isinstance(kraus, Mapping):
         kraus = [k for ops in kraus.values() for k in ops]
@@ -126,12 +134,19 @@ def transfer_matrix(kraus) -> np.ndarray:
     # the products and the order of summation of ``sum kron(conj(K), K)``,
     # through one reused term buffer in place of kron's temporaries; one GEMM
     # over all operators would sum in another order and change low bits of
-    # L, which show in printed states as round-off in place of exact zeros
+    # L, which show in printed states as round-off in place of exact zeros.
+    # ``out[i]`` holds rows i d to i d + d - 1 of L, and a block is ``step``
+    # of them, so every entry gets the same products in the same order
     out = np.zeros((d, d, d, d), dtype=complex)
-    term = np.empty_like(out)
-    for k in ops:
-        np.multiply(k.conj()[:, None, :, None], k[None, :, None, :], out=term)
-        out += term
+    step = max(1, _BLOCK_BYTES // out[0].nbytes)
+    term = np.empty_like(out[:step])
+    for start in range(0, d, step):
+        rows = out[start : start + step]
+        block = term[: len(rows)]
+        for k in ops:
+            conj = k.conj()[start : start + step, None, :, None]
+            np.multiply(conj, k[None, :, None, :], out=block)
+            rows += block
     return out.reshape(d * d, d * d)
 
 
@@ -202,31 +217,65 @@ def hermitian_real_form(transfer: np.ndarray) -> np.ndarray:
     Each row of ``C`` reads at most two entries of ``vec(rho)``, so the
     product is formed in O(d^4) from the rows and columns of ``transfer``
     gathered in coordinate order, without forming ``C``. A map that
-    preserves Hermiticity has a real product. Raises ``ValueError`` when
-    ``transfer`` is not d^2 x d^2 with d >= 1, and one naming Hermiticity
-    when the discarded imaginary part exceeds ``TOL.hermitian``.
+    preserves Hermiticity has a real product. The rows are gathered, mixed
+    and checked a block at a time and written straight into the real
+    result, so beyond its input and output it holds one block
+    (``_BLOCK_BYTES``): a run of gathered rows and then their gathered
+    columns, half a block each.
+    Raises ``ValueError`` when ``transfer`` is not d^2 x d^2 with d >= 1 or
+    has a non-finite entry, and one naming Hermiticity when the discarded
+    imaginary part exceeds ``TOL.hermitian``.
     """
     transfer = np.asarray(transfer, dtype=complex)
     d = math.isqrt(transfer.shape[0]) if transfer.ndim == 2 else 0
     if d == 0 or transfer.shape != (d * d, d * d):
+        # a matrix of too many dimensions or with a non-finite entry is
+        # named for that first, as ``fixed_point`` always named it
+        as_matrix(transfer, "transfer matrix")
         raise ValueError(f"transfer matrix must be d^2 x d^2, got {transfer.shape}")
+    n = d * d
     order = _hermitian_order(d)
-    m = transfer.take(order, 0).take(order, 1)
-    r = math.sqrt(0.5)
-    # C takes each gathered pair of rows (x, y) to (r (x + y), -i r (x - y)),
-    # and C^dagger each pair of columns to (r (x + y), i r (x - y))
-    for x, y, phase in ((m[d::2], m[d + 1 :: 2], 1j), (m[:, d::2], m[:, d + 1 :: 2], -1j)):
-        total = x + y
-        y -= x
-        y *= phase * r
-        np.multiply(total, r, out=x)
-    dev = float(np.abs(m.imag).max(initial=0.0))
+    real = np.empty((n, n))
+    dev = 0.0
+    rows = max(2, _BLOCK_BYTES // (2 * transfer[0].nbytes))
+    start = 0
+    while start < n:
+        # past the d diagonal rows a block holds whole (ab, ba) pairs of rows
+        stop = min(n, start + rows)
+        stop += max(stop - d, 0) % 2
+        dev = max(dev, _real_form_rows(transfer, order, start, stop, real[start:stop]))
+        start = stop
     if dev > TOL.hermitian:
         raise ValueError(
             "transfer matrix does not preserve Hermiticity: its Hermitian-basis "
             f"form has an imaginary part of {dev:.3e}"
         )
-    return m.real.copy()
+    return real
+
+
+def _real_form_rows(
+    transfer: np.ndarray, order: np.ndarray, start: int, stop: int, out: np.ndarray
+) -> float:
+    """Writes rows ``start:stop`` of ``hermitian_real_form(transfer)`` into
+    ``out`` and returns the largest imaginary part they discard. No pair of
+    rows may straddle ``start`` or ``stop``. Its arrays die on return, so a
+    block's arrays are gone before the next block's are made."""
+    d = math.isqrt(order.size)
+    m = transfer.take(order[start:stop], 0)
+    if not np.isfinite(m).all():
+        raise ValueError("transfer matrix contains non-finite entries")
+    m = m.take(order, 1)
+    first = max(d - start, 0)
+    r = math.sqrt(0.5)
+    # C takes each gathered pair of rows (x, y) to (r (x + y), -i r (x - y)),
+    # and C^dagger each pair of columns to (r (x + y), i r (x - y))
+    for x, y, phase in ((m[first::2], m[first + 1 :: 2], 1j), (m[:, d::2], m[:, d + 1 :: 2], -1j)):
+        total = x + y
+        y -= x
+        y *= phase * r
+        np.multiply(total, r, out=x)
+    out[...] = m.real
+    return float(np.abs(m.imag).max(initial=0.0))
 
 
 def _dense_fixed_vector(matrix: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
@@ -283,13 +332,17 @@ def _certified_fixed_vector(
         inv = np.linalg.inv(bordered)
     except np.linalg.LinAlgError:
         return None
+    # v first, so that a real inv can take its magnitudes in place; the
+    # product of an inv that is not finite is refused below, unused
+    with np.errstate(all="ignore"):
+        v = inv @ target
     # the 1- and inf-norms: largest column and row sums of |inv|, and not
     # finite exactly when an entry of inv is not
-    magnitude = np.abs(inv)
+    magnitude = np.abs(inv, out=inv if np.isrealobj(inv) else None)
     bound = float(min(magnitude.sum(axis=0).max(), magnitude.sum(axis=1).max()))
     if not math.isfinite(bound) or 2.0 * bound * TOL.eigenvalue_one >= 1.0:
         return None
-    return inv @ target, bound
+    return v, bound
 
 
 def _fixed_vector(
@@ -361,11 +414,16 @@ def fixed_point(transfer: np.ndarray) -> tuple[np.ndarray, bool]:
     degenerate space is resolved canonically by the orthogonal projection of
     the maximally mixed state onto it, renormalized, with ``unique=False``.
 
-    Raises ``ValueError`` when the map does not preserve Hermiticity (see
+    ``G`` is built a block of rows at a time, so until the solve, whose
+    d^2 x d^2 real arrays come after, it holds one block beyond ``transfer``
+    and ``G`` (see ``hermitian_real_form``).
+
+    Raises ``ValueError`` when ``transfer`` is not a finite d^2 x d^2
+    matrix, when the map does not preserve Hermiticity (see
     ``hermitian_real_form``) or when no eigenvalue lies within the window
     (the map is not trace-preserving).
     """
-    real = hermitian_real_form(as_matrix(transfer, "transfer matrix"))
+    real = hermitian_real_form(transfer)
     x, unique = _stationary_vector(real, math.isqrt(real.shape[0]))
     return _from_hermitian_coordinates(x), unique
 

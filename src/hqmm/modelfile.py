@@ -88,8 +88,9 @@ def _vector(entries, path: str) -> np.ndarray:
 
 
 def _real(values: np.ndarray, path: str) -> np.ndarray:
-    """The real parts of complex ``values``; a nonzero imaginary part is refused."""
-    if np.max(np.abs(values.imag)) > 0.0:
+    """The real parts of complex ``values``; a nonzero imaginary part, ``NaN``
+    included, is refused."""
+    if (values.imag != 0.0).any():
         _fail(path, "entries must be real")
     return values.real.copy()
 

@@ -130,6 +130,12 @@ def validate_hqmm(m: HqmmModel) -> list[Violation]:
     for s in m.alphabet:
         gram = m._grams[s]
         total = total + gram
+        # finite Kraus entries past about 1e154 overflow the gram
+        if not np.isfinite(gram).all():
+            problems.append(
+                Violation("finite", "sum_i K_i^dagger K_i has non-finite entries", symbol=s)
+            )
+            continue
         top = float(np.linalg.eigvalsh(hermitize(gram)).max())
         if top > 1.0 + TOL.completeness:
             problems.append(

@@ -178,6 +178,37 @@ def test_validate_reports_non_finite_prior(tmp_path):
         assert run(argv) == (1, "", refused)
 
 
+@pytest.mark.parametrize("field", ['transitions["0"]', "prior"])
+def test_a_nan_imaginary_part_is_refused(tmp_path, field):
+    """``max(|imag|) > 0`` is false for NaN, so ``[0.5, NaN]`` read as 0.5 and
+    ``validate`` printed ok."""
+    doc = json.loads(modelfile.serialize_model(modelfile.load_bundled("even_process")))
+    if field == "prior":
+        doc["prior"] = [[0.5, math.nan], 0.5]
+    else:
+        doc["transitions"]["0"][0][0] = [0.5, math.nan]
+    p = tmp_path / "nan-imaginary.json"
+    p.write_text(json.dumps(doc))
+    for command in ("validate", "steady"):
+        assert run([command, str(p)]) == (1, "", f"error: {field}: entries must be real\n")
+
+
+def test_an_overflowing_gram_is_a_named_violation(tmp_path):
+    """The gram of a finite Kraus entry of 2e251 is infinite, and ``hermitize``
+    of it warned ``invalid value encountered in divide``, an error here."""
+    doc = json.loads(modelfile.serialize_model(modelfile.load_bundled("four_symbol_hqmm")))
+    doc["operations"]["0"][0][1][0] = [2e251, 0.0]
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(doc))
+    problems = (
+        "[finite] symbol='0': sum_i K_i^dagger K_i has non-finite entries",
+        "[completeness]: sum over all symbols of K^dagger K deviates from identity by inf",
+    )
+    assert run(["validate", str(p)]) == (1, "", "".join(f"{v}\n" for v in problems))
+    refused = "error: model fails validation: " + "; ".join(problems) + "\n"
+    assert run(["steady", str(p)]) == (1, "", refused)
+
+
 def test_dimension_mismatch_is_model_error(tmp_path):
     doc = json.loads(modelfile.serialize_model(modelfile.load_bundled("even_process")))
     doc["dimension"] = 3

@@ -1,6 +1,8 @@
 import logging
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hqmm import cluster, mps, quantum
+from hqmm import cluster, linalg, mps, quantum
 from hqmm.config import TOL
 from hqmm.linalg import (
     _certified_fixed_vector,
     _dense_fixed_vector,
     _fixed_vector,
+    _hermitian_order,
     as_matrix,
     check_density_matrix,
     check_projector_set,
@@ -534,3 +537,92 @@ def test_transfer_matrix_shape_is_named_error(shape):
     for solve in (fixed_point, hermitian_real_form):
         with pytest.raises(ValueError, match=r"must be d\^2 x d\^2"):
             solve(np.zeros(shape))
+
+
+# The d^4 kernels work through blocks of rows (``linalg._BLOCK_BYTES``). Every
+# bundled model fits in one block, so these tests shrink the block until an
+# input takes several, and check the results byte for byte.
+
+
+def _two_gather_real_form(transfer):
+    """``hermitian_real_form`` in one pass: both full gathers of ``transfer``,
+    pair-mixed in place, and the real part copied out."""
+    d = math.isqrt(transfer.shape[0])
+    order = _hermitian_order(d)
+    m = transfer.take(order, 0).take(order, 1)
+    r = math.sqrt(0.5)
+    for x, y, phase in ((m[d::2], m[d + 1 :: 2], 1j), (m[:, d::2], m[:, d + 1 :: 2], -1j)):
+        total = x + y
+        y -= x
+        y *= phase * r
+        np.multiply(total, r, out=x)
+    return m.real.copy()
+
+
+def _kron_sum(kraus):
+    expected = np.zeros((kraus[0].size,) * 2, dtype=complex)
+    for k in kraus:
+        expected += np.kron(k.conj(), k)
+    return expected
+
+
+def _assert_blocked_kernels_match(kraus, rows):
+    """With blocks of ``rows`` rows of the real form (``2 rows // d``
+    leading indices, at least one, in ``transfer_matrix``), every kernel
+    gives the bytes of one pass, and ``fixed_point`` its verdict."""
+    one_pass = fixed_point(transfer_matrix(kraus))
+    n = kraus[0].size
+    with mock.patch.object(linalg, "_BLOCK_BYTES", rows * 2 * n * 16):
+        transfer = transfer_matrix(kraus)
+        assert transfer.tobytes() == _kron_sum(kraus).tobytes()
+        assert hermitian_real_form(transfer).tobytes() == _two_gather_real_form(transfer).tobytes()
+        rho, unique = fixed_point(transfer)
+    assert (rho.tobytes(), unique) == (one_pass[0].tobytes(), one_pass[1])
+
+
+@pytest.mark.parametrize(
+    "d, rows",
+    [(3, 2), (4, 3), (1, 1), (8, 5)],
+    ids=["pair-straddles-a-boundary", "short-last-block", "d-1", "d-8"],
+)
+def test_blocked_kernels_match_one_pass_at_block_edges(d, rows):
+    """d = 3 in blocks of two rows would end its first block between rows 3
+    and 4, one pair; d = 4 in blocks of three ends on a block of two rows."""
+    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(d), d, 2))
+    _assert_blocked_kernels_match([k for s in model.alphabet for k in model.operations[s]], rows)
+
+
+@KRAUS_SETTINGS
+@given(kraus=kraus_maps(), rows=st.integers(1, 12))
+def test_blocked_kernels_match_one_pass(kraus, rows):
+    _assert_blocked_kernels_match(kraus, rows)
+
+
+def test_real_form_of_a_d16_readout_holds_one_block_beyond_its_output():
+    """The transfer matrix (1 MiB) and the real form (0.5 MiB) of a D = 16
+    readout take two and four blocks. One pass gathered two full complex
+    copies of the transfer matrix, 2 MiB."""
+    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(16), 16, 2))
+    tracemalloc.start()
+    try:
+        transfer = transfer_matrix(model.operations)
+        real = hermitian_real_form(transfer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < transfer.nbytes + real.nbytes + 2 * linalg._BLOCK_BYTES
+
+
+def test_non_finite_transfer_matrix_is_named():
+    """A direct call used to return NaN coordinates for a NaN entry."""
+    transfer = transfer_matrix([np.eye(3)])
+    transfer[7, 2] = np.nan
+    for solve in (fixed_point, hermitian_real_form):
+        with pytest.raises(ValueError, match="^transfer matrix contains non-finite entries$"):
+            solve(transfer)
+    with mock.patch.object(linalg, "_BLOCK_BYTES", 2 * 9 * 16):
+        with pytest.raises(ValueError, match="^transfer matrix contains non-finite entries$"):
+            hermitian_real_form(transfer)
+    # a matrix of the wrong shape is named for its non-finite entry first
+    with pytest.raises(ValueError, match="^transfer matrix contains non-finite entries$"):
+        fixed_point(np.full((4, 3), np.nan))

@@ -31,7 +31,10 @@ entry, which both conversions drop, and ``validate`` and ``steady`` on
 documents with a ``NaN`` or ``Infinity`` Kraus entry, a ``NaN`` initial state
 or unitary entry, or an empty prior. Last, ``validate`` and ``steady`` on an
 HMM document with a complex prior entry, and ``wordprob --initial steady`` on
-one whose prior is not its stationary state. Commands
+one whose prior is not its stationary state. After them, ``validate`` and
+``steady`` on the even process with a ``NaN`` imaginary part in a transition
+entry and in a prior entry, and on ``four_symbol_hqmm`` with a finite Kraus
+entry whose gram overflows. Commands
 run in-process through ``hqmm.cli.main``, from inside a temporary directory,
 so that the ``wrote <path>`` lines name a relative path. ``tools/cli_outputs.txt`` records the
 output; to check that a change leaves every printed byte as it was, diff
@@ -338,6 +341,21 @@ def _even_with_priors() -> dict:
     }
 
 
+def _nan_imaginary_and_overflow_docs() -> dict:
+    """The even process with ``[0.5, NaN]`` in a transition matrix and in its
+    prior, and ``four_symbol_hqmm`` with a Kraus entry of 2e251."""
+    even = json.loads(modelfile.serialize_model(modelfile.load_bundled("even_process")))
+    transitions = json.loads(json.dumps(even["transitions"]))
+    transitions["0"][0][0] = [0.5, math.nan]
+    four = json.loads(modelfile.serialize_model(modelfile.load_bundled("four_symbol_hqmm")))
+    four["operations"]["0"][0][1][0] = [2e251, 0.0]
+    return {
+        "hmm-transition-nan-imaginary": dict(even, transitions=transitions),
+        "hmm-prior-nan-imaginary": dict(even, prior=[[0.5, math.nan], 0.5]),
+        "hqmm-gram-overflow": four,
+    }
+
+
 def _write_documents(workdir: Path, docs: dict) -> list[str]:
     paths = []
     for name, doc in docs.items():
@@ -435,6 +453,8 @@ def commands(workdir: Path) -> list[list[str]]:
     complex_prior, own_prior = _write_documents(workdir, _even_with_priors())
     argvs += [["validate", complex_prior], ["steady", complex_prior]]
     argvs.append(["wordprob", own_prior, "0", "--initial", "steady"])
+    for path in _write_documents(workdir, _nan_imaginary_and_overflow_docs()):
+        argvs += [["validate", path], ["steady", path]]
     return argvs
 
 
