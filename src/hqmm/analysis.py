@@ -1,10 +1,10 @@
 """Process-language analytics over classical and quantum models.
 
-Every model is first compiled to one real linear representation (per-symbol
-matrices, an initial vector and a unit functional), on which exhaustive word
-distributions (batched level by level), finite Hankel blocks with their
-rank-based lower bound on hidden-state counts, and reproducible trajectory
-sampling all run. Block entropy works on the resulting distributions.
+Every model is first compiled to one real ``Representation`` (per-symbol
+matrices, an initial vector and a unit functional), on which word
+probabilities, exhaustive word distributions, finite Hankel blocks with
+their rank-based lower bound on hidden-state counts, and reproducible
+trajectory sampling all run. Block entropy works on the distributions.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import math
 import operator
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import modelfile
-from .linalg import checked_integer, checked_word, numerical_rank
+from .linalg import checked_integer, checked_probability, checked_word, numerical_rank
 
 logger = logging.getLogger(__name__)
 
@@ -35,24 +35,41 @@ _WORD_ENTRY_BYTES = 200
 Word = tuple[str, ...]
 
 
-def linear_representation(model, initial=None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Real ``(A, v0, d)`` with ``P(s_1 ... s_n) = <1| A_{s_n} ... A_{s_1} v0``.
+class Representation(NamedTuple):
+    """The real ``(mats, v0, d)`` of a model; see ``linear_representation``."""
 
-    ``A`` stacks one D x D matrix per symbol in alphabet order and ``<1|`` is
-    the sum of the first ``d`` coordinates. A classical model gives its
-    ``T_s`` and resolved initial distribution (``D = d``). A quantum model
+    mats: np.ndarray
+    v0: np.ndarray
+    d: int
+
+    def probability(self, word, alphabet) -> float:
+        """``<1| A_w v0>`` of a word over the ``alphabet`` that orders ``mats``,
+        clamped to [0, 1]; see ``linalg.checked_probability``."""
+        index = {s: i for i, s in enumerate(alphabet)}
+        v = self.v0
+        for s in checked_word(word, alphabet):
+            v = self.mats[index[s]] @ v
+        return checked_probability(float(v[: self.d].sum()), "word probability")
+
+
+def linear_representation(model, initial=None) -> Representation:
+    """``(mats, v0, d)`` with ``P(s_1 ... s_n) = <1| A_{s_n} ... A_{s_1} v0``.
+
+    ``mats`` stacks one D x D matrix ``A_s`` per symbol in alphabet order and
+    ``<1|`` is the sum of the first ``d`` coordinates. A classical model gives
+    its ``T_s`` and resolved initial distribution (``D = d``). A quantum model
     gives its operations in the real Hermitian basis of
     ``linalg.hermitian_basis`` (``D = d^2``), whose first ``d`` coordinates
     are the diagonal, so ``<1|`` is the trace. Each operation's matrix is
     ``linalg.hermitian_real_form`` of its transfer matrix, gathered in
     O(d^4) without forming the basis, and ``v0`` is
     ``linalg.hermitian_coordinates`` of the resolved initial state. Raises
-    ``ValueError`` when any entry of ``A`` or ``v0`` is not finite.
+    ``ValueError`` when any entry of ``mats`` or ``v0`` is not finite.
     """
     kind = modelfile.kind_of(model)
     if kind is None or kind.core is None:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    return kind.core.linear_representation(model, initial)
+    return Representation(*kind.core.linear_representation(model, initial))
 
 
 def _checked_length(length, what: str = "word length") -> int:

@@ -139,11 +139,6 @@ def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
     return _finite(p, "initial distribution")
 
 
-def state_from_weights(weights: np.ndarray) -> np.ndarray:
-    """The distribution with these normalized weights: the weights themselves."""
-    return weights
-
-
 def linear_representation(m: HmmModel, initial=None) -> tuple[np.ndarray, np.ndarray, int]:
     """The ``T_s`` stacked in alphabet order, the resolved initial
     distribution and ``n_states``; see ``analysis.linear_representation``."""

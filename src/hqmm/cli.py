@@ -61,16 +61,18 @@ def _open_output(path: str):
         raise UsageError(f"cannot write {path}: {e}") from None
 
 
-def _parse_initial(text: str | None, model):
-    """The state ``--initial`` names, or None without the flag (the model's own start)."""
+def _representation(text: str | None, model) -> analysis.Representation:
+    """The model's representation from the start ``--initial`` names, by default
+    its own, else the stationary one. Weights are the first ``d`` coordinates."""
     if text is None:
-        return None
-    core = modelfile.kind_of(model).core
+        return analysis.linear_representation(model)
     if text == "steady":
-        return core.steady_state(model)[0]
+        steady = modelfile.kind_of(model).core.steady_state(model)[0]
+        return analysis.linear_representation(model, steady)
     d = model.dim
     weights = np.full(d, 1.0 / d) if text in ("mixed", "uniform") else _weights(text, d)
-    return core.state_from_weights(weights)
+    rep = analysis.linear_representation(model)
+    return rep._replace(v0=np.concatenate([weights, np.zeros(rep.v0.size - d)]))
 
 
 def _weights(text: str, d: int) -> np.ndarray:
@@ -145,8 +147,7 @@ def cmd_wordprob(args, out, err) -> int:
         word = modelfile.parse_word(args.word, model.alphabet)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    initial = _parse_initial(args.initial, model)
-    print(_fmt(modelfile.kind_of(model).core.word_probability(model, word, initial)), file=out)
+    print(_fmt(_representation(args.initial, model).probability(word, model.alphabet)), file=out)
     return 0
 
 

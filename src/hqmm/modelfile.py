@@ -189,8 +189,8 @@ class Kind(NamedTuple):
     """One model kind. ``read(doc, alphabet, dimension)`` gives the model's
     keywords for the kind's own fields, ``write(model)`` their encoding in
     document order. A ``sized`` kind's ``dimension`` field is checked against
-    ``model.dim``. ``operational`` reduces a model to one whose kind has a
-    ``core``: the module (``classical`` or ``quantum``) that evaluates it."""
+    ``model.dim``. ``operational`` reduces a model to one whose kind's ``core``
+    (``classical`` or ``quantum``) gives its steady state and linear representation."""
 
     name: str
     model: type

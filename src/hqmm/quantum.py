@@ -186,11 +186,6 @@ def conditional_update(m: HqmmModel, symbol: str, rho) -> np.ndarray:
     return hermitize(sigma / p)
 
 
-def state_from_weights(weights: np.ndarray) -> np.ndarray:
-    """The density matrix with these normalized weights on its diagonal."""
-    return np.diag(weights).astype(complex)
-
-
 def linear_representation(m: HqmmModel, initial=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Each operation in the real Hermitian basis, the coordinates of the
     resolved initial state and ``dim``; see ``analysis.linear_representation``."""
@@ -293,7 +288,7 @@ def _rank_one_terms(t: np.ndarray, floor: float) -> np.ndarray:
 
 def _from_classical(m: classical.HmmModel, ops) -> HqmmModel:
     """The model of these Kraus lists on ``m``'s states, started from its prior."""
-    initial = state_from_weights(m.prior) if m.prior is not None else None
+    initial = np.diag(m.prior).astype(complex) if m.prior is not None else None
     return HqmmModel(alphabet=m.alphabet, dim=m.n_states, operations=ops, initial=initial)
 
 

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -11,13 +12,17 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hqmm
-from hqmm import analysis, classical, cli, modelfile
+from hqmm import analysis, classical, cli, cluster, modelfile
+from hqmm.classical import HmmModel
 from hqmm.cli import main
+
+from conftest import random_hmm, random_mps
 
 
 def run(argv):
@@ -86,6 +91,80 @@ def test_wordprob_initial_steady_matches_a_stationary_own_start(paths, name):
         own = run(["wordprob", paths[name], word])
         assert own[0] == 0
         assert run(["wordprob", paths[name], word, "--initial", "steady"]) == own
+
+
+def _sparse_stochastic_hmm(model_seed, n_states, n_symbols, with_prior):
+    """A random HMM with about 40 % exact zeros, its columns rescaled to sum
+    to 1. The first symbol keeps its diagonal, so no column is emptied."""
+    rng = np.random.default_rng(model_seed)
+    model = random_hmm(rng, n_states, n_symbols, with_prior)
+    for k, s in enumerate(model.alphabet):
+        zero = rng.random((n_states, n_states)) < 0.4
+        if k == 0:
+            np.fill_diagonal(zero, False)
+        model.transitions[s][zero] = 0.0
+    mass = model.total().sum(axis=0)
+    transitions = {s: t / mass for s, t in model.transitions.items()}
+    return HmmModel(model.alphabet, transitions, model.prior)
+
+
+def _mps_readout(model_seed, bond_dim, own_start):
+    model = random_mps(np.random.default_rng(model_seed), bond_dim, 2)
+    return model if own_start else dataclasses.replace(model, initial=None)
+
+
+@st.composite
+def _models_and_starts(draw):
+    """A generated model and an ``--initial`` flag: none, ``steady``,
+    ``mixed`` or generated weights, as ``(model, flag)``."""
+    seed = st.integers(0, 2**32 - 1)
+    model = draw(
+        st.one_of(
+            st.builds(
+                _sparse_stochastic_hmm, seed, st.integers(1, 4), st.integers(1, 3), st.booleans()
+            ),
+            st.builds(_mps_readout, seed, st.integers(2, 4), st.booleans()),
+            st.builds(
+                lambda phi, xi: cluster.cluster_kraus(cluster.MeasurementBasis(phi, xi)),
+                st.floats(0.0, math.pi, exclude_max=True),
+                st.floats(0.0, 2 * math.pi, exclude_max=True),
+            ),
+        )
+    )
+    d = modelfile.kind_of(model).operational(model).dim
+    weights = st.lists(st.floats(0.0, 10.0), min_size=d, max_size=d).filter(any)
+    flag = draw(st.one_of(st.sampled_from([None, "steady", "mixed"]), weights))
+    return model, flag
+
+
+@settings(max_examples=10, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_models_and_starts())
+@example(case=(_mps_readout(0, 3, own_start=True), None))
+def test_wordprob_prints_the_kinds_own_word_probability(tmp_path, case):
+    """For every word up to length 4, ``wordprob`` prints what the model
+    kind's own ``word_probability`` gives from the start the flag names,
+    built here from the flag."""
+    model, flag = case
+    path = tmp_path / "model.json"
+    path.write_text(modelfile.serialize_model(model))
+    native = modelfile.kind_of(model).operational(model)
+    core = modelfile.kind_of(native).core
+    d = native.dim
+    argv = []
+    start = None
+    if flag == "steady":
+        argv = ["--initial", "steady"]
+        start = core.steady_state(native)[0]
+    elif flag is not None:
+        text = ",".join(map(repr, flag)) if isinstance(flag, list) else flag
+        argv = ["--initial", text]
+        weights = np.full(d, 1.0 / d) if flag == "mixed" else np.array(flag) / np.sum(flag)
+        start = weights if core is classical else np.diag(weights).astype(complex)
+    for n in range(5):
+        for word in itertools.product(native.alphabet, repeat=n):
+            expected = cli._fmt(core.word_probability(native, word, start)) + "\n"
+            got = run(["wordprob", str(path), "".join(word), *argv])
+            assert got == (0, expected, ""), (word, flag)
 
 
 def test_complex_prior_entry_is_refused(tmp_path):

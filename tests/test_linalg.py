@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hqmm import cluster, linalg, mps, quantum
+from hqmm import analysis, cluster, linalg, mps, quantum
 from hqmm.config import TOL
 from hqmm.linalg import (
     _certified_fixed_vector,
@@ -506,6 +506,25 @@ def test_hermitian_real_form_matches_basis_product(kraus):
         quantum.HqmmModel(alphabet=("x",), dim=d, operations={"x": kraus}), "x", np.eye(d) / d
     )
     assert_allclose(hermitian_coordinates(rho), (c @ vec(rho)).real, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60)
+@given(w=st.lists(st.floats(0.0, 1e308), min_size=1, max_size=8))
+def test_hermitian_coordinates_of_a_diagonal_are_its_entries_then_zeros(w):
+    """The weights of a diagonal start state are then the first d
+    coordinates of a quantum model's ``v0``, as they are of a classical
+    model's; ``wordprob --initial`` relies on it."""
+    w = np.array(w)
+    expected = np.concatenate([w, np.zeros(w.size * w.size - w.size)])
+    assert hermitian_coordinates(np.diag(w).astype(complex)).tobytes() == expected.tobytes()
+
+
+def test_representation_probability_names_an_unknown_symbol(even, four_symbol):
+    for model in (even, four_symbol):
+        rep = analysis.linear_representation(model)
+        message = f"unknown symbol 'x'; alphabet is {model.alphabet}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rep.probability("01x", model.alphabet)
 
 
 @KRAUS_SETTINGS

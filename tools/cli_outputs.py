@@ -34,7 +34,10 @@ HMM document with a complex prior entry, and ``wordprob --initial steady`` on
 one whose prior is not its stationary state. After them, ``validate`` and
 ``steady`` on the even process with a ``NaN`` imaginary part in a transition
 entry and in a prior entry, and on ``four_symbol_hqmm`` with a finite Kraus
-entry whose gram overflows. Commands
+entry whose gram overflows. Last, ``wordprob`` on two words of non-zero
+probability for every bundled model and the four MPS readouts, each from
+the model's own start, ``--initial steady``, ``--initial mixed`` and
+``--initial 1,2,...,d``. Commands
 run in-process through ``hqmm.cli.main``, from inside a temporary directory,
 so that the ``wrote <path>`` lines name a relative path. ``tools/cli_outputs.txt`` records the
 output; to check that a change leaves every printed byte as it was, diff
@@ -79,6 +82,19 @@ BLOCK_EDGE_LENGTHS = (1, 511, 512, 513, 1024, 1025)
 # more draws past the cap: a model whose states recur now and then, and the
 # largest representation whose kernels are compiled
 LATE_LONG_SAMPLE_MODELS = ("cluster_phi_pi4", "mps-D4")
+# two words of non-zero probability from every start, per model
+NONZERO_WORDS = {
+    "even_process": ("011", "01101"),
+    "even_process_vn": ("011", "01101"),
+    "four_state": ("13", "3120"),
+    "four_symbol_hqmm": ("13", "3120"),
+    "cluster_phi_pi4": ("011", "01101"),
+    "cluster_phi_pi8": ("011", "01101"),
+    "mps-D2": ("011", "01101"),
+    "mps-D3": ("011", "01101"),
+    "mps-D4": ("021", "1200"),
+    "mps-D6": ("011", "01101"),
+}
 
 
 def _random_mps(rng, bond_dim, phys_dim) -> MpsModel:
@@ -455,6 +471,13 @@ def commands(workdir: Path) -> list[list[str]]:
     argvs.append(["wordprob", own_prior, "0", "--initial", "steady"])
     for path in _write_documents(workdir, _nan_imaginary_and_overflow_docs()):
         argvs += [["validate", path], ["steady", path]]
+    for name, words in NONZERO_WORDS.items():
+        model = modelfile.parse_model(Path(paths[name]).read_text())
+        d = modelfile.kind_of(model).operational(model).dim
+        weights = ",".join(str(k) for k in range(1, d + 1))
+        for word, start in itertools.product(words, (None, "steady", "mixed", weights)):
+            flag = ["--initial", start] if start else []
+            argvs.append(["wordprob", paths[name], word, *flag])
     return argvs
 
 
