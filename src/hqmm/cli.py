@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, cluster, modelfile, quantum
+from . import analysis, cluster, modelfile
 from .linalg import numerical_rank
 
 
@@ -181,12 +182,10 @@ def cmd_hankel(args, out, err) -> int:
 
 def cmd_convert(args, out, err) -> int:
     model = modelfile.parse_model(_read(args.file))
-    if modelfile.kind_of(model) is not modelfile.KINDS["hmm"]:
+    convert = modelfile.kind_of(model).conversions.get(args.to)
+    if convert is None:
         raise ValueError("convert expects a classical (hmm) model file")
-    if args.to == "hqmm-embed":
-        converted = quantum.embed_classical(model)
-    else:
-        converted = quantum.pure_from_reversible(model)
+    converted = convert(model)
     with _open_output(args.output) as f:
         f.write(modelfile.serialize_model(converted))
     print(f"wrote {args.output}", file=out)
@@ -276,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert a classical model to a quantum one")
     p.add_argument("file")
-    p.add_argument("--to", choices=("hqmm-embed", "hqmm-pure"), required=True)
+    targets = [to for kind in modelfile.KINDS.values() for to in kind.conversions]
+    p.add_argument("--to", choices=targets, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_convert)
 
@@ -306,14 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
         # argparse prints usage errors and --help to sys.stderr and sys.stdout
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 2
         return code

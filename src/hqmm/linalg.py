@@ -453,11 +453,13 @@ def checked_integer(value, what: str) -> int:
 def checked_probability(p: float, what: str) -> float:
     """A computed probability clamped to [0, 1].
 
-    Raises ``ValueError`` when ``p`` is negative beyond numerical noise
-    (below ``TOL.prob_floor``), which signals an invalid model or initial state.
+    Raises ``ValueError`` when ``p`` is negative beyond numerical noise (below
+    ``TOL.prob_floor``) or not finite; either signals an invalid model or start.
     """
     if p < TOL.prob_floor:
         raise ValueError(f"{what} = {p:.3e} is negative beyond numerical noise")
+    if not math.isfinite(p):
+        raise ValueError(f"{what} = {p} is not finite")
     return min(max(p, 0.0), 1.0)
 
 

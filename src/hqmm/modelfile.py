@@ -4,14 +4,13 @@ Complex entries are two-element ``[re, im]`` arrays (bare numbers are read as
 real); matrices are nested row-major arrays. The ``kind`` field selects the
 schema: ``hmm`` (per-symbol transition matrices), ``hqmm`` (per-symbol Kraus
 lists), ``vn`` (projectors plus a unitary), or ``mps`` (site tensors plus
-physical-space projectors), each one entry of the table ``KINDS``. Parsed
-models are run through their validator; failures surface as
-``ModelFileError`` with the offending field named.
+physical-space projectors), each one row of the table ``KINDS``, which
+declares its fields. Parsed models are run through their validator; failures
+surface as ``ModelFileError`` with the offending field named.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from importlib import resources
 from types import ModuleType
@@ -60,15 +59,14 @@ def _number(x, path: str) -> complex:
         _fail(path, "integer too large for a floating-point number")
 
 
-def _size(doc: dict, key: str) -> int:
-    x = _get(doc, key)
+def _size(x, path: str) -> int:
     # bool is an int subclass, and int() would silently truncate 2.7
     if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-        _fail(key, f"expected a positive integer, got {x!r}")
+        _fail(path, f"expected a positive integer, got {x!r}")
     return x
 
 
-def _matrix(rows, path: str, real_only: bool = False) -> np.ndarray:
+def _matrix(rows, path: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         _fail(path, "expected a non-empty array of rows")
     width = len(rows[0])
@@ -78,7 +76,11 @@ def _matrix(rows, path: str, real_only: bool = False) -> np.ndarray:
             _fail(f"{path}[{i}]", f"row has {len(row)} entries, expected {width}")
         for j, x in enumerate(row):
             out[i, j] = _number(x, f"{path}[{i}][{j}]")
-    return _real(out, path) if real_only else out
+    return out
+
+
+def _real_matrix(rows, path: str) -> np.ndarray:
+    return _real(_matrix(rows, path), path)
 
 
 def _vector(entries, path: str) -> np.ndarray:
@@ -109,113 +111,109 @@ def _matrices(raw, path: str) -> list[np.ndarray]:
     return [_matrix(m, f"{path}[{i}]") for i, m in enumerate(raw)]
 
 
-def _symbol_keyed(doc, field: str, alphabet, read: Callable = _matrix) -> dict:
-    """The field ``{symbol: value}``, with each value read by ``read(value, path)``."""
-    raw = _get(doc, field)
-    if not isinstance(raw, dict):
-        _fail(field, "expected an object keyed by symbol")
-    if set(raw) != set(alphabet):
-        _fail(field, f"keys {sorted(raw)} do not match the alphabet {sorted(alphabet)}")
-    return {s: read(raw[s], f'{field}["{s}"]') for s in alphabet}
+def _encode_matrix(m: np.ndarray) -> list:
+    return [[[z.real, z.imag] for z in map(complex, row)] for row in np.asarray(m)]
 
 
-def _encode_matrix(m: np.ndarray, real_only: bool = False):
-    m = np.asarray(m)
-    if real_only:
-        return [[float(x.real) for x in row] for row in m]
-    return [[[z.real, z.imag] for z in map(complex, row)] for row in m]
+def _encode_real(m: np.ndarray) -> list:
+    return [[float(x.real) for x in row] for row in np.asarray(m)]
 
 
-def _encode_symbol_keyed(mats: dict, alphabet, real_only: bool = False) -> dict:
-    return {s: _encode_matrix(mats[s], real_only) for s in alphabet}
+def _encode_matrices(mats) -> list:
+    return [_encode_matrix(m) for m in mats]
 
 
-def _read_hmm(doc, alphabet, dim) -> dict:
-    real_matrix = functools.partial(_matrix, real_only=True)
-    return {"transitions": _symbol_keyed(doc, "transitions", alphabet, real_matrix)}
+class Field(NamedTuple):
+    """One document field of a kind. ``read(value, path)`` gives the model's
+    constructor argument ``keyword``, and ``encode`` writes that attribute
+    back. A ``keyword`` of None marks a ``dimension`` that the model takes from
+    its matrices, checked against and written from ``model.dim``. A
+    ``per_symbol`` field is an object keyed by the alphabet. Only an
+    ``optional`` field may be absent or ``null``, which reads as None."""
+
+    key: str
+    keyword: str | None
+    read: Callable
+    encode: Callable
+    per_symbol: bool = False
+    optional: bool = False
 
 
-def _write_hmm(m: HmmModel) -> dict:
-    return {"transitions": _encode_symbol_keyed(m.transitions, m.alphabet, real_only=True)}
-
-
-def _read_hqmm(doc, alphabet, dim) -> dict:
-    # an empty array is the zero operation: the symbol never occurs
-    return {"dim": dim, "operations": _symbol_keyed(doc, "operations", alphabet, _matrices)}
-
-
-def _write_hqmm(m: HqmmModel) -> dict:
-    return {"operations": {s: [_encode_matrix(k) for k in m.operations[s]] for s in m.alphabet}}
-
-
-def _read_vn(doc, alphabet, dim) -> dict:
-    return {
-        "projectors": _symbol_keyed(doc, "projectors", alphabet),
-        "unitary": _matrix(_get(doc, "unitary"), "unitary"),
-    }
-
-
-def _write_vn(m: VnModel) -> dict:
-    return {
-        "projectors": _encode_symbol_keyed(m.projectors, m.alphabet),
-        "unitary": _encode_matrix(m.unitary),
-    }
-
-
-def _read_mps(doc, alphabet, dim) -> dict:
-    return {
-        "bond_dim": _size(doc, "bond_dimension"),
-        "phys_dim": _size(doc, "physical_dimension"),
-        "tensors": _matrices(_get(doc, "tensors"), "tensors"),
-        "projectors": _symbol_keyed(doc, "projectors", alphabet),
-    }
-
-
-def _write_mps(m: MpsModel) -> dict:
-    return {
-        "bond_dimension": m.bond_dim,
-        "physical_dimension": m.phys_dim,
-        "tensors": [_encode_matrix(v) for v in m.tensors],
-        "projectors": _encode_symbol_keyed(m.projectors, m.alphabet),
-    }
-
-
-# the optional start state of a kind: (field, parse, encode)
-_PRIOR = ("prior", _vector, lambda p: [float(x) for x in p])
-_INITIAL = ("initial", _matrix, _encode_matrix)
+_DIMENSION = Field("dimension", None, _size, int)
+_PROJECTORS = Field("projectors", "projectors", _matrix, _encode_matrix, per_symbol=True)
+_INITIAL = Field("initial", "initial", _matrix, _encode_matrix, optional=True)
 
 
 class Kind(NamedTuple):
-    """One model kind. ``read(doc, alphabet, dimension)`` gives the model's
-    keywords for the kind's own fields, ``write(model)`` their encoding in
-    document order. A ``sized`` kind's ``dimension`` field is checked against
-    ``model.dim``. ``operational`` reduces a model to one whose kind's ``core``
-    (``classical`` or ``quantum``) gives its steady state and linear representation."""
+    """One model kind, whose document fields and ``convert`` targets are each
+    declared once, in its ``KINDS`` row. ``fields`` follow ``kind`` and
+    ``alphabet`` in document order; ``conversions`` maps a ``convert --to``
+    target to its function. ``operational`` reduces a model to one whose kind's
+    ``core`` (``classical`` or ``quantum``) gives its steady state and linear
+    representation."""
 
     name: str
     model: type
-    read: Callable
-    write: Callable
+    fields: tuple[Field, ...]
     validate: Callable
-    start: tuple = _INITIAL
-    sized: bool = True
     operational: Callable = lambda model: model
     core: ModuleType | None = None
+    conversions: dict[str, Callable] = {}
 
 
 KINDS = {
     kind.name: kind
     for kind in (
-        Kind("hmm", HmmModel, _read_hmm, _write_hmm, classical.validate_hmm, _PRIOR, core=classical),
-        Kind("hqmm", HqmmModel, _read_hqmm, _write_hqmm, quantum.validate_hqmm, core=quantum),
-        Kind("vn", VnModel, _read_vn, _write_vn, quantum.validate_vn, operational=VnModel.to_hqmm),
+        Kind(
+            "hmm",
+            HmmModel,
+            (
+                _DIMENSION,
+                Field("transitions", "transitions", _real_matrix, _encode_real, per_symbol=True),
+                Field("prior", "prior", _vector, lambda p: [float(x) for x in p], optional=True),
+            ),
+            classical.validate_hmm,
+            core=classical,
+            conversions={
+                "hqmm-embed": quantum.embed_classical,
+                "hqmm-pure": quantum.pure_from_reversible,
+            },
+        ),
+        Kind(
+            "hqmm",
+            HqmmModel,
+            (
+                Field("dimension", "dim", _size, int),
+                # an empty array is the zero operation: the symbol never occurs
+                Field("operations", "operations", _matrices, _encode_matrices, per_symbol=True),
+                _INITIAL,
+            ),
+            quantum.validate_hqmm,
+            core=quantum,
+        ),
+        Kind(
+            "vn",
+            VnModel,
+            (
+                _DIMENSION,
+                _PROJECTORS,
+                Field("unitary", "unitary", _matrix, _encode_matrix),
+                _INITIAL,
+            ),
+            quantum.validate_vn,
+            operational=VnModel.to_hqmm,
+        ),
         Kind(
             "mps",
             MpsModel,
-            _read_mps,
-            _write_mps,
+            (
+                Field("bond_dimension", "bond_dim", _size, int),
+                Field("physical_dimension", "phys_dim", _size, int),
+                Field("tensors", "tensors", _matrices, _encode_matrices),
+                _PROJECTORS,
+                _INITIAL,
+            ),
             mps.validate_mps,
-            sized=False,
             operational=mps.mps_to_hqmm,
         ),
     )
@@ -226,6 +224,20 @@ _KIND_OF_TYPE = {kind.model: kind for kind in KINDS.values()}
 def kind_of(model) -> Kind | None:
     """The ``KINDS`` entry of ``type(model)``, or None for any other type."""
     return _KIND_OF_TYPE.get(type(model))
+
+
+def _read_field(doc: dict, field: Field, alphabet):
+    key = field.key
+    if field.optional and doc.get(key) is None:
+        return None
+    raw = _get(doc, key)
+    if not field.per_symbol:
+        return field.read(raw, key)
+    if not isinstance(raw, dict):
+        _fail(key, "expected an object keyed by symbol")
+    if set(raw) != set(alphabet):
+        _fail(key, f"keys {sorted(raw)} do not match the alphabet {sorted(alphabet)}")
+    return {s: field.read(raw[s], f'{key}["{s}"]') for s in alphabet}
 
 
 def parse_model(text: str, validate: bool = True):
@@ -247,18 +259,16 @@ def parse_model(text: str, validate: bool = True):
     if kind is None:
         _fail("kind", f"unknown kind {name!r}; expected one of {tuple(KINDS)}")
     alphabet = _alphabet(doc)
-    field, parse_start, _ = kind.start
     try:
-        dim = _size(doc, "dimension") if kind.sized else None
-        fields = kind.read(doc, alphabet, dim)
-        start = doc.get(field)
-        fields[field] = parse_start(start, field) if start is not None else None
+        values = [(field, _read_field(doc, field, alphabet)) for field in kind.fields]
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):
             _fail("metadata", "expected an object")
-        model = kind.model(alphabet=alphabet, **fields, metadata=metadata)
-        if kind.sized and dim != model.dim:
-            _fail("dimension", f"{dim} does not match the {model.dim} x {model.dim} matrices")
+        keywords = {field.keyword: value for field, value in values if field.keyword}
+        model = kind.model(alphabet=alphabet, **keywords, metadata=metadata)
+        for field, value in values:
+            if field.keyword is None and value != model.dim:
+                _fail(field.key, f"{value} does not match the {model.dim} x {model.dim} matrices")
         problems = kind.validate(model) if validate else []
     except (ValueError, TypeError) as e:
         # a ModelFileError passes through with its text unchanged
@@ -276,12 +286,12 @@ def serialize_model(model) -> str:
     if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     doc = {"kind": kind.name, "alphabet": list(model.alphabet)}
-    if kind.sized:
-        doc["dimension"] = model.dim
-    doc.update(kind.write(model))
-    field, _, encode = kind.start
-    if getattr(model, field) is not None:
-        doc[field] = encode(getattr(model, field))
+    for field in kind.fields:
+        value = getattr(model, field.keyword or "dim")
+        if field.per_symbol:
+            doc[field.key] = {s: field.encode(value[s]) for s in model.alphabet}
+        elif value is not None or not field.optional:
+            doc[field.key] = field.encode(value)
     if model.metadata:
         doc["metadata"] = model.metadata
     return json.dumps(doc, indent=2) + "\n"

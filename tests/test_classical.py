@@ -150,6 +150,15 @@ def test_word_probability_negative_beyond_noise_raises(even):
         word_probability(even, "0", initial=[-1.0, 0.0])
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_word_probability_refuses_a_non_finite_value(entry):
+    """A non-finite entry of a model that fails validation gave ``nan`` or,
+    clamped, ``1.0``."""
+    m = HmmModel(("0", "1"), {"0": np.array([[entry]]), "1": np.array([[0.5]])})
+    with pytest.raises(ValueError, match=rf"^word probability = {entry} is not finite$"):
+        word_probability(m, "0", initial=[1.0])
+
+
 def test_word_probability_tiny_negative_clamps_to_zero(even):
     assert word_probability(even, "0", initial=[-1e-12, 1.0]) == 0.0
 

@@ -57,6 +57,15 @@ def test_wordprob_initial_options(paths):
     assert out.strip() == "0.250000000000"
 
 
+def test_one_parser_per_process_keeps_no_flag_between_calls(paths):
+    """``main`` parses every call with one parser; a call without ``--initial``
+    after one with it still starts from the stationary state, P(0) = 1/3."""
+    even = paths["even_process"]
+    assert run(["wordprob", even, "0", "--initial", "mixed"])[1] == "0.250000000000\n"
+    assert run(["wordprob", even, "0"])[1] == "0.333333333333\n"
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_wordprob_unknown_symbol_is_usage_error(paths):
     code, out, err = run(["wordprob", paths["even_process"], "012"])
     assert code == 2

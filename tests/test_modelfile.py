@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqmm.classical import HmmModel
+from hqmm.cluster import MeasurementBasis
 from hqmm.modelfile import (
     BUNDLED_MODELS,
     KINDS,
@@ -19,7 +21,7 @@ from hqmm.modelfile import (
     parse_word,
     serialize_model,
 )
-from hqmm.mps import MpsModel, mps_to_hqmm
+from hqmm.mps import MpsModel, cluster_mps, mps_to_hqmm
 from hqmm.quantum import HqmmModel, VnModel
 
 from conftest import random_density, random_hmm, random_mps, random_unitary
@@ -532,3 +534,141 @@ def _bundled_with_one_node_replaced(draw):
 @given(doc=_bundled_with_one_node_replaced())
 def test_bundled_documents_with_a_generated_node_are_refused_or_roundtrip(doc):
     _assert_refused_or_roundtrips(doc)
+
+
+_REPLACEMENTS = (None, "x", [], {})
+# the outcome of replacing one field of a document with each of _REPLACEMENTS
+# in turn: the message it is refused with, or None where it still parses
+_REPLACED_FIELD_OUTCOMES = {
+    ("four_state", "dimension"): (
+        "dimension: expected a positive integer, got None",
+        "dimension: expected a positive integer, got 'x'",
+        "dimension: expected a positive integer, got []",
+        "dimension: expected a positive integer, got {}",
+    ),
+    ("four_state", "transitions"): (
+        "transitions: expected an object keyed by symbol",
+        "transitions: expected an object keyed by symbol",
+        "transitions: expected an object keyed by symbol",
+        "transitions: keys [] do not match the alphabet ['0', '1', '2', '3']",
+    ),
+    ("four_state", "prior"): (
+        None,
+        "prior: expected a non-empty array",
+        "prior: expected a non-empty array",
+        "prior: expected a non-empty array",
+    ),
+    ("four_symbol_hqmm", "dimension"): (
+        "dimension: expected a positive integer, got None",
+        "dimension: expected a positive integer, got 'x'",
+        "dimension: expected a positive integer, got []",
+        "dimension: expected a positive integer, got {}",
+    ),
+    ("four_symbol_hqmm", "operations"): (
+        "operations: expected an object keyed by symbol",
+        "operations: expected an object keyed by symbol",
+        "operations: expected an object keyed by symbol",
+        "operations: keys [] do not match the alphabet ['0', '1', '2', '3']",
+    ),
+    ("four_symbol_hqmm", "initial"): (
+        None,
+        "initial: expected a non-empty array of rows",
+        "initial: expected a non-empty array of rows",
+        "initial: expected a non-empty array of rows",
+    ),
+    ("even_process_vn", "dimension"): (
+        "dimension: expected a positive integer, got None",
+        "dimension: expected a positive integer, got 'x'",
+        "dimension: expected a positive integer, got []",
+        "dimension: expected a positive integer, got {}",
+    ),
+    ("even_process_vn", "projectors"): (
+        "projectors: expected an object keyed by symbol",
+        "projectors: expected an object keyed by symbol",
+        "projectors: expected an object keyed by symbol",
+        "projectors: keys [] do not match the alphabet ['0', '1']",
+    ),
+    ("even_process_vn", "unitary"): (
+        "unitary: expected a non-empty array of rows",
+        "unitary: expected a non-empty array of rows",
+        "unitary: expected a non-empty array of rows",
+        "unitary: expected a non-empty array of rows",
+    ),
+    ("even_process_vn", "initial"): (
+        None,
+        "initial: expected a non-empty array of rows",
+        "initial: expected a non-empty array of rows",
+        "initial: expected a non-empty array of rows",
+    ),
+    ("cluster_mps", "bond_dimension"): (
+        "bond_dimension: expected a positive integer, got None",
+        "bond_dimension: expected a positive integer, got 'x'",
+        "bond_dimension: expected a positive integer, got []",
+        "bond_dimension: expected a positive integer, got {}",
+    ),
+    ("cluster_mps", "physical_dimension"): (
+        "physical_dimension: expected a positive integer, got None",
+        "physical_dimension: expected a positive integer, got 'x'",
+        "physical_dimension: expected a positive integer, got []",
+        "physical_dimension: expected a positive integer, got {}",
+    ),
+    ("cluster_mps", "tensors"): (
+        "tensors: expected an array of matrices",
+        "tensors: expected an array of matrices",
+        "need one tensor per physical level: got 0, expected 2",
+        "tensors: expected an array of matrices",
+    ),
+    ("cluster_mps", "projectors"): (
+        "projectors: expected an object keyed by symbol",
+        "projectors: expected an object keyed by symbol",
+        "projectors: expected an object keyed by symbol",
+        "projectors: keys [] do not match the alphabet ['0', '1']",
+    ),
+    ("cluster_mps", "initial"): (
+        None,
+        "initial: expected a non-empty array of rows",
+        "initial: expected a non-empty array of rows",
+        "initial: expected a non-empty array of rows",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, field", list(_REPLACED_FIELD_OUTCOMES))
+def test_every_field_replaced_by_a_wrong_value_gives_its_own_message(name, field):
+    """Every field of every kind, given ``null``, a string, an empty array or
+    an empty object. Only the optional start state reads ``null`` as absent: a
+    required field given ``null`` is read, and refused in its own words."""
+    if name == "cluster_mps":
+        doc = json.loads(serialize_model(cluster_mps(MeasurementBasis(phi=math.pi / 4, xi=0.0))))
+    else:
+        doc = BUNDLED_DOCS[name]
+    for value, message in zip(_REPLACEMENTS, _REPLACED_FIELD_OUTCOMES[name, field]):
+        text = json.dumps(dict(doc, **{field: value}))
+        if message is None:
+            parse_model(text)
+        else:
+            with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+                parse_model(text)
+
+
+# sha256 of the documents of kinds whose bytes no bundled file pins
+_SERIALIZED_DIGESTS = {
+    "mps-initial": "73101ba4006134eeaced7b288e801102394596c21c500ad222d03ee340fd952e",
+    "mps": "f2ec380b01d79d9f0b093ffb82c3909e3b92d686d9252ab468d95eb6c1d34264",
+    "vn-initial": "d7d4d72230e429dbe2f455edd5736fa981a0a960eb64f5c11235fde1ab90c654",
+}
+
+
+@pytest.mark.parametrize("name", list(_SERIALIZED_DIGESTS))
+def test_serialized_documents_keep_their_bytes(name):
+    """An MPS readout with and without its start state, and a vn model with
+    one; every entry is exact in binary, so the digests hold on any platform."""
+    readout = cluster_mps(MeasurementBasis(phi=0.0, xi=0.0))
+    rho = np.array([[0.5, 0.25j, 0.0], [-0.25j, 0.25, 0.0], [0.0, 0.0, 0.25]])
+    model = {
+        "mps-initial": readout,
+        "mps": replace(readout, initial=None),
+        "vn-initial": replace(load_bundled("even_process_vn"), initial=rho),
+    }[name]
+    text = serialize_model(model)
+    assert hashlib.sha256(text.encode()).hexdigest() == _SERIALIZED_DIGESTS[name]

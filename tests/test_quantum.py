@@ -151,6 +151,17 @@ def test_word_probability_negative_initial(four_symbol):
     assert word_probability(four_symbol, "0", initial=np.diag([-1e-12, 1.0])) == 0.0
 
 
+def test_probabilities_refuse_a_non_finite_value():
+    """A Kraus entry of 1e200 overflows the state; the probabilities were ``nan``."""
+    m = HqmmModel(("0", "1"), 1, {"0": [np.array([[1e200 + 0j]])], "1": [np.eye(1) / 2]})
+    rho = np.eye(1, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^word probability = \S+ is not finite$"):
+            word_probability(m, "0", initial=rho)
+        with pytest.raises(ValueError, match=r"^P\(0\) = \S+ is not finite$"):
+            symbol_probability(m, "0", rho)
+
+
 def test_vn_generator_even_language(even, even_vn):
     model = even_vn.to_hqmm()
     assert model.dim == 3

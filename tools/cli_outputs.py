@@ -37,7 +37,9 @@ entry and in a prior entry, and on ``four_symbol_hqmm`` with a finite Kraus
 entry whose gram overflows. Last, ``wordprob`` on two words of non-zero
 probability for every bundled model and the four MPS readouts, each from
 the model's own start, ``--initial steady``, ``--initial mixed`` and
-``--initial 1,2,...,d``. Commands
+``--initial 1,2,...,d``. Then ``convert`` from a ``vn`` and from an MPS
+model file, which have no conversions, and to the unknown target ``mps``,
+whose usage line lists the targets of the kind table in its order. Commands
 run in-process through ``hqmm.cli.main``, from inside a temporary directory,
 so that the ``wrote <path>`` lines name a relative path. ``tools/cli_outputs.txt`` records the
 output; to check that a change leaves every printed byte as it was, diff
@@ -478,6 +480,11 @@ def commands(workdir: Path) -> list[list[str]]:
         for word, start in itertools.product(words, (None, "steady", "mixed", weights)):
             flag = ["--initial", start] if start else []
             argvs.append(["wordprob", paths[name], word, *flag])
+    argvs += [
+        ["convert", paths["even_process_vn"], "--to", "hqmm-embed", "-o", "from-vn.json"],
+        ["convert", paths["mps-D2"], "--to", "hqmm-pure", "-o", "from-mps.json"],
+        ["convert", paths["even_process"], "--to", "mps", "-o", "to-mps.json"],
+    ]
     return argvs
 
 
