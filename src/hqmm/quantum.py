@@ -42,7 +42,8 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class HqmmModel:
-    """Alphabet plus per-symbol Kraus operator lists over a d-level system."""
+    """Alphabet plus per-symbol Kraus operator lists over a d-level system;
+    ``operations[s]`` holds read-only views of the model's own copy of them."""
 
     alphabet: tuple[str, ...]
     dim: int
@@ -61,26 +62,24 @@ class HqmmModel:
             s: [checked_square(k, d, f"Kraus operator for {s!r}") for k in self.operations[s]]
             for s in alphabet
         }
-        # the d x d stacks and grams come only after every shape is checked and
-        # an operator is found, so that empty lists cannot allocate them for any d
+        # the d x d stacks come only after every shape is checked and an
+        # operator is found, so that empty lists cannot allocate them for any d
         if not any(ops.values()):
             raise ValueError("operations: expected at least one Kraus operator")
-        flats = {}
-        adjoints = {}
-        grams = {}
+        flats, adjoints = {}, {}
         for s, mats in ops.items():
             stack = np.stack(mats) if mats else np.zeros((0, d, d), dtype=complex)
+            stack.flags.writeable = False
             k = stack.shape[0]
+            ops[s] = list(stack)
             flats[s] = stack.transpose(1, 2, 0).reshape(d, d * k)
             adjoints[s] = stack.conj().transpose(2, 0, 1).reshape(d, k * d)
-            grams[s] = np.einsum("kba,kbc->ac", stack.conj(), stack)
         object.__setattr__(self, "operations", ops)
-        # private per-symbol Kraus stacks for ``apply_symbol``: ``_flats[s]``
-        # holds K_i[c, a] at [c, a k + i] and ``_adjoints[s]`` holds
-        # K_i^dag[e, b] at [e, i d + b]; and the sum_i K^dag K grams
+        # private per-symbol Kraus stacks for ``apply_symbol``, read from the
+        # same stack as ``operations``: ``_flats[s]`` holds K_i[c, a] at
+        # [c, a k + i] and ``_adjoints[s]`` holds K_i^dag[e, b] at [e, i d + b]
         object.__setattr__(self, "_flats", flats)
         object.__setattr__(self, "_adjoints", adjoints)
-        object.__setattr__(self, "_grams", grams)
         if self.initial is not None:
             object.__setattr__(self, "initial", checked_initial(self.initial, d))
 
@@ -128,7 +127,8 @@ def validate_hqmm(m: HqmmModel) -> list[Violation]:
     d = m.dim
     total = np.zeros((d, d), dtype=complex)
     for s in m.alphabet:
-        gram = m._grams[s]
+        stack = np.array(m.operations[s], dtype=complex).reshape(-1, d, d)
+        gram = np.einsum("kba,kbc->ac", stack.conj(), stack)
         total = total + gram
         # finite Kraus entries past about 1e154 overflow the gram
         if not np.isfinite(gram).all():
@@ -165,20 +165,26 @@ def resolve_initial(m: HqmmModel, initial=None) -> np.ndarray:
     return steady_state(m)[0]
 
 
+def _outcome(m: HqmmModel, symbol: str, rho) -> tuple[np.ndarray, float]:
+    """``K_s rho`` and its unclamped trace ``P(s)``; raises ``ValueError``
+    ``P(s) = ... is not finite`` when the operation overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = apply_symbol(m, symbol, np.asarray(rho, dtype=complex))
+        p = float(np.trace(sigma).real)
+    if not np.isfinite(p):
+        raise ValueError(f"P({symbol}) = {p} is not finite")
+    return sigma, p
+
+
 def symbol_probability(m: HqmmModel, symbol: str, rho) -> float:
-    """``tr[K_s rho]``, clamped to [0, 1]."""
-    sigma = apply_symbol(m, symbol, np.asarray(rho, dtype=complex))
-    return checked_probability(float(np.trace(sigma).real), f"P({symbol})")
+    """``tr[K_s rho]``, clamped to [0, 1]; ``ValueError`` if negative or not finite."""
+    return checked_probability(_outcome(m, symbol, rho)[1], f"P({symbol})")
 
 
 def conditional_update(m: HqmmModel, symbol: str, rho) -> np.ndarray:
-    """Post-measurement state ``K_s rho / tr[K_s rho]``.
-
-    Raises ``ValueError`` when the outcome probability is at or below the
-    impossibility threshold.
-    """
-    sigma = apply_symbol(m, symbol, np.asarray(rho, dtype=complex))
-    p = float(np.trace(sigma).real)
+    """Post-measurement state ``K_s rho / tr[K_s rho]``; raises ``ValueError``
+    when the outcome probability is not finite or at most ``TOL.impossible``."""
+    sigma, p = _outcome(m, symbol, rho)
     if p <= TOL.impossible:
         raise ValueError(
             f"cannot condition on symbol {symbol!r}: outcome probability {p:.3e}"
@@ -203,9 +209,12 @@ def linear_representation(m: HqmmModel, initial=None) -> tuple[np.ndarray, np.nd
 def word_probability(m: HqmmModel, word: Iterable[str], initial=None) -> float:
     """``tr[K_{s_n} ... K_{s_1} rho]`` with ``s_1`` the earliest symbol."""
     sigma = resolve_initial(m, initial)
-    for s in word:
-        sigma = apply_symbol(m, s, sigma)
-    return checked_probability(float(np.trace(sigma).real), "word probability")
+    # an overflowing operation is refused by name below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in word:
+            sigma = apply_symbol(m, s, sigma)
+        p = float(np.trace(sigma).real)
+    return checked_probability(p, "word probability")
 
 
 def coherence_check(m: HqmmModel, words: Iterable[Iterable[str]], initial=None) -> float:
@@ -215,7 +224,7 @@ def coherence_check(m: HqmmModel, words: Iterable[Iterable[str]], initial=None) 
     state, pruning branches whose probability falls below the impossibility
     threshold. Diagonally embedded classical models return 0 up to round-off
     from any starting state; models with genuinely quantum dynamics generally
-    do not.
+    do not. Raises ``ValueError`` when an outcome probability is not finite.
     """
     rho0 = resolve_initial(m, initial)
     off = ~np.eye(m.dim, dtype=bool)
@@ -223,8 +232,7 @@ def coherence_check(m: HqmmModel, words: Iterable[Iterable[str]], initial=None) 
     for word in words:
         rho = rho0
         for s in word:
-            sigma = apply_symbol(m, s, rho)
-            p = float(np.trace(sigma).real)
+            sigma, p = _outcome(m, s, rho)
             if p <= TOL.impossible:
                 break
             rho = hermitize(sigma / p)

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from hqmm import modelfile
+from hqmm import cluster, modelfile, quantum
 from hqmm.classical import HmmModel
-from hqmm.mps import MpsModel
+from hqmm.mps import MpsModel, mps_to_hqmm
 
 # every property test draws the same examples on each run, keeps no example
 # database and has no per-example deadline, since timings vary with load;
@@ -78,4 +81,21 @@ def random_mps(rng, bond_dim, phys_dim) -> MpsModel:
         tensors=tensors,
         projectors=projectors,
         initial=random_density(rng, bond_dim),
+    )
+
+
+@st.composite
+def kraus_models(draw):
+    """An MPS readout (D = 2-8), an embedded random HMM (1-6 states) or the
+    cluster readout at generated angles, as an ``HqmmModel``."""
+    kind = draw(st.sampled_from(("mps", "embedded", "cluster")))
+    if kind == "cluster":
+        phi = draw(st.floats(0.0, math.pi, exclude_max=True))
+        xi = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+        return cluster.cluster_kraus(cluster.MeasurementBasis(phi, xi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "mps":
+        return mps_to_hqmm(random_mps(rng, draw(st.integers(2, 8)), draw(st.integers(2, 3))))
+    return quantum.embed_classical(
+        random_hmm(rng, draw(st.integers(1, 6)), draw(st.integers(1, 3)))
     )

@@ -32,7 +32,7 @@ from hqmm.linalg import (
     vec,
 )
 
-from conftest import random_density, random_hmm, random_mps, random_unitary
+from conftest import kraus_models, random_density, random_hmm, random_mps, random_unitary
 
 
 def apply_kraus(kraus, rho):
@@ -461,26 +461,9 @@ def test_check_projector_set_rejects_non_orthogonal():
 KRAUS_SETTINGS = settings(max_examples=40)
 
 
-@st.composite
-def kraus_maps(draw):
-    """The flat Kraus list of an MPS readout (D = 2-8), of an embedded
-    random HMM (1-6 states) or of the cluster readout at generated angles."""
-    kind = draw(st.sampled_from(("mps", "embedded", "cluster")))
-    if kind == "cluster":
-        phi = draw(st.floats(0.0, math.pi, exclude_max=True))
-        xi = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
-        model = cluster.cluster_kraus(cluster.MeasurementBasis(phi, xi))
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        if kind == "mps":
-            model = mps.mps_to_hqmm(
-                random_mps(rng, draw(st.integers(2, 8)), draw(st.integers(2, 3)))
-            )
-        else:
-            model = quantum.embed_classical(
-                random_hmm(rng, draw(st.integers(1, 6)), draw(st.integers(1, 3)))
-            )
-    return [k for s in model.alphabet for k in model.operations[s]]
+def kraus_maps():
+    """The flat Kraus list of a ``kraus_models`` model."""
+    return kraus_models().map(lambda m: [k for s in m.alphabet for k in m.operations[s]])
 
 
 @KRAUS_SETTINGS

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from hqmm import analysis, classical, cluster
 from hqmm.classical import HmmModel
+from hqmm.config import TOL
 from hqmm.linalg import transfer_matrix, vec
 from hqmm.mps import MpsModel, mps_to_hqmm
 from hqmm.quantum import (
@@ -29,7 +30,7 @@ from hqmm.quantum import (
     word_probability,
 )
 
-from conftest import random_density, random_hmm, random_unitary
+from conftest import kraus_models, random_density, random_hmm, random_unitary
 
 
 def test_validate_cluster_pair():
@@ -160,6 +161,68 @@ def test_probabilities_refuse_a_non_finite_value():
             word_probability(m, "0", initial=rho)
         with pytest.raises(ValueError, match=r"^P\(0\) = \S+ is not finite$"):
             symbol_probability(m, "0", rho)
+
+
+@pytest.mark.parametrize(
+    "evaluate, message",
+    [
+        (lambda m, rho: word_probability(m, "0", initial=rho), r"word probability"),
+        (lambda m, rho: symbol_probability(m, "0", rho), r"P\(0\)"),
+        (lambda m, rho: conditional_update(m, "0", rho), r"P\(0\)"),
+        (lambda m, rho: coherence_check(m, [("1", "0")], initial=rho), r"P\(0\)"),
+    ],
+    ids=["word_probability", "symbol_probability", "conditional_update", "coherence_check"],
+)
+def test_an_overflowing_operation_is_named_without_a_warning(evaluate, message):
+    """With overflow warnings errors, every call raised ``RuntimeWarning``;
+    without, ``conditional_update`` returned a ``nan`` state and
+    ``coherence_check`` returned 0."""
+    m = HqmmModel(("0", "1"), 1, {"0": [np.array([[1e200 + 0j]])], "1": [np.eye(1) / 2]})
+    with pytest.raises(ValueError, match=rf"^{message} = \S+ is not finite$"):
+        evaluate(m, np.eye(1, dtype=complex))
+
+
+def test_a_callers_later_change_to_its_kraus_arrays_does_not_reach_the_model():
+    """The model kept the caller's arrays for ``transfer`` and serialization
+    but copies made at construction for ``apply_symbol`` and validation, so
+    a later change reached some results and not others."""
+    source = cluster.cluster_kraus(cluster.MeasurementBasis(1.1, 0.4))
+    mine = {s: [k.copy() for k in source.operations[s]] for s in source.alphabet}
+    m = HqmmModel(source.alphabet, 2, mine)
+    untouched = HqmmModel(source.alphabet, 2, source.operations)
+    mine["0"][0] *= 0.5
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    rep, plain = (analysis.linear_representation(x, initial=rho) for x in (m, untouched))
+    for word in ["0", "1", "01", "110"]:
+        p = word_probability(untouched, word, initial=rho)
+        assert word_probability(m, word, initial=rho) == p
+        assert rep.probability(word, m.alphabet) == plain.probability(word, m.alphabet)
+    assert validate_hqmm(m) == validate_hqmm(untouched) == []
+    state, unique = steady_state(m)
+    assert unique and np.array_equal(state, steady_state(untouched)[0])
+
+
+def test_kraus_operators_are_read_only_views_of_one_stack_per_symbol():
+    m = HqmmModel(("a", "b"), 2, {"a": [np.eye(2) / 2, np.eye(2) / 2], "b": [np.eye(2) / 2]})
+    for s in m.alphabet:
+        assert all(not k.flags.writeable for k in m.operations[s])
+        assert all(k.base is m.operations[s][0].base for k in m.operations[s])
+    with pytest.raises(ValueError, match="read-only"):
+        m.operations["a"][0][0, 0] = 1.0
+
+
+@settings(max_examples=40)
+@given(model=kraus_models(), seed=st.integers(0, 2**32 - 1))
+def test_one_symbol_step_agrees_with_the_word_walk(model, seed):
+    """``symbol_probability`` is the one-symbol ``word_probability`` bit for
+    bit, and ``conditional_update`` returns a unit-trace state for every
+    symbol that can be conditioned on."""
+    rho = random_density(np.random.default_rng(seed), model.dim)
+    for s in model.alphabet:
+        p = symbol_probability(model, s, rho)
+        assert p == word_probability(model, (s,), initial=rho)
+        if p > TOL.impossible:
+            assert abs(np.trace(conditional_update(model, s, rho)).real - 1.0) <= 1e-12
 
 
 def test_vn_generator_even_language(even, even_vn):
