@@ -55,21 +55,23 @@ class Representation(NamedTuple):
 def linear_representation(model, initial=None) -> Representation:
     """``(mats, v0, d)`` with ``P(s_1 ... s_n) = <1| A_{s_n} ... A_{s_1} v0``.
 
-    ``mats`` stacks one D x D matrix ``A_s`` per symbol in alphabet order and
-    ``<1|`` is the sum of the first ``d`` coordinates. A classical model gives
-    its ``T_s`` and resolved initial distribution (``D = d``). A quantum model
+    The one join of a kind's ``core.operators`` (``mats``, one D x D ``A_s``
+    per symbol in alphabet order) and ``core.start_vector`` (``v0``: the
+    ``initial`` start, else the model's own, else the stationary state), with
+    ``d = model.dim``; ``<1|`` sums the first ``d`` coordinates. A classical
+    model gives its ``T_s`` and its distribution (``D = d``). A quantum model
     gives its operations in the real Hermitian basis of
     ``linalg.hermitian_basis`` (``D = d^2``), whose first ``d`` coordinates
-    are the diagonal, so ``<1|`` is the trace. Each operation's matrix is
-    ``linalg.hermitian_real_form`` of its transfer matrix, gathered in
-    O(d^4) without forming the basis, and ``v0`` is
-    ``linalg.hermitian_coordinates`` of the resolved initial state. Raises
-    ``ValueError`` when any entry of ``mats`` or ``v0`` is not finite.
+    are the diagonal, so ``<1|`` is the trace: each ``A_s`` is
+    ``linalg.hermitian_real_form`` of its transfer matrix, gathered in O(d^4)
+    without forming the basis, and ``v0`` is ``linalg.hermitian_coordinates``
+    of the state. Raises ``ValueError`` when an entry of either is not finite.
     """
     kind = modelfile.kind_of(model)
     if kind is None or kind.core is None:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    return Representation(*kind.core.linear_representation(model, initial))
+    mats = kind.core.operators(model)
+    return Representation(mats, kind.core.start_vector(model, initial), model.dim)
 
 
 def _checked_length(length, what: str = "word length") -> int:

@@ -139,11 +139,12 @@ def resolve_initial(m: HmmModel, initial=None) -> np.ndarray:
     return _finite(p, "initial distribution")
 
 
-def linear_representation(m: HmmModel, initial=None) -> tuple[np.ndarray, np.ndarray, int]:
-    """The ``T_s`` stacked in alphabet order, the resolved initial
-    distribution and ``n_states``; see ``analysis.linear_representation``."""
-    mats = _finite(np.stack([m.transitions[s] for s in m.alphabet]), "transition matrices")
-    return mats, resolve_initial(m, initial), m.n_states
+def operators(m: HmmModel) -> np.ndarray:
+    """The ``T_s`` stacked in alphabet order; see ``analysis.linear_representation``."""
+    return _finite(np.stack([m.transitions[s] for s in m.alphabet]), "transition matrices")
+
+
+start_vector = resolve_initial
 
 
 def word_probability(

@@ -65,15 +65,13 @@ def _open_output(path: str):
 def _representation(text: str | None, model) -> analysis.Representation:
     """The model's representation from the start ``--initial`` names, by default
     its own, else the stationary one. Weights are the first ``d`` coordinates."""
-    if text is None:
-        return analysis.linear_representation(model)
-    if text == "steady":
-        steady = modelfile.kind_of(model).core.steady_state(model)[0]
-        return analysis.linear_representation(model, steady)
+    core = modelfile.kind_of(model).core
+    if text is None or text == "steady":
+        return analysis.linear_representation(model, core.steady_state(model)[0] if text else None)
     d = model.dim
     weights = np.full(d, 1.0 / d) if text in ("mixed", "uniform") else _weights(text, d)
-    rep = analysis.linear_representation(model)
-    return rep._replace(v0=np.concatenate([weights, np.zeros(rep.v0.size - d)]))
+    mats = core.operators(model)
+    return analysis.Representation(mats, np.concatenate([weights, np.zeros(mats.shape[1] - d)]), d)
 
 
 def _weights(text: str, d: int) -> np.ndarray:
@@ -193,7 +191,10 @@ def cmd_convert(args, out, err) -> int:
 
 
 def cmd_cluster(args, out, err) -> int:
-    basis = cluster.MeasurementBasis(phi=args.phi, xi=args.xi)
+    try:
+        basis = cluster.MeasurementBasis(phi=args.phi, xi=args.xi)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     model = cluster.cluster_kraus(basis)
     if args.cluster_cmd == "kraus":
         for s in model.alphabet:

@@ -149,8 +149,8 @@ class Kind(NamedTuple):
     declared once, in its ``KINDS`` row. ``fields`` follow ``kind`` and
     ``alphabet`` in document order; ``conversions`` maps a ``convert --to``
     target to its function. ``operational`` reduces a model to one whose kind's
-    ``core`` (``classical`` or ``quantum``) gives its steady state and linear
-    representation."""
+    ``core`` (``classical`` or ``quantum``) gives its steady state, operators
+    and start vector, joined by ``analysis.linear_representation``."""
 
     name: str
     model: type

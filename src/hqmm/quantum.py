@@ -192,18 +192,19 @@ def conditional_update(m: HqmmModel, symbol: str, rho) -> np.ndarray:
     return hermitize(sigma / p)
 
 
-def linear_representation(m: HqmmModel, initial=None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Each operation in the real Hermitian basis, the coordinates of the
-    resolved initial state and ``dim``; see ``analysis.linear_representation``."""
-    d = m.dim
-    mats = np.stack(
-        [
-            hermitian_real_form(transfer_matrix(ops)) if ops else np.zeros((d * d, d * d))
-            for ops in (m.operations[s] for s in m.alphabet)
-        ]
-    )
-    v0 = hermitian_coordinates(resolve_initial(m, initial))
-    return _finite(mats, "operation matrices"), _finite(v0, "initial state"), d
+def operators(m: HqmmModel) -> np.ndarray:
+    """Each operation in the real Hermitian basis, stacked in alphabet order."""
+    zero = np.zeros((m.dim**2, m.dim**2))
+    forms = [
+        hermitian_real_form(transfer_matrix(ops)) if ops else zero
+        for ops in (m.operations[s] for s in m.alphabet)
+    ]
+    return _finite(np.stack(forms), "operation matrices")
+
+
+def start_vector(m: HqmmModel, initial=None) -> np.ndarray:
+    """The real Hermitian coordinates of the resolved initial state."""
+    return _finite(hermitian_coordinates(resolve_initial(m, initial)), "initial state")
 
 
 def word_probability(m: HqmmModel, word: Iterable[str], initial=None) -> float:

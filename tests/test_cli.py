@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hqmm
-from hqmm import analysis, classical, cli, cluster, modelfile
+from hqmm import analysis, classical, cli, cluster, linalg, modelfile, quantum
 from hqmm.classical import HmmModel
 from hqmm.cli import main
 
@@ -1002,3 +1002,82 @@ def test_argument_vectors_give_named_errors(paths, tmp_path, argv):
     code, out, err = run(_resolve(argv, paths, tmp_path))
     assert code in (0, 1, 2), (argv, err)
     assert code != 0 or "nan" not in out.lower(), (argv, out)
+
+
+def _refuse_stationary_solve(*args, **kwargs):
+    raise AssertionError("a stationary state was solved for")
+
+
+@pytest.mark.parametrize("name", ["even_process", "mps-D3"])
+def test_wordprob_weights_and_mixed_solve_no_stationary_state(paths, tmp_path, monkeypatch, name):
+    """``--initial`` weights or ``mixed`` on a model without a start of its
+    own built the default representation, solving for the stationary state,
+    and then replaced its start. With every stationary solver refusing, they
+    still print what they print with the solvers in place."""
+    if name in paths:
+        path = paths[name]
+    else:
+        path = str(tmp_path / f"{name}.json")
+        Path(path).write_text(modelfile.serialize_model(_mps_readout(7, 3, own_start=False)))
+    model = modelfile.parse_model(Path(path).read_text())
+    assert model.prior is None if name == "even_process" else model.initial is None
+    d = modelfile.kind_of(model).operational(model).dim
+    weights = ",".join(str(k) for k in range(1, d + 1))
+    argvs = [
+        ["wordprob", path, word, "--initial", start]
+        for word in ("0", "011", "01101")
+        for start in (weights, "mixed")
+    ]
+    expected = [run(argv) for argv in argvs]
+    assert all(code == 0 and out != "0.000000000000\n" for code, out, _ in expected)
+    monkeypatch.setattr(classical, "steady_state", _refuse_stationary_solve)
+    monkeypatch.setattr(quantum, "steady_state", _refuse_stationary_solve)
+    monkeypatch.setattr(linalg, "_stationary_vector", _refuse_stationary_solve)
+    assert [run(argv) for argv in argvs] == expected
+
+
+@pytest.mark.parametrize("name", ["even_process", "four_state", "four_symbol_hqmm"])
+def test_wordprob_initial_uniform_is_mixed(paths, name):
+    """README names ``uniform`` as an alias of ``mixed``."""
+    alphabet = modelfile.load_bundled(name).alphabet
+    for word in ("", alphabet[0], "".join(alphabet[::-1])):
+        mixed = run(["wordprob", paths[name], word, "--initial", "mixed"])
+        assert mixed[0] == 0
+        assert run(["wordprob", paths[name], word, "--initial", "uniform"]) == mixed
+
+
+@pytest.mark.parametrize(
+    "phi, xi, tail",
+    [("nan", "0.3", ["h3"]), ("0.3", "inf", ["kraus"]), ("-inf", "nan", ["dist", "-n", "2"])],
+)
+def test_non_finite_cluster_angles_are_usage_errors(phi, xi, tail):
+    """A non-finite angle exited 1, where every other bad flag value, such as
+    a non-finite ``--tol`` or ``--initial`` weight, is a usage error."""
+    argv = ["cluster", f"--phi={phi}", f"--xi={xi}", *tail]
+    assert run(argv) == (2, "", "error: basis angles must be finite\n")
+
+
+def test_cli_outputs_tool_prints_the_committed_record():
+    """``tools/cli_outputs.py`` exits cleanly. On Python 3.11, the version
+    ``tools/cli_outputs.txt`` was recorded on, every warning is an error and it
+    prints that record line for line; elsewhere, as in CI, a RuntimeWarning is."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    recorded = sys.version_info[:2] == (3, 11)
+    warnings = "error" if recorded else "error::RuntimeWarning"
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(hqmm.__file__).parents[1]),
+        OMP_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", warnings, str(tools / "cli_outputs.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if recorded:
+        assert proc.stdout.splitlines() == (tools / "cli_outputs.txt").read_text().splitlines()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqmm import analysis, quantum
@@ -154,3 +154,62 @@ def test_cluster_mps_matches_the_oracle_at_generated_angles(phi, xi, n_qubits):
         for word, p in dist.probabilities.items():
             brute = oracle_word_probability(_oracle(n_qubits), basis, word)
             assert abs(brute - p) <= 1e-12, (word, brute, p)
+
+
+def _many_body_distribution(m: MpsModel, rho0: np.ndarray, n: int) -> dict:
+    """Every length-``n`` word's probability from the chain's statevector,
+    without the reduced Kraus operators: purify ``rho0`` with an ancilla,
+    grow the chain by the isometry ``sum_i |i> (x) V^i`` one site at a time,
+    project each physical leg with its symbol's ``P_s`` and take the squared
+    norm. Axes run site 1 .. site n, bond, ancilla."""
+    weights, vectors = np.linalg.eigh(rho0)
+    psi = vectors * np.sqrt(np.clip(weights, 0.0, None))
+    isometry = np.stack(m.tensors)
+    for _ in range(n):
+        psi = np.einsum("iab,...bc->...iac", isometry, psi)
+    out = {}
+    for word in itertools.product(m.alphabet, repeat=n):
+        phi = psi
+        for site, s in enumerate(word):
+            phi = np.moveaxis(np.tensordot(m.projectors[s], phi, axes=(1, site)), 0, site)
+        out[word] = float(np.vdot(phi, phi).real)
+    return out
+
+
+def _coarse_grained(m: MpsModel) -> MpsModel:
+    """The readout of a 3-level physical space merged into two outcomes: the
+    rank-2 projector onto the first two basis states and its complement."""
+    p = m.projectors
+    return MpsModel(
+        alphabet=("a", "b"),
+        bond_dim=m.bond_dim,
+        phys_dim=m.phys_dim,
+        tensors=m.tensors,
+        projectors={"a": p["0"] + p["1"], "b": p["2"]},
+        initial=m.initial,
+    )
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bond=st.integers(1, 3),
+    phys=st.integers(2, 3),
+    coarse=st.booleans(),
+    stationary=st.booleans(),
+)
+@example(seed=1, bond=2, phys=3, coarse=True, stationary=False)
+@example(seed=2, bond=3, phys=3, coarse=True, stationary=True)
+def test_generated_readouts_match_the_many_body_state(seed, bond, phys, coarse, stationary):
+    """The reduced readout gives every word up to length 5 the probability of
+    the chain's statevector, from the readout's own start and from its
+    stationary one; a coarse-grained readout has a rank-2 projector."""
+    m = random_mps(np.random.default_rng(seed), bond, phys)
+    if coarse and phys == 3:
+        m = _coarse_grained(m)
+    reduced = mps_to_hqmm(m)
+    rho0 = quantum.steady_state(reduced)[0] if stationary else m.initial
+    for n in range(1, 6):
+        dist = analysis.enumerate_distribution(reduced, n, initial=rho0)
+        for word, p in _many_body_distribution(m, rho0, n).items():
+            assert abs(dist.probabilities[word] - p) <= 1e-12, (word, p)

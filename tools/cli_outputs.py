@@ -39,9 +39,11 @@ probability for every bundled model and the four MPS readouts, each from
 the model's own start, ``--initial steady``, ``--initial mixed`` and
 ``--initial 1,2,...,d``. Then ``convert`` from a ``vn`` and from an MPS
 model file, which have no conversions, and to the unknown target ``mps``,
-whose usage line lists the targets of the kind table in its order. Commands
-run in-process through ``hqmm.cli.main``, from inside a temporary directory,
-so that the ``wrote <path>`` lines name a relative path. ``tools/cli_outputs.txt`` records the
+whose usage line lists the targets of the kind table in its order. Last,
+``cluster h3`` with a ``NaN`` phi and ``cluster kraus`` with an infinite xi,
+each a usage error. Commands run in-process through ``hqmm.cli.main``, from
+inside a temporary directory, so that the ``wrote <path>`` lines name a
+relative path. ``tools/cli_outputs.txt`` records the
 output; to check that a change leaves every printed byte as it was, diff
 against it (CI does so on Python 3.11):
 
@@ -484,6 +486,8 @@ def commands(workdir: Path) -> list[list[str]]:
         ["convert", paths["even_process_vn"], "--to", "hqmm-embed", "-o", "from-vn.json"],
         ["convert", paths["mps-D2"], "--to", "hqmm-pure", "-o", "from-mps.json"],
         ["convert", paths["even_process"], "--to", "mps", "-o", "to-mps.json"],
+        ["cluster", "--phi", "nan", "--xi", "0.3", "h3"],
+        ["cluster", "--phi", "0.3", "--xi", "inf", "kraus"],
     ]
     return argvs
 
