@@ -311,9 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _join_negative_floats(argv: list[str]) -> list[str]:
+    """``--phi -1e-3`` as ``--phi=-1e-3``: argparse reads only ``-<digits>``
+    and ``-<digits>.<digits>`` as negative numbers, so it took a value such
+    as ``-1e-3`` or ``-inf`` for a flag."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in ("--phi", "--xi", "--tol") and token.startswith("-"):
+            with contextlib.suppress(ValueError):
+                float(token)
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    argv = _join_negative_floats(sys.argv[1:] if argv is None else argv)
     try:
         # argparse prints usage errors and --help to sys.stderr and sys.stdout
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

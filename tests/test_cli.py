@@ -1057,6 +1057,36 @@ def test_non_finite_cluster_angles_are_usage_errors(phi, xi, tail):
     assert run(argv) == (2, "", "error: basis angles must be finite\n")
 
 
+@pytest.mark.parametrize(
+    "argv, joined",
+    [
+        (["--phi", "-1e-3", "--xi", "0", "h3"], ["--phi=-1e-3", "--xi", "0", "h3"]),
+        (["--phi", "0.3", "--xi", "-2.5e0", "kraus"], ["--phi", "0.3", "--xi=-2.5e0", "kraus"]),
+    ],
+)
+def test_a_negative_float_spelled_with_an_exponent_is_an_angle(argv, joined):
+    """argparse took ``-1e-3`` for a flag and ended with ``expected one
+    argument``; the value reads as it does after ``=``."""
+    code, out, err = run(["cluster", *argv])
+    assert (code, err) == (0, "")
+    assert run(["cluster", *joined]) == (code, out, err)
+    if argv[-1] == "h3":
+        assert out == "2.999997114635\n"
+
+
+def test_a_negative_infinite_angle_or_tol_is_the_named_usage_error(paths):
+    assert run(["cluster", "--phi", "-inf", "--xi", "0", "h3"]) == (
+        2,
+        "",
+        "error: basis angles must be finite\n",
+    )
+    assert run(["hankel", paths["even_process"], "--tol", "-1e-3"]) == (
+        2,
+        "",
+        "error: --tol: rank cutoff must be finite and nonnegative, got -0.001\n",
+    )
+
+
 def test_cli_outputs_tool_prints_the_committed_record():
     """``tools/cli_outputs.py`` exits cleanly. On Python 3.11, the version
     ``tools/cli_outputs.txt`` was recorded on, every warning is an error and it

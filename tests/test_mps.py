@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hqmm import analysis, quantum
+from hqmm import analysis, cli, modelfile, quantum
 from hqmm.cluster import MeasurementBasis, build_cluster, cluster_kraus, oracle_word_probability
 from hqmm.mps import MpsModel, cluster_mps, mps_to_hqmm, validate_mps
 
@@ -213,3 +214,71 @@ def test_generated_readouts_match_the_many_body_state(seed, bond, phys, coarse, 
         dist = analysis.enumerate_distribution(reduced, n, initial=rho0)
         for word, p in _many_body_distribution(m, rho0, n).items():
             assert abs(dist.probabilities[word] - p) <= 1e-12, (word, p)
+
+
+SPIN = ("+", "0", "-")
+
+
+def _aklt(projectors=None) -> MpsModel:
+    """The spin-1 AKLT chain, ``V+ = sqrt(2/3) s+``, ``V0 = -sqrt(1/3) sz``,
+    ``V- = -sqrt(2/3) s-``, read out by the given projectors on the levels
+    ``+1, 0, -1``; by default the z basis."""
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+    tensors = (
+        math.sqrt(2 / 3) * raising,
+        -math.sqrt(1 / 3) * np.diag([1.0, -1.0]),
+        -math.sqrt(2 / 3) * raising.T,
+    )
+    if projectors is None:
+        projectors = {s: np.diag(np.eye(3)[k]) for k, s in enumerate(SPIN)}
+    return MpsModel(alphabet=SPIN, bond_dim=2, phys_dim=3, tensors=tensors, projectors=projectors)
+
+
+def _alternates(word) -> bool:
+    signs = [s for s in word if s != "0"]
+    return all(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_aklt_forbids_exactly_the_words_whose_signs_do_not_alternate():
+    """Hidden string order: from the stationary state, a word has probability
+    exactly zero when two nonzero outcomes in a row have the same sign, and
+    at least (1/3)**6 otherwise, at every length up to 6."""
+    m = _aklt()
+    assert validate_mps(m) == []
+    reduced = mps_to_hqmm(m)
+    forbidden_counts = []
+    for n in range(1, 7):
+        probabilities = analysis.enumerate_distribution(reduced, n).probabilities
+        forbidden = [p for w, p in probabilities.items() if not _alternates(w)]
+        assert all(p == 0.0 for p in forbidden)
+        assert min(p for w, p in probabilities.items() if _alternates(w)) >= 1.37e-3
+        forbidden_counts.append(len(forbidden))
+    assert forbidden_counts == [0, 2, 12, 50, 180, 602]
+
+
+@pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 4, math.pi / 2, 1.234])
+def test_aklt_reads_out_the_same_along_every_spin_axis(theta):
+    """SU(2) symmetry: projectors rotated by ``exp(-i theta S_y)`` give the z
+    readout's distribution at every length up to 5."""
+    raising = math.sqrt(2) * np.diag([1.0, 1.0], 1)
+    levels, vectors = np.linalg.eigh((raising - raising.T) / 2j)
+    rotation = (vectors * np.exp(-1j * theta * levels)) @ vectors.conj().T
+    z = _aklt()
+    rotated = _aklt({s: rotation @ p @ rotation.conj().T for s, p in z.projectors.items()})
+    assert validate_mps(rotated) == []
+    for n in range(1, 6):
+        want = analysis.enumerate_distribution(mps_to_hqmm(z), n).probabilities.array
+        got = analysis.enumerate_distribution(mps_to_hqmm(rotated), n).probabilities.array
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_words_that_start_with_a_minus_sign_go_after_a_double_dash_or_an_equals(tmp_path):
+    path = tmp_path / "aklt.json"
+    path.write_text(modelfile.serialize_model(_aklt()))
+    for argv, tail in (
+        (["wordprob", str(path), "--", "-0+"], "0.074074074074\n"),
+        (["hankel", str(path), "--rows=-;+", "--cols", ";0"], "rank = 1\n"),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(argv, out=out, err=err) == 0
+        assert err.getvalue() == "" and out.getvalue().endswith(tail)

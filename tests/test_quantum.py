@@ -494,6 +494,39 @@ def test_generated_reversible_hmms_convert_to_both_quantum_forms(seed, n_states,
     assert coherence_check(embedded, words) <= 1e-12
 
 
+def _coordinate_vn(seed, n_states, n_symbols):
+    """A permutation times unit phases, read out by coordinate projectors:
+    each basis state belongs to one symbol, and a symbol may own none. Also
+    its classical shadow ``T_s = |P_s U|**2``, a reversible HMM."""
+    rng = np.random.default_rng(seed)
+    alphabet = tuple(str(k) for k in range(n_symbols))
+    u = np.eye(n_states)[rng.permutation(n_states)] * np.exp(2j * np.pi * rng.random(n_states))
+    owner = rng.integers(0, n_symbols, size=n_states)
+    projectors = {s: np.diag((owner == k).astype(float)) for k, s in enumerate(alphabet)}
+    shadow = HmmModel(
+        alphabet=alphabet,
+        transitions={s: np.abs(p @ u) ** 2 for s, p in projectors.items()},
+    )
+    vn = VnModel(alphabet=alphabet, projectors=projectors, unitary=u)
+    return vn, shadow, rng.dirichlet(np.ones(n_states))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4), n_symbols=st.integers(1, 3))
+def test_generated_vn_models_agree_with_both_forms_of_their_shadow(seed, n_states, n_symbols):
+    """The ``vn`` realization, the embedding and the pure form of its shadow
+    all give the shadow's word distributions up to length 5 (4 for three
+    symbols), from a generated diagonal start and from the stationary state."""
+    vn, shadow, prior = _coordinate_vn(seed, n_states, n_symbols)
+    models = (vn.to_hqmm(), embed_classical(shadow), pure_from_reversible(shadow))
+    for classical_start, quantum_start in ((prior, np.diag(prior)), (None, None)):
+        for n in range(1, 6 if n_symbols < 3 else 5):
+            want = analysis.enumerate_distribution(shadow, n, classical_start).probabilities
+            for model in models:
+                got = analysis.enumerate_distribution(model, n, quantum_start).probabilities
+                assert np.max(np.abs(got.array - want.array)) <= 1e-14
+
+
 def test_pure_from_reversible_rejects_four_state(four_state):
     with pytest.raises(ValueError, match="not reversible"):
         pure_from_reversible(four_state)

@@ -41,11 +41,14 @@ the model's own start, ``--initial steady``, ``--initial mixed`` and
 model file, which have no conversions, and to the unknown target ``mps``,
 whose usage line lists the targets of the kind table in its order. Last,
 ``cluster h3`` with a ``NaN`` phi and ``cluster kraus`` with an infinite xi,
-each a usage error. Commands run in-process through ``hqmm.cli.main``, from
-inside a temporary directory, so that the ``wrote <path>`` lines name a
-relative path. ``tools/cli_outputs.txt`` records the
-output; to check that a change leaves every printed byte as it was, diff
-against it (CI does so on Python 3.11):
+each a usage error. Last, negative ``--phi``, ``--xi`` and ``--tol`` values
+spelled with an exponent or as ``-inf``, which argparse alone takes for
+flags. Commands run in-process through ``hqmm.cli.main``, from inside a
+temporary directory, so that the ``wrote <path>`` lines name a relative path.
+``tools/cli_outputs.txt`` records the output; to check that a change leaves
+every printed byte as it was, diff against it (the tier-1 test
+``tests/test_cli.py::test_cli_outputs_tool_prints_the_committed_record``
+does so on Python 3.11, the version the record was made on):
 
     PYTHONPATH=src python tools/cli_outputs.py | diff tools/cli_outputs.txt -
 
@@ -488,6 +491,10 @@ def commands(workdir: Path) -> list[list[str]]:
         ["convert", paths["even_process"], "--to", "mps", "-o", "to-mps.json"],
         ["cluster", "--phi", "nan", "--xi", "0.3", "h3"],
         ["cluster", "--phi", "0.3", "--xi", "inf", "kraus"],
+        ["cluster", "--phi", "-1e-3", "--xi", "0", "h3"],
+        ["cluster", "--phi", "0.3", "--xi", "-2.5e0", "kraus"],
+        ["cluster", "--phi", "-inf", "--xi", "0", "h3"],
+        ["hankel", paths["even_process"], "--tol", "-1e-3"],
     ]
     return argvs
 
