@@ -320,8 +320,11 @@ def hankel_block(
     """Word-probability block; defaults to {empty word} union single symbols.
 
     ``initial`` is the start state, as in ``linear_representation``; by
-    default the model's own, else its stationary state. A caller that
-    already holds that state passes it to skip a second solve."""
+    default the model's own, else its stationary state. A quantum model
+    keeps its stationary state and real-form operators once computed (see
+    ``quantum.steady_state`` and ``quantum.operators``); a classical one
+    solves again on each call, so a caller that already holds an ``hmm``
+    model's state passes it to skip a second solve."""
     alphabet = tuple(model.alphabet)
     default = ((),) + tuple((s,) for s in alphabet)
     rows = default if row_words is None else tuple(checked_word(w, alphabet) for w in row_words)

@@ -311,13 +311,37 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _long_options(argv: list[str]) -> dict[str, argparse.Action]:
+    """The long options of the subcommand ``argv`` names, by option string;
+    none when it names no subcommand."""
+    command = next((token for token in argv if not token.startswith("-")), None)
+    for action in _parser()._actions:
+        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
+            actions = action.choices[command]._actions
+            return {o: a for a in actions for o in a.option_strings if o.startswith("--")}
+    return {}
+
+
+def _takes_float(flag: str, options: dict[str, argparse.Action]) -> bool:
+    """Whether argparse reads ``flag`` as a float option among ``options``:
+    the one it names, else the one it is a unique prefix of."""
+    if flag not in options and flag.startswith("--"):
+        matches = [o for o in options if o.startswith(flag)]
+        if len(matches) == 1:
+            flag = matches[0]
+    action = options.get(flag)
+    return action is not None and action.type is float
+
+
 def _join_negative_floats(argv: list[str]) -> list[str]:
     """``--phi -1e-3`` as ``--phi=-1e-3``: argparse reads only ``-<digits>``
     and ``-<digits>.<digits>`` as negative numbers, so it took a value such
-    as ``-1e-3`` or ``-inf`` for a flag."""
+    as ``-1e-3`` or ``-inf`` for a flag. A flag joins when the subcommand's
+    parser reads it as a float option, abbreviated (``--ph``) or not."""
+    options = _long_options(argv)
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in ("--phi", "--xi", "--tol") and token.startswith("-"):
+        if joined and token.startswith("-") and _takes_float(joined[-1], options):
             with contextlib.suppress(ValueError):
                 float(token)
                 joined[-1] += "=" + token

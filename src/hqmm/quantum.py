@@ -80,6 +80,8 @@ class HqmmModel:
         # [c, a k + i] and ``_adjoints[s]`` holds K_i^dag[e, b] at [e, i d + b]
         object.__setattr__(self, "_flats", flats)
         object.__setattr__(self, "_adjoints", adjoints)
+        # results computed once from the Kraus operators, by name (``_memoized``)
+        object.__setattr__(self, "_memo", {})
         if self.initial is not None:
             object.__setattr__(self, "initial", checked_initial(self.initial, d))
 
@@ -151,9 +153,31 @@ def validate_hqmm(m: HqmmModel) -> list[Violation]:
     return problems + initial_violations(m)
 
 
+def _memoized(m: HqmmModel, name: str, compute):
+    """``m``'s result ``name``: ``compute(m)``, kept from the first call that
+    does not raise. The model owns its Kraus operators and they are
+    read-only, so the result holds for the model's life; ``compute`` makes
+    its arrays read-only. ``setdefault`` keeps the first of concurrent
+    results, so every caller returns the same object."""
+    memo = m._memo
+    if name not in memo:
+        memo.setdefault(name, compute(m))
+    return memo[name]
+
+
 def steady_state(m: HqmmModel) -> tuple[np.ndarray, bool]:
-    """Stationary density matrix of the forgetful channel; see ``linalg.fixed_point``."""
-    return fixed_point(m.transfer())
+    """Stationary density matrix of the forgetful channel; see ``linalg.fixed_point``.
+
+    Solved once per model and kept on it (d^2 complex entries): every later
+    call returns the same read-only state. Threads that ask a new model at
+    once may each solve it; all of them get the one that is kept."""
+    return _memoized(m, "steady_state", _solve_steady_state)
+
+
+def _solve_steady_state(m: HqmmModel) -> tuple[np.ndarray, bool]:
+    state, unique = fixed_point(m.transfer())
+    state.flags.writeable = False
+    return state, unique
 
 
 def resolve_initial(m: HqmmModel, initial=None) -> np.ndarray:
@@ -193,13 +217,24 @@ def conditional_update(m: HqmmModel, symbol: str, rho) -> np.ndarray:
 
 
 def operators(m: HqmmModel) -> np.ndarray:
-    """Each operation in the real Hermitian basis, stacked in alphabet order."""
+    """Each operation in the real Hermitian basis, stacked in alphabet order.
+
+    Built once per model and kept on it: every later call returns the same
+    read-only stack of k d^4 float64 entries for k symbols, 1 MiB at d = 16
+    and 16 MiB at d = 32 with two symbols. Threads that ask a new model at
+    once may each build it; all of them get the one that is kept."""
+    return _memoized(m, "operators", _build_operators)
+
+
+def _build_operators(m: HqmmModel) -> np.ndarray:
     zero = np.zeros((m.dim**2, m.dim**2))
     forms = [
         hermitian_real_form(transfer_matrix(ops)) if ops else zero
         for ops in (m.operations[s] for s in m.alphabet)
     ]
-    return _finite(np.stack(forms), "operation matrices")
+    stack = _finite(np.stack(forms), "operation matrices")
+    stack.flags.writeable = False
+    return stack
 
 
 def start_vector(m: HqmmModel, initial=None) -> np.ndarray:

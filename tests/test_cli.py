@@ -1087,6 +1087,39 @@ def test_a_negative_infinite_angle_or_tol_is_the_named_usage_error(paths):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, spelled",
+    [
+        (["cluster", "--ph", "-1e-3", "--xi", "0", "h3"], ["cluster", "--phi=-1e-3", "--xi=0", "h3"]),
+        (["cluster", "--p", "-1e-3", "--x", "-2", "h3"], ["cluster", "--phi=-1e-3", "--xi=-2", "h3"]),
+        (["hankel", "even_process", "--to", "-1e-3"], ["hankel", "even_process", "--tol=-1e-3"]),
+        (["hankel", "even_process", "--t", "-inf"], ["hankel", "even_process", "--tol=-inf"]),
+    ],
+)
+def test_a_negative_float_after_an_abbreviated_flag_is_its_value(paths, argv, spelled):
+    """argparse takes a unique prefix of a long option, so ``--ph -1e-3``
+    ended with ``argument --phi: expected one argument``."""
+    code, out, err = run([paths.get(a, a) for a in argv])
+    assert "expected one argument" not in err
+    assert (code, out, err) == run([paths.get(a, a) for a in spelled])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # convert's own --to takes a target, not a number
+        ["convert", "even_process", "--to", "-1e-3", "-o", "out.json"],
+        # --tol is an option of hankel, not of dist
+        ["dist", "even_process", "-n", "1", "--tol", "-1e-3"],
+        # --h is a prefix of --help alone, which takes no value
+        ["hankel", "even_process", "--h", "-1"],
+    ],
+)
+def test_a_flag_that_names_no_float_option_of_its_subcommand_stays_apart(paths, argv):
+    argv = [paths.get(a, a) for a in argv]
+    assert cli._join_negative_floats(argv) == argv
+
+
 def test_cli_outputs_tool_prints_the_committed_record():
     """``tools/cli_outputs.py`` exits cleanly. On Python 3.11, the version
     ``tools/cli_outputs.txt`` was recorded on, every warning is an error and it

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hqmm import analysis, classical, cluster
+from hqmm import analysis, classical, cluster, quantum
 from hqmm.classical import HmmModel
 from hqmm.config import TOL
 from hqmm.linalg import transfer_matrix, vec
@@ -30,7 +32,7 @@ from hqmm.quantum import (
     word_probability,
 )
 
-from conftest import kraus_models, random_density, random_hmm, random_unitary
+from conftest import kraus_models, random_density, random_hmm, random_mps, random_unitary
 
 
 def test_validate_cluster_pair():
@@ -747,3 +749,116 @@ def test_numpy_integer_dimensions_are_accepted():
     readout = _qubit_mps(np.int32(2), np.int64(2))
     assert (type(readout.bond_dim), type(readout.phys_dim)) == (int, int)
     assert mps_to_hqmm(readout).dim == 2
+
+
+def _startless_readout(bond_dim: int, seed: int = 5) -> HqmmModel:
+    """A random MPS readout without a start state of its own."""
+    model = random_mps(np.random.default_rng(seed), bond_dim, 2)
+    return mps_to_hqmm(dataclasses.replace(model, initial=None))
+
+
+def _counting(monkeypatch, *names) -> dict:
+    """Count the calls to each of ``quantum``'s functions ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(quantum, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(quantum, name, counted)
+    return calls
+
+
+def test_a_second_steady_state_or_operators_call_solves_and_builds_nothing(monkeypatch):
+    fresh = _startless_readout(3)
+    state, unique = steady_state(fresh)
+    stack = quantum.operators(fresh)
+    m = HqmmModel(fresh.alphabet, fresh.dim, fresh.operations)
+    calls = _counting(monkeypatch, "fixed_point", "transfer_matrix")
+    first = steady_state(m), quantum.operators(m)
+    # one transfer matrix for the forgetful channel and one per symbol
+    assert calls == {"fixed_point": 1, "transfer_matrix": 1 + len(m.alphabet)}
+    second = steady_state(m), quantum.operators(m)
+    assert calls == {"fixed_point": 1, "transfer_matrix": 1 + len(m.alphabet)}
+    assert second[0] is first[0] and second[1] is first[1]
+    for (s, u), ops in (first, second):
+        assert u == unique
+        assert s.tobytes() == state.tobytes() and ops.tobytes() == stack.tobytes()
+
+
+def test_the_kept_state_and_operators_refuse_writes():
+    m = _startless_readout(3)
+    for array in (steady_state(m)[0], quantum.operators(m), analysis.linear_representation(m).mats):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "operations, compute, message",
+    [
+        # half the identity loses trace: no eigenvalue near 1
+        ({"a": [0.5 * np.eye(2)]}, steady_state, "eigenvalue"),
+        ({"a": [np.array([[1e200, 0], [0, 1]])]}, quantum.operators, "non-finite entries"),
+    ],
+    ids=["steady_state", "operators"],
+)
+def test_a_call_that_raises_keeps_nothing_and_raises_again(monkeypatch, operations, compute, message):
+    m = HqmmModel(("a",), 2, operations)
+    calls = _counting(monkeypatch, "transfer_matrix")
+    raised = []
+    for _ in range(2):
+        # the Kraus entry 1e200 overflows in the transfer matrix
+        with pytest.raises(ValueError, match=message) as info, np.errstate(over="ignore"):
+            compute(m)
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+    assert calls["transfer_matrix"] == 2
+
+
+def test_word_probabilities_of_a_startless_readout_solve_once(monkeypatch):
+    """``word_probability`` without a start solved the stationary state again
+    on every word."""
+    m = _startless_readout(8)
+    # solved on another model with the same operators, so not read from m's memo
+    rho = steady_state(_startless_readout(8))[0]
+    calls = _counting(monkeypatch, "fixed_point")
+    for n in range(4):
+        for word in itertools.product(m.alphabet, repeat=n):
+            expected = word_probability(m, word, initial=rho)
+            assert word_probability(m, word) == expected
+    assert calls["fixed_point"] == 1
+
+
+def test_threads_sharing_one_fresh_model_get_the_serial_results():
+    """Eight threads ask one new model for its steady state, operators and
+    word probabilities at once; each gets the bytes of a serial run."""
+    words = [w for n in range(3) for w in itertools.product("01", repeat=n)]
+
+    def results(model):
+        state, unique = steady_state(model)
+        probs = [word_probability(model, w) for w in words]
+        return state.tobytes(), unique, quantum.operators(model).tobytes(), probs
+
+    serial = results(_startless_readout(4))
+    shared = _startless_readout(4)
+    start = threading.Barrier(8)
+    got = [None] * 8
+
+    def work(i):
+        start.wait(timeout=30)
+        got[i] = results(shared)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [serial] * 8

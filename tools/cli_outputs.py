@@ -43,7 +43,9 @@ whose usage line lists the targets of the kind table in its order. Last,
 ``cluster h3`` with a ``NaN`` phi and ``cluster kraus`` with an infinite xi,
 each a usage error. Last, negative ``--phi``, ``--xi`` and ``--tol`` values
 spelled with an exponent or as ``-inf``, which argparse alone takes for
-flags. Commands run in-process through ``hqmm.cli.main``, from inside a
+flags, then the same values after ``--ph`` and ``hankel``'s ``--to``,
+unique prefixes of ``--phi`` and ``--tol``, and after ``convert``'s own
+``--to``, which takes a target, not a number. Commands run in-process through ``hqmm.cli.main``, from inside a
 temporary directory, so that the ``wrote <path>`` lines name a relative path.
 ``tools/cli_outputs.txt`` records the output; to check that a change leaves
 every printed byte as it was, diff against it (the tier-1 test
@@ -495,6 +497,9 @@ def commands(workdir: Path) -> list[list[str]]:
         ["cluster", "--phi", "0.3", "--xi", "-2.5e0", "kraus"],
         ["cluster", "--phi", "-inf", "--xi", "0", "h3"],
         ["hankel", paths["even_process"], "--tol", "-1e-3"],
+        ["cluster", "--ph", "-1e-3", "--xi", "0", "h3"],
+        ["hankel", paths["even_process"], "--to", "-1e-3"],
+        ["convert", paths["even_process"], "--to", "-1e-3", "-o", "negative.json"],
     ]
     return argvs
 
