@@ -49,6 +49,8 @@ class HmmModel:
             elif t.shape[0] != d:
                 raise ValueError("transition matrices have mixed dimensions")
             mats[s] = t
+        if d == 0:
+            raise ValueError("transition matrices are empty, shape (0, 0)")
         object.__setattr__(self, "transitions", mats)
         if self.prior is not None:
             object.__setattr__(self, "prior", _distribution(self.prior, d, "prior"))

@@ -311,20 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _long_options(argv: list[str]) -> dict[str, argparse.Action]:
-    """The long options of the subcommand ``argv`` names, by option string;
-    none when it names no subcommand."""
-    command = next((token for token in argv if not token.startswith("-")), None)
-    for action in _parser()._actions:
-        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
-            actions = action.choices[command]._actions
-            return {o: a for a in actions for o in a.option_strings if o.startswith("--")}
-    return {}
-
-
-def _takes_float(flag: str, options: dict[str, argparse.Action]) -> bool:
-    """Whether argparse reads ``flag`` as a float option among ``options``:
-    the one it names, else the one it is a unique prefix of."""
+def _takes_float(flag: str, parser: argparse.ArgumentParser) -> bool:
+    """Whether ``parser`` reads ``flag`` as a float option: the one it names,
+    else the long option it is a unique prefix of."""
+    options = parser._option_string_actions
     if flag not in options and flag.startswith("--"):
         matches = [o for o in options if o.startswith(flag)]
         if len(matches) == 1:
@@ -336,16 +326,19 @@ def _takes_float(flag: str, options: dict[str, argparse.Action]) -> bool:
 def _join_negative_floats(argv: list[str]) -> list[str]:
     """``--phi -1e-3`` as ``--phi=-1e-3``: argparse reads only ``-<digits>``
     and ``-<digits>.<digits>`` as negative numbers, so it took a value such
-    as ``-1e-3`` or ``-inf`` for a flag. A flag joins when the subcommand's
-    parser reads it as a float option, abbreviated (``--ph``) or not."""
-    options = _long_options(argv)
+    as ``-1e-3`` or ``-inf`` for a flag. The walk starts at the top parser and
+    moves to a subcommand's parser at its name; a flag joins when the parser
+    reached reads it as a float option, abbreviated (``--ph``) or not."""
+    parser = _parser()
     joined: list[str] = []
     for token in argv:
-        if joined and token.startswith("-") and _takes_float(joined[-1], options):
+        if joined and token.startswith("-") and _takes_float(joined[-1], parser):
             with contextlib.suppress(ValueError):
                 float(token)
                 joined[-1] += "=" + token
                 continue
+        choices = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = next(choices, {}).get(token, parser)
         joined.append(token)
     return joined
 
@@ -366,7 +359,7 @@ def main(argv=None, out=None, err=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=err)
         return 2
-    except (modelfile.ModelFileError, ValueError, MemoryError) as e:
+    except (ValueError, MemoryError) as e:
         print(f"error: {e}", file=err)
         return 1
 

@@ -468,11 +468,16 @@ def numerical_rank(m: np.ndarray, tol: float | None = None) -> int:
 
     ``tol=None`` uses ``max(rows, cols) * sigma_max * 2**-50``, a slightly
     loosened variant of the usual machine-precision cutoff. Raises
-    ``ValueError`` for a given ``tol`` that is negative or not finite.
+    ``ValueError`` for a given ``tol`` that is negative or not finite, then for
+    an ``m`` that is not a matrix or has an entry that is not finite.
     """
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"rank cutoff must be finite and nonnegative, got {tol!r}")
     m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError(f"rank needs a matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("rank needs finite entries")
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import copy
 import dataclasses
 import io
@@ -1062,6 +1063,10 @@ def test_non_finite_cluster_angles_are_usage_errors(phi, xi, tail):
     [
         (["--phi", "-1e-3", "--xi", "0", "h3"], ["--phi=-1e-3", "--xi", "0", "h3"]),
         (["--phi", "0.3", "--xi", "-2.5e0", "kraus"], ["--phi", "0.3", "--xi=-2.5e0", "kraus"]),
+        (
+            ["--xi", "0", "--phi", "-1e-3", "dist", "-n", "1"],
+            ["--xi", "0", "--phi=-1e-3", "dist", "-n", "1"],
+        ),
     ],
 )
 def test_a_negative_float_spelled_with_an_exponent_is_an_angle(argv, joined):
@@ -1118,6 +1123,102 @@ def test_a_negative_float_after_an_abbreviated_flag_is_its_value(paths, argv, sp
 def test_a_flag_that_names_no_float_option_of_its_subcommand_stays_apart(paths, argv):
     argv = [paths.get(a, a) for a in argv]
     assert cli._join_negative_floats(argv) == argv
+
+
+@pytest.mark.parametrize(
+    "argv, unrecognized",
+    [
+        (["cluster", "--phi", "0", "--xi", "0", "dist", "-n", "1", "--ph", "-1"], "--ph -1"),
+        (["cluster", "--phi", "0", "--xi", "0", "h3", "--xi", "-1e-3"], "--xi -1e-3"),
+    ],
+)
+def test_a_flag_after_the_nested_subcommand_is_read_by_its_parser(argv, unrecognized):
+    """``--phi`` and ``--xi`` are options of ``cluster``, not of its ``dist``
+    or ``h3``. The pre-pass read them against ``cluster`` to the end, so the
+    error named ``--ph=-1`` where argparse alone names ``--ph -1``."""
+    assert cli._join_negative_floats(argv) == argv
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"unrecognized arguments: {unrecognized}\n")
+
+
+_PRE_PASS_WORDS = st.sampled_from(
+    [*_SUBCOMMANDS, "kraus", "h3"] + [f"{name}.json" for name in modelfile.BUNDLED_MODELS]
+)
+_PRE_PASS_FLAGS = st.sampled_from(
+    ["--phi", "--ph", "--p", "--xi", "--x", "--tol", "--to", "--t", "--rows", "--initial"]
+    + ["-n", "--seed", "--csv", "-o"]
+)
+_PRE_PASS_VALUES = st.sampled_from(["0", "0.3", "2", "-1", "-0.5", "-1e-3", "-inf", "h3"])
+
+
+# the options each (sub)command reads, each by its spellings in the vocabulary
+_OWN_OPTIONS = {
+    "wordprob": [["--initial"]],
+    "dist": [["-n"], ["--csv"]],
+    "entropy": [["-n"]],
+    "hankel": [["--tol", "--to", "--t"], ["--rows"]],
+    "convert": [["--to"], ["-o"]],
+    "cluster": [["--phi", "--ph", "--p"], ["--xi", "--x"]],
+    "sample": [["-n"], ["--seed"]],
+}
+
+
+@st.composite
+def _pre_pass_argvs(draw):
+    """A subcommand and its positionals, then the options it reads, each
+    present or not, in any order, spelled in full, abbreviated or as any flag
+    of the vocabulary, and followed by a value; ``cluster`` goes on with a
+    nested name and its options. One more name or path may stand anywhere."""
+
+    def options(level):
+        present = [o for o in _OWN_OPTIONS.get(level, []) if draw(st.integers(0, 3))]
+        tokens = []
+        for spellings in draw(st.permutations(present)):
+            tokens += [draw(st.one_of(st.sampled_from(spellings), _PRE_PASS_FLAGS))]
+            tokens += [draw(_PRE_PASS_VALUES)]
+        return tokens
+
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    positionals = {"wordprob": 2, "cluster": 0, "scan-entropy": 0}.get(command, 1)
+    argv = [command, *(draw(_PRE_PASS_WORDS) for _ in range(positionals)), *options(command)]
+    if command == "cluster":
+        nested = draw(st.sampled_from(["kraus", "dist", "h3"]))
+        argv += [nested, *options(nested)]
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(1, len(argv))), draw(_PRE_PASS_WORDS))
+    return argv
+
+
+def _parsed(argv):
+    """argparse's namespace for ``argv``, or None where it refuses it."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_pre_pass_argvs())
+@example(argv=["cluster", "--ph", "-1", "--x", "-0.5", "dist", "-n", "2", "--csv", "h3"])
+@example(argv=["cluster", "--xi", "0", "--phi", "0.3", "h3"])
+@example(argv=["hankel", "even_process.json", "--t", "-0.5", "--rows", "0"])
+def test_the_pre_pass_keeps_what_argparse_alone_accepts(argv):
+    """Joining only merges a flag with a float-spelled token after it, and
+    where argparse alone accepts ``argv`` it reads the joined argv the same."""
+    joined = cli._join_negative_floats(argv)
+    rest = iter(argv)
+    for token in joined:
+        flag = next(rest)
+        if token != flag:
+            value = next(rest)
+            assert token == f"{flag}={value}" and value.startswith("-")
+            float(value)
+    assert next(rest, None) is None
+    namespace = _parsed(argv)
+    if namespace is not None:
+        assert _parsed(joined) == namespace
 
 
 def test_cli_outputs_tool_prints_the_committed_record():

@@ -364,6 +364,23 @@ def test_numerical_rank_rejects_meaningless_cutoff(tol):
         numerical_rank(np.eye(3), tol=tol)
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        # an infinite entry made the automatic cutoff infinite: rank 0
+        ([[math.inf, 1.0]], "rank needs finite entries"),
+        # a NaN entry ended in LinAlgError: SVD did not converge
+        ([[math.nan, 1.0]], "rank needs finite entries"),
+        (np.ones(3), r"rank needs a matrix, got shape \(3,\)"),
+        (np.ones((2, 2, 2)), r"rank needs a matrix, got shape \(2, 2, 2\)"),
+    ],
+    ids=["inf", "nan", "vector", "stack"],
+)
+def test_numerical_rank_refuses_what_is_not_a_finite_matrix(m, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        numerical_rank(m)
+
+
 def test_numerical_rank_zero_cutoff_counts_nonzero_singular_values():
     assert numerical_rank(np.diag([1.0, 1e-300, 0.0]), tol=0.0) == 2
 

@@ -667,8 +667,12 @@ def test_empty_alphabet_is_refused_by_every_kind(build):
             ),
             "dimensions must be positive, got bond 0, physical 1",
         ),
+        (
+            lambda: HmmModel(("0",), {"0": np.zeros((0, 0))}),
+            r"transition matrices are empty, shape \(0, 0\)",
+        ),
     ],
-    ids=["hqmm", "vn", "mps"],
+    ids=["hqmm", "vn", "mps", "hmm"],
 )
 def test_zero_size_state_space_is_refused(build, message):
     # before, each built and then failed in NumPy: "zero-size array to

@@ -2,51 +2,10 @@
 
 Each line is ``argv -> sha256(stdout|stderr), exit code``, with model files
 named by their base name so that two checkouts give comparable lines; a command
-that writes a file adds ``, file sha256(contents)``. The list covers
-``steady``, ``validate``, ``wordprob`` (stationary and maximally mixed start),
-``dist``, ``entropy``, ``hankel`` and ``sample`` on every bundled model and on
-four seeded random MPS readouts, 3000-symbol draws from three models whose
-conditional states do not recur (so they run past the sampler's cache cap),
-plus ``cluster h3`` and ``cluster dist`` over a small (phi, xi) grid. It also
-covers the error paths: ``convert`` to both quantum forms and from a quantum
-source, ``wordprob`` from explicit weights, ``validate`` and ``steady`` on
-documents that fail validation or parsing, one or more of each kind, and every
-model command on documents that break a rule all kinds share (a repeated
-symbol, a start state of the wrong shape). Last come draws from the even
-process and the cluster readout at lengths on either side of one and two of
-the sampler's 512-draw blocks of generator states, then two more 3000-symbol
-draws past the cache cap: one from ``cluster_phi_pi4``, which hits the cache on
-a few steps before the cap, and one from the (4, 3) MPS readout, whose 256-term
-kernels are the largest the sampler compiles. The list ends with ``validate``
-and ``steady`` on an MPS document whose projector has the wrong shape, then
-commands that must be refused fast with one error line: enumerations whose
-memory estimate is past the float range, and ``scan-entropy`` grids too large
-to allocate. After them come ``validate`` and ``steady`` on documents that each
-break one rule of the model files (an HMM entry out of range or not finite,
-a non-square or mixed-size transition matrix, projectors and a unitary of
-different sizes, a non-Hermitian projector, a top-level array, an integer
-past the float range, an ``operations`` object missing a symbol). Then
-``convert`` to the pure form of a reversible HMM with a tolerated negative
-entry, which both conversions drop, and ``validate`` and ``steady`` on
-documents with a ``NaN`` or ``Infinity`` Kraus entry, a ``NaN`` initial state
-or unitary entry, or an empty prior. Last, ``validate`` and ``steady`` on an
-HMM document with a complex prior entry, and ``wordprob --initial steady`` on
-one whose prior is not its stationary state. After them, ``validate`` and
-``steady`` on the even process with a ``NaN`` imaginary part in a transition
-entry and in a prior entry, and on ``four_symbol_hqmm`` with a finite Kraus
-entry whose gram overflows. Last, ``wordprob`` on two words of non-zero
-probability for every bundled model and the four MPS readouts, each from
-the model's own start, ``--initial steady``, ``--initial mixed`` and
-``--initial 1,2,...,d``. Then ``convert`` from a ``vn`` and from an MPS
-model file, which have no conversions, and to the unknown target ``mps``,
-whose usage line lists the targets of the kind table in its order. Last,
-``cluster h3`` with a ``NaN`` phi and ``cluster kraus`` with an infinite xi,
-each a usage error. Last, negative ``--phi``, ``--xi`` and ``--tol`` values
-spelled with an exponent or as ``-inf``, which argparse alone takes for
-flags, then the same values after ``--ph`` and ``hankel``'s ``--to``,
-unique prefixes of ``--phi`` and ``--tol``, and after ``convert``'s own
-``--to``, which takes a target, not a number. Commands run in-process through ``hqmm.cli.main``, from inside a
-temporary directory, so that the ``wrote <path>`` lines name a relative path.
+that writes a file adds ``, file sha256(contents)``. Commands run in-process
+through ``hqmm.cli.main``, from inside a temporary directory, so that the
+``wrote <path>`` lines name a relative path.
+
 ``tools/cli_outputs.txt`` records the output; to check that a change leaves
 every printed byte as it was, diff against it (the tier-1 test
 ``tests/test_cli.py::test_cli_outputs_tool_prints_the_committed_record``
@@ -54,7 +13,8 @@ does so on Python 3.11, the version the record was made on):
 
     PYTHONPATH=src python tools/cli_outputs.py | diff tools/cli_outputs.txt -
 
-A change that adds commands appends their lines to that file.
+A change that adds commands appends them at the end of ``commands()`` and
+their lines at the end of that file.
 """
 
 from __future__ import annotations
@@ -500,6 +460,9 @@ def commands(workdir: Path) -> list[list[str]]:
         ["cluster", "--ph", "-1e-3", "--xi", "0", "h3"],
         ["hankel", paths["even_process"], "--to", "-1e-3"],
         ["convert", paths["even_process"], "--to", "-1e-3", "-o", "negative.json"],
+        ["cluster", "--phi", "0", "--xi", "0", "dist", "-n", "1", "--ph", "-1"],
+        ["cluster", "--phi", "0", "--xi", "0", "h3", "--xi", "-1e-3"],
+        ["cluster", "--xi", "0", "--phi", "-1e-3", "dist", "-n", "1"],
     ]
     return argvs
 
