@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import functools
 import math
 import sys
@@ -55,11 +56,14 @@ def _load(path: str):
     return modelfile.kind_of(model).operational(model)
 
 
-def _open_output(path: str):
+@contextlib.contextmanager
+def _write(path: str, out):
     try:
-        return open(path, "w", newline="\n")
+        with open(path, "w", newline="\n") as f:
+            yield f
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e}") from None
+    print(f"wrote {path}", file=out)
 
 
 def _representation(text: str | None, model) -> analysis.Representation:
@@ -108,11 +112,10 @@ def _word_list(text: str, alphabet) -> list[tuple[str, ...]]:
 def _print_distribution(dist: analysis.WordDistribution, alphabet, csv_path, out) -> None:
     items = sorted(dist.probabilities.items())
     if csv_path:
-        with _open_output(csv_path) as f:
-            f.write("word,probability\n")
-            for word, p in items:
-                f.write(f"{modelfile.format_word(word, alphabet)},{_fmt(p)}\n")
-        print(f"wrote {csv_path}", file=out)
+        with _write(csv_path, out) as f:
+            rows = csv.writer(f, lineterminator="\n")
+            rows.writerow(("word", "probability"))
+            rows.writerows((modelfile.format_word(w, alphabet), _fmt(p)) for w, p in items)
     else:
         for word, p in items:
             print(f"{modelfile.format_word(word, alphabet) or '(empty)'} {_fmt(p)}", file=out)
@@ -184,9 +187,8 @@ def cmd_convert(args, out, err) -> int:
     if convert is None:
         raise ValueError("convert expects a classical (hmm) model file")
     converted = convert(model)
-    with _open_output(args.output) as f:
+    with _write(args.output, out) as f:
         f.write(modelfile.serialize_model(converted))
-    print(f"wrote {args.output}", file=out)
     return 0
 
 
@@ -211,13 +213,12 @@ def cmd_cluster(args, out, err) -> int:
 def cmd_scan_entropy(args, out, err) -> int:
     phis = np.linspace(0.0, math.pi, _at_least(args.phi_steps, "--phi-steps", 1))
     xis = np.linspace(0.0, 2 * math.pi, _at_least(args.xi_steps, "--xi-steps", 1))
-    with _open_output(args.output) as f:
+    with _write(args.output, out) as f:
         f.write("phi,xi,H3\n")
         for phi in phis:
             for xi in xis:
                 h = cluster.h3_closed_form(cluster.MeasurementBasis(phi, xi))
                 f.write(f"{phi:.12f},{xi:.12f},{_fmt(h)}\n")
-    print(f"wrote {args.output}", file=out)
     return 0
 
 

@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .linalg import checked_integer
 from .quantum import HqmmModel
 
 MAX_ORACLE_QUBITS = 14
@@ -91,6 +92,7 @@ def build_cluster(n: int) -> ClusterOracle:
     Every amplitude has magnitude ``2**(-N/2)``; the controlled-phase gates
     only contribute a sign flip for each adjacent pair of 1 bits.
     """
+    n = checked_integer(n, "chain length")
     if not 2 <= n <= MAX_ORACLE_QUBITS:
         raise ValueError(f"chain length must be between 2 and {MAX_ORACLE_QUBITS}, got {n}")
     idx = np.arange(2**n, dtype=np.int64)

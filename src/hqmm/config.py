@@ -1,7 +1,8 @@
 """Centralized numerical tolerances.
 
-Every threshold used by the validators and solvers lives in one frozen
-record, ``TOL``, so that the policy is fixed and auditable in one place.
+Shared validator and solver thresholds live in the frozen record ``TOL``. Not
+in it: ``linalg._stationary_vector``'s vanishing mass 1e-12, ``ClusterOracle``'s
+norm check 1e-12 and ``numerical_rank``'s default cutoff factor 2**-50.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import csv
 import dataclasses
 import io
 import itertools
@@ -336,6 +337,35 @@ def test_unwritable_output_is_usage_error(paths, tmp_path, argv):
     code, out, err = run([a.format(bad=bad, **paths) for a in argv])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {bad}: ")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full, so a write that fails after open is not tried")
+    # /dev/full opens, then every write to it fails with ENOSPC
+    code, out, err = run([a.format(bad="/dev/full", **paths) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write /dev/full: ")
+
+
+def test_csv_quotes_words_of_a_multi_character_alphabet(tmp_path):
+    up_down = HmmModel(
+        ("up", "down"),
+        {"up": np.array([[0.25, 0.25], [0.0, 0.0]]), "down": np.array([[0.0, 0.0], [0.75, 0.75]])},
+    )
+    model_path = tmp_path / "up_down.json"
+    model_path.write_text(modelfile.serialize_model(up_down))
+    csv_path = tmp_path / "words.csv"
+    code, out, err = run(["dist", str(model_path), "-n", "2", "--csv", str(csv_path)])
+    assert (code, out, err) == (0, f"wrote {csv_path}\n", "")
+    with open(csv_path, newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["word", "probability"]
+    assert all(len(row) == 2 for row in rows)
+    code, table, _ = run(["dist", str(model_path), "-n", "2"])
+    assert code == 0
+    words = itertools.product(up_down.alphabet, repeat=2)
+    expected = {modelfile.format_word(w, up_down.alphabet) for w in words}
+    assert {word for word, _ in rows} == expected
+    assert "down,down" in expected
+    assert [f"{word} {p}" for word, p in rows] == table.splitlines()
 
 
 def test_usage_error_on_missing_subcommand():

@@ -109,6 +109,14 @@ def test_build_cluster_range():
         build_cluster(15)
 
 
+def test_build_cluster_takes_integers_only():
+    with pytest.raises(ValueError, match="chain length must be an integer, got 2.5"):
+        build_cluster(2.5)
+    oracle = build_cluster(np.int64(3))
+    assert type(oracle.n_qubits) is int
+    assert oracle.state.shape == (8,)
+
+
 def test_oracle_rejects_unnormalized_state():
     from hqmm.cluster import ClusterOracle
 

@@ -2,9 +2,9 @@
 
 Each line is ``argv -> sha256(stdout|stderr), exit code``, with model files
 named by their base name so that two checkouts give comparable lines; a command
-that writes a file adds ``, file sha256(contents)``. Commands run in-process
-through ``hqmm.cli.main``, from inside a temporary directory, so that the
-``wrote <path>`` lines name a relative path.
+that writes a file (``-o`` or ``--csv``) adds ``, file sha256(contents)``.
+Commands run in-process through ``hqmm.cli.main``, from inside a temporary
+directory, so that the ``wrote <path>`` lines name a relative path.
 
 ``tools/cli_outputs.txt`` records the output; to check that a change leaves
 every printed byte as it was, diff against it (the tier-1 test
@@ -230,6 +230,14 @@ NEGATIVE_ENTRY_DOC = {
     "alphabet": ["0", "1"],
     "dimension": 2,
     "transitions": {"0": [[0.0, 0.0], [-1e-13, 0.0]], "1": [[1.0000000000001, 0.0], [0.0, 1.0]]},
+}
+
+# a valid HMM whose symbols are words, so a CSV word holds commas
+MULTI_CHARACTER_DOC = {
+    "kind": "hmm",
+    "alphabet": ["up", "down"],
+    "dimension": 2,
+    "transitions": {"up": [[0.25, 0.25], [0.0, 0.0]], "down": [[0.0, 0.0], [0.75, 0.75]]},
 }
 
 # documents with a non-finite matrix entry or an empty prior
@@ -463,7 +471,10 @@ def commands(workdir: Path) -> list[list[str]]:
         ["cluster", "--phi", "0", "--xi", "0", "dist", "-n", "1", "--ph", "-1"],
         ["cluster", "--phi", "0", "--xi", "0", "h3", "--xi", "-1e-3"],
         ["cluster", "--xi", "0", "--phi", "-1e-3", "dist", "-n", "1"],
+        ["dist", paths["even_process"], "-n", "3", "--csv", "words.csv"],
     ]
+    (path,) = _write_documents(workdir, {"up-down": MULTI_CHARACTER_DOC})
+    argvs.append(["dist", path, "-n", "2", "--csv", "up-down.csv"])
     return argvs
 
 
@@ -481,7 +492,7 @@ def main() -> int:
                 code = cli.main(argv, out=out, err=err)
                 digest = _sha256(f"{out.getvalue()}|{err.getvalue()}")
                 shown = " ".join(Path(a).name if a.endswith(".json") else a for a in argv)
-                written = Path(argv[-1]) if "-o" in argv else None
+                written = Path(argv[-1]) if {"-o", "--csv"} & set(argv) else None
                 if written is not None and written.exists():
                     digest += f", file {_sha256(written.read_text())}"
                 print(f"{shown} -> {digest}, exit {code}")
