@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import modelfile
-from .linalg import checked_integer, checked_probability, checked_word, numerical_rank
+from .linalg import _walk, checked_integer, checked_probability, checked_word, numerical_rank
 
 logger = logging.getLogger(__name__)
 
@@ -45,10 +45,7 @@ class Representation(NamedTuple):
     def probability(self, word, alphabet) -> float:
         """``<1| A_w v0>`` of a word over the ``alphabet`` that orders ``mats``,
         clamped to [0, 1]; see ``linalg.checked_probability``."""
-        index = {s: i for i, s in enumerate(alphabet)}
-        v = self.v0
-        for s in checked_word(word, alphabet):
-            v = self.mats[index[s]] @ v
+        v = _walk(dict(zip(alphabet, self.mats)), self.v0, checked_word(word, alphabet))
         return checked_probability(float(v[: self.d].sum()), "word probability")
 
 
@@ -330,21 +327,16 @@ def hankel_block(
     rows = default if row_words is None else tuple(checked_word(w, alphabet) for w in row_words)
     cols = default if col_words is None else tuple(checked_word(w, alphabet) for w in col_words)
     mats, v0, d = linear_representation(model, initial)
-    index = {s: i for i, s in enumerate(alphabet)}
-    # H = B F: row u of B is <1| A_u, column v of F is A_v v0
+    # H = B F: row u of B is <1| A_u, walked back through the A_s^T; column v of F is A_v v0
+    unit = np.zeros(v0.size)
+    unit[:d] = 1.0
+    step, back_step = dict(zip(alphabet, mats)), dict(zip(alphabet, mats.transpose(0, 2, 1)))
     back = np.zeros((len(rows), v0.size))
     for i, u in enumerate(rows):
-        b = np.zeros(v0.size)
-        b[:d] = 1.0
-        for s in reversed(u):
-            b = b @ mats[index[s]]
-        back[i] = b
+        back[i] = _walk(back_step, unit, reversed(u))
     forward = np.zeros((v0.size, len(cols)))
     for j, v in enumerate(cols):
-        f = v0
-        for s in v:
-            f = mats[index[s]] @ f
-        forward[:, j] = f
+        forward[:, j] = _walk(step, v0, v)
     h = np.clip(back @ forward, 0.0, 1.0)
     return HankelBlock(row_words=rows, col_words=cols, matrix=h)
 
@@ -655,9 +647,9 @@ def sample_trajectory(
     register, so sequences are reproducible. Per-step probabilities are
     clamped at zero and renormalized before drawing, so round-off noise
     cannot produce invalid draws. Refuses lengths whose memory estimate
-    (``_trajectory_bytes``) exceeds ``ENUMERATION_BUDGET_BYTES``, before any draw.
+    (``_trajectory_bytes``) exceeds ``ENUMERATION_BUDGET_BYTES`` before building anything.
     """
     length = _checked_length(length, "trajectory length")
-    mats, v0, d = linear_representation(model, initial)
     _require_budget(_trajectory_bytes(length, model.alphabet), f"a trajectory of {length} symbols")
+    mats, v0, d = linear_representation(model, initial)
     return _sample_linear(mats, v0, d, length, Xorshift64Star(seed), tuple(model.alphabet))

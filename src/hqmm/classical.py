@@ -19,6 +19,7 @@ from .linalg import (
     Violation,
     _finite,
     _stationary_vector,
+    _walk,
     check_prob_vector,
     checked_alphabet,
     checked_probability,
@@ -154,9 +155,7 @@ def word_probability(
 ) -> float:
     """``<1| T_{s_n} ... T_{s_1} |pi>`` with ``s_1`` the earliest symbol,
     clamped to [0, 1]; see ``linalg.checked_probability``."""
-    v = resolve_initial(m, initial)
-    for s in checked_word(word, m.alphabet):
-        v = m.transitions[s] @ v
+    v = _walk(m.transitions, resolve_initial(m, initial), checked_word(word, m.alphabet))
     return checked_probability(float(v.sum()), "word probability")
 
 

@@ -104,7 +104,7 @@ def _at_least(value: int, flag: str, least: int = 0) -> int:
 
 def _word_list(text: str, alphabet) -> list[tuple[str, ...]]:
     try:
-        return [modelfile.parse_word(part, alphabet) for part in text.split(";")]
+        return [modelfile.parse_word(part, alphabet) for part in text.split(modelfile._WORD_SEP)]
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -356,7 +356,12 @@ def main(argv=None, out=None, err=None) -> int:
         code = e.code if isinstance(e.code, int) else 2
         return code
     try:
-        return args.func(args, out, err)
+        try:
+            code = args.func(args, out, err)
+            out.flush()
+        except OSError as e:
+            raise UsageError(f"cannot write standard output: {e}") from None
+        return code
     except UsageError as e:
         print(f"error: {e}", file=err)
         return 2

@@ -2,7 +2,8 @@
 
 Shared validator and solver thresholds live in the frozen record ``TOL``. Not
 in it: ``linalg._stationary_vector``'s vanishing mass 1e-12, ``ClusterOracle``'s
-norm check 1e-12 and ``numerical_rank``'s default cutoff factor 2**-50.
+norm check 1e-12, ``numerical_rank``'s default cutoff factor 2**-50 and the
+display cutoff 1e-14 of ``cli._fmt_entry``, which prints no smaller imaginary part.
 """
 
 from __future__ import annotations

@@ -94,6 +94,13 @@ def checked_word(word, alphabet: Sequence[str]) -> tuple[str, ...]:
     return word
 
 
+def _walk(step: Mapping, v: np.ndarray, word) -> np.ndarray:
+    """``A_{s_n} ... A_{s_1} v`` of the word ``s_1 ... s_n``, with ``A_s = step[s]``."""
+    for s in word:
+        v = step[s] @ v
+    return v
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize (M + M^dagger)/2; used to stop round-off drift on channel outputs."""
     return (m + m.conj().T) / 2.0

@@ -101,6 +101,9 @@ def _alphabet(doc: dict) -> tuple[str, ...]:
     raw = _get(doc, "alphabet")
     if not isinstance(raw, list) or not raw or not all(isinstance(s, str) and s for s in raw):
         _fail("alphabet", "expected a non-empty array of non-empty strings")
+    clash = next(((s, c) for s in raw for c in (_SYMBOL_SEP, _WORD_SEP) if c in s), None)
+    if clash:
+        _fail("alphabet", "symbol {!r} contains {!r}, a command-line separator".format(*clash))
     return tuple(raw)
 
 
@@ -305,6 +308,9 @@ def load_bundled(name: str):
     return parse_model(text)
 
 
+_SYMBOL_SEP, _WORD_SEP = ",", ";"  # separate a multi-character alphabet's symbols; words in a list
+
+
 def parse_word(text: str, alphabet: Sequence[str]) -> tuple[str, ...]:
     """Word syntax used on the command line.
 
@@ -314,11 +320,11 @@ def parse_word(text: str, alphabet: Sequence[str]) -> tuple[str, ...]:
     """
     if text == "":
         return ()
-    if any(len(s) > 1 for s in alphabet) or "," in text:
-        return checked_word(text.split(","), alphabet)
+    if any(len(s) > 1 for s in alphabet) or _SYMBOL_SEP in text:
+        return checked_word(text.split(_SYMBOL_SEP), alphabet)
     return checked_word(text, alphabet)
 
 
 def format_word(word: Iterable[str], alphabet: Sequence[str]) -> str:
-    sep = "," if any(len(s) > 1 for s in alphabet) else ""
+    sep = _SYMBOL_SEP if any(len(s) > 1 for s in alphabet) else ""
     return sep.join(word)

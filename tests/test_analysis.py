@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_enumerate_negative_length():
 def test_sample_negative_length():
     with pytest.raises(ValueError, match="nonnegative"):
         sample_trajectory(FAIR_COIN, -5, seed=1)
+
+
+def test_sample_budget_is_checked_before_the_representation(monkeypatch):
+    """An over-budget length is refused without a stationary solve or the
+    d^4 real forms of a readout."""
+    readout = mps.mps_to_hqmm(random_mps(np.random.default_rng(2), 4, 2))
+    readout = quantum.HqmmModel(readout.alphabet, readout.dim, readout.operations)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the representation was built")
+
+    monkeypatch.setattr(analysis, "linear_representation", unbuilt)
+    with pytest.raises(ValueError, match="a trajectory of 1000000000000 symbols needs .* budget"):
+        sample_trajectory(readout, 10**12, 1)
 
 
 @pytest.mark.parametrize(
@@ -393,6 +408,53 @@ def test_rank_bound_below_state_count_random():
             w for w in itertools.product(m.alphabet, repeat=2)
         ]
         assert state_count_lower_bound(m, deeper, deeper) <= d
+
+
+def _exact(x: float) -> Fraction:
+    """The fraction of small denominator that the float ``x`` rounds."""
+    f = Fraction(x).limit_denominator(1000)
+    assert abs(float(f) - x) <= 1e-15
+    return f
+
+
+def _echelon(vectors, ops=()) -> list:
+    """An echelon basis, in exact arithmetic, of the span of ``vectors``
+    closed under the matrices ``ops``: the Krylov span."""
+    basis, queue = [], list(vectors)
+    while queue:
+        v = queue.pop()
+        for pivot, b in basis:
+            c = v[pivot] / b[pivot]
+            v = [x - c * y for x, y in zip(v, b)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            basis.append((pivot, v))
+            queue += [[sum(a * x for a, x in zip(row, v)) for row in op] for op in ops]
+    return [b for _, b in basis]
+
+
+def _rational_hankel_rank(model) -> int:
+    """Rank of the whole Hankel matrix ``P(v . u) = <1| A_u A_v v0>``, exactly:
+    the pairing of the span reachable from ``v0`` under the ``A_s`` with the
+    span observable from ``<1|`` under the ``A_s^T``."""
+    mats, v0, d = linear_representation(model)
+    ops = [[[_exact(x) for x in row] for row in a] for a in mats]
+    reachable = _echelon([[_exact(x) for x in v0]], ops)
+    unit = [Fraction(int(i < d)) for i in range(v0.size)]
+    observable = _echelon([unit], [list(map(list, zip(*op))) for op in ops])
+    pairing = [[sum(o * r for o, r in zip(b, f)) for f in reachable] for b in observable]
+    return len(_echelon(pairing))
+
+
+@pytest.mark.parametrize("name, rank", [("even_process", 2), ("four_state", 3)])
+def test_rank_bound_matches_an_exact_rational_rank(name, rank):
+    """On the bundled models whose representations are exactly rational, the
+    numerical rank over all words up to length D is the exact rank."""
+    model = modelfile.load_bundled(name)
+    assert _rational_hankel_rank(model) == rank
+    size = linear_representation(model).v0.size
+    words = [w for n in range(size + 1) for w in itertools.product(model.alphabet, repeat=n)]
+    assert state_count_lower_bound(model, words, words) == rank
 
 
 def test_xorshift_reference_stream():

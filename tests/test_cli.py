@@ -345,6 +345,51 @@ def test_unwritable_output_is_usage_error(paths, tmp_path, argv):
     assert err.startswith("error: cannot write /dev/full: ")
 
 
+def _run_child(argv, stdout):
+    """``hqmm`` in a child process under ``-X dev -W error``, writing its
+    standard output to the descriptor ``stdout``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hqmm.__file__).parents[1]))
+    command = [sys.executable, "-X", "dev", "-W", "error", "-m", "hqmm.cli", *argv]
+    return subprocess.run(
+        command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60, check=False
+    )
+
+
+def _assert_stdout_refused(proc):
+    """Exit 2 with the one line naming standard output: no traceback, and no
+    second report from the interpreter's flush at exit."""
+    assert proc.returncode == 2
+    line, *rest = proc.stderr.splitlines()
+    assert rest == []
+    assert line.startswith("error: cannot write standard output: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["dist", "{even_process}", "-n", "2"], ["steady", "{even_process}"]]
+)
+def test_full_standard_output_is_usage_error(paths, argv):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full, so a write that fails after open is not tried")
+    with open("/dev/full", "w") as full:
+        proc = _run_child([a.format(**paths) for a in argv], full)
+    _assert_stdout_refused(proc)
+    assert "No space left on device" in proc.stderr
+
+
+@pytest.mark.parametrize("n", ["3", "300000"])
+def test_closed_pipe_on_standard_output_is_usage_error(paths, n):
+    """The read end is closed before the child writes, so every write to the
+    pipe fails, for a line shorter than the buffer and for one longer."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_child(["sample", paths["even_process"], "-n", n, "--seed", "1"], write)
+    finally:
+        os.close(write)
+    _assert_stdout_refused(proc)
+    assert "Broken pipe" in proc.stderr
+
+
 def test_csv_quotes_words_of_a_multi_character_alphabet(tmp_path):
     up_down = HmmModel(
         ("up", "down"),

@@ -4,9 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hqmm import analysis, quantum
+from hqmm import analysis, cluster, quantum
 from hqmm.cluster import (
     MeasurementBasis,
     basis_vectors,
@@ -245,3 +247,28 @@ def test_h3_matches_direct_entropy():
 
 def test_h3_below_max_off_grid():
     assert h3_closed_form(MeasurementBasis(math.pi / 8, 0.0)) < 3.0 - 1e-3
+
+
+@settings(max_examples=40)
+@given(
+    phi=st.floats(0.0, math.pi, exclude_max=True),
+    xi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+@example(phi=math.pi / 8, xi=0.0)
+def test_memory_is_hidden_from_one_and_two_point_statistics(phi, xi):
+    """From the stationary state, with Z = +1 for 0 and -1 for 1, <Z_0> and
+    <Z_0 Z_t> vanish for t = 1 ... 4, and the memory first shows in the
+    three-point <Z_0 Z_1 Z_2> = c / 4 of the parity bias c."""
+    basis = MeasurementBasis(phi, xi)
+    dist = analysis.enumerate_distribution(cluster_kraus(basis), 5)
+
+    def correlation(*sites):
+        return sum(
+            p * math.prod(1 - 2 * int(word[i]) for i in sites)
+            for word, p in dist.probabilities.items()
+        )
+
+    assert abs(correlation(0)) <= 1e-14
+    for t in range(1, 5):
+        assert abs(correlation(0, t)) <= 1e-14
+    assert abs(correlation(0, 1, 2) - cluster._parity_bias(basis) / 4) <= 1e-14

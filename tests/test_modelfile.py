@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hqmm import cli
 from hqmm.classical import HmmModel
 from hqmm.cluster import MeasurementBasis
 from hqmm.modelfile import (
@@ -498,6 +500,47 @@ def _assert_refused_or_roundtrips(doc):
 @example(doc={"kind": "hmm", "alphabet": ["0"], "dimension": 1, "transitions": {"0": [[1]]}})
 def test_generated_documents_are_refused_or_roundtrip(doc):
     _assert_refused_or_roundtrips(doc)
+
+
+@pytest.mark.parametrize(
+    "alphabet, symbol, separator",
+    [(["a,b", "c"], "a,b", ","), ([",", "a"], ",", ","), (["x;y", "z"], "x;y", ";")],
+)
+def test_parse_refuses_a_symbol_holding_a_separator(alphabet, symbol, separator):
+    """The command line separates symbols with "," and words with ";", so a
+    symbol holding either could not be written there."""
+    doc = {"kind": "hmm", "alphabet": alphabet, "dimension": 1}
+    doc["transitions"] = {s: [[1.0 if s == alphabet[0] else 0.0]] for s in alphabet}
+    message = f"alphabet: symbol {symbol!r} contains {separator!r}, a command-line separator"
+    with pytest.raises(ModelFileError) as info:
+        parse_model(json.dumps(doc))
+    assert str(info.value) == message
+
+
+# symbols drawn often from the separators and otherwise from any text
+_SYMBOLS = st.one_of(
+    st.text(st.sampled_from("ab,; é"), min_size=1, max_size=2), st.text(min_size=1, max_size=2)
+)
+
+
+@settings(max_examples=60)
+@given(alphabet=st.lists(_SYMBOLS, min_size=1, max_size=3, unique=True))
+@example(alphabet=["a,b", "c"])
+@example(alphabet=["x;y", "z"])
+def test_every_word_of_an_accepted_alphabet_reads_back(alphabet):
+    """Every word up to length 3 over an alphabet that a model file may hold
+    reads back from its command-line form, alone and in a word list."""
+    doc = {"kind": "hmm", "alphabet": alphabet, "dimension": 1}
+    doc["transitions"] = {s: [[1.0 if s == alphabet[0] else 0.0]] for s in alphabet}
+    try:
+        model = parse_model(json.dumps(doc))
+    except ModelFileError:
+        return
+    words = [w for n in range(4) for w in itertools.product(model.alphabet, repeat=n)]
+    for w in words:
+        assert parse_word(format_word(w, model.alphabet), model.alphabet) == w
+    listed = ";".join(format_word(w, model.alphabet) for w in words)
+    assert cli._word_list(listed, model.alphabet) == words
 
 
 def _nodes(tree, path=()):

@@ -240,6 +240,18 @@ MULTI_CHARACTER_DOC = {
     "transitions": {"up": [[0.25, 0.25], [0.0, 0.0]], "down": [[0.0, 0.0], [0.75, 0.75]]},
 }
 
+# HMMs, valid but for a symbol holding "," or ";", which the command line
+# reads as separators
+SEPARATOR_DOCS = {
+    f"hmm-symbol-{name}": {
+        "kind": "hmm",
+        "alphabet": [symbol, "z"],
+        "dimension": 1,
+        "transitions": {symbol: [[0.5]], "z": [[0.5]]},
+    }
+    for name, symbol in (("comma", "a,b"), ("semicolon", "x;y"))
+}
+
 # documents with a non-finite matrix entry or an empty prior
 NON_FINITE_DOCS = {
     "hqmm-kraus-nan": {
@@ -475,6 +487,7 @@ def commands(workdir: Path) -> list[list[str]]:
     ]
     (path,) = _write_documents(workdir, {"up-down": MULTI_CHARACTER_DOC})
     argvs.append(["dist", path, "-n", "2", "--csv", "up-down.csv"])
+    argvs += [["validate", path] for path in _write_documents(workdir, SEPARATOR_DOCS)]
     return argvs
 
 
