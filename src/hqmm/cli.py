@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import math
 import sys
 from pathlib import Path
@@ -348,26 +349,27 @@ def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     argv = _join_negative_floats(sys.argv[1:] if argv is None else argv)
-    try:
-        # argparse prints usage errors and --help to sys.stderr and sys.stdout
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = _parser().parse_args(argv)
-    except SystemExit as e:
-        code = e.code if isinstance(e.code, int) else 2
-        return code
+    help_text = io.StringIO()  # argparse's --help, written to out below
     try:
         try:
-            code = args.func(args, out, err)
+            try:
+                # argparse prints usage errors and --help to sys.stderr and sys.stdout
+                with contextlib.redirect_stdout(help_text), contextlib.redirect_stderr(err):
+                    args = _parser().parse_args(argv)
+                code = args.func(args, out, err)
+            except SystemExit as e:
+                code = e.code if isinstance(e.code, int) else 2
+            out.write(help_text.getvalue())
             out.flush()
         except OSError as e:
+            # closed, so the interpreter's flush at exit has nothing to retry
+            with contextlib.suppress(OSError):
+                out.close()
             raise UsageError(f"cannot write standard output: {e}") from None
         return code
-    except UsageError as e:
-        print(f"error: {e}", file=err)
-        return 2
     except (ValueError, MemoryError) as e:
         print(f"error: {e}", file=err)
-        return 1
+        return 2 if isinstance(e, UsageError) else 1
 
 
 if __name__ == "__main__":

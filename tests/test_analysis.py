@@ -457,6 +457,63 @@ def test_rank_bound_matches_an_exact_rational_rank(name, rank):
     assert state_count_lower_bound(model, words, words) == rank
 
 
+def _rank_law_bound(dim: int, real: bool) -> int:
+    """The rank law's ceiling for a ``dim``-level generator: the real
+    dimension of its Hermitian states, d², or of its real symmetric ones,
+    d(d+1)/2, when every Kraus operator is real."""
+    return dim * (dim + 1) // 2 if real else dim * dim
+
+
+def _rank_law_rank(model, bound: int) -> int:
+    """The Hankel rank over all words up to the shortest length L >= 1 with
+    k^L >= ``bound``, so the block has at least ``bound`` rows and columns."""
+    length = 1
+    while len(model.alphabet) ** length < bound:
+        length += 1
+    words = [w for n in range(length + 1) for w in itertools.product(model.alphabet, repeat=n)]
+    return state_count_lower_bound(model, words, words)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["haar", "real"])
+@pytest.mark.parametrize("symbols, per_symbol", [(2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_random_generators_reach_the_rank_law(dim, symbols, per_symbol, real):
+    """A generic d-level HQMM has process rank d², and a generic real one
+    d(d+1)/2: the Kraus stack is the isometry Q of a Gaussian (k r d) x d
+    matrix, complex for a Haar draw and real for an orthogonal one."""
+    rng = np.random.default_rng([dim, symbols, per_symbol, int(real)])
+    bound = _rank_law_bound(dim, real)
+    alphabet = tuple(str(s) for s in range(symbols))
+    for _ in range(10):
+        a = rng.normal(size=(symbols * per_symbol * dim, dim))
+        if not real:
+            a = a + 1j * rng.normal(size=a.shape)
+        blocks = np.linalg.qr(a)[0].reshape(symbols, per_symbol, dim, dim)
+        operations = {s: list(blocks[i]) for i, s in enumerate(alphabet)}
+        model = quantum.HqmmModel(alphabet, dim, operations)
+        assert _rank_law_rank(model, bound) == bound
+
+
+@pytest.mark.parametrize(
+    "name, rank",
+    [
+        ("four_symbol_hqmm", 3),
+        ("cluster_phi_pi8", 3),
+        ("cluster_phi_pi4", 1),
+        ("even_process_vn", 2),
+    ],
+)
+def test_bundled_generators_sit_within_the_rank_law(name, rank):
+    raw = modelfile.load_bundled(name)
+    model = modelfile.kind_of(raw).operational(raw)  # Kraus form, as the CLI reads it
+    real = not any(np.any(k.imag) for ks in model.operations.values() for k in ks)
+    bound = _rank_law_bound(model.dim, real)
+    table = ", ".join(f"d={d}: {d * d} / {d * (d + 1) // 2}" for d in range(1, 6))
+    print(f"\n{name}: rank {rank} <= {bound} (d={model.dim}, real={real}); d² / d(d+1)/2: {table}")
+    assert _rank_law_rank(model, bound) == rank
+    assert rank <= bound
+
+
 def test_xorshift_reference_stream():
     # first outputs of the documented algorithm for seed 1
     gen = Xorshift64Star(1)

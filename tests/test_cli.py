@@ -390,6 +390,56 @@ def test_closed_pipe_on_standard_output_is_usage_error(paths, n):
     assert "Broken pipe" in proc.stderr
 
 
+@pytest.fixture(params=["unbuffered", "buffered"])
+def stdout_buffering(request, monkeypatch):
+    """The child's standard output written through at once, or held in
+    Python's buffer until a flush: with the buffer, a failed write that is
+    not closed away is retried at exit and reported a second time."""
+    if request.param == "unbuffered":
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "{even_process}", "-n", "2"],
+        ["steady", "{even_process}"],
+        ["--help"],
+        ["dist", "--help"],
+    ],
+)
+def test_full_standard_output_is_usage_error_buffered_or_not(paths, stdout_buffering, argv):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full, so a write that fails after open is not tried")
+    with open("/dev/full", "w") as full:
+        proc = _run_child([a.format(**paths) for a in argv], full)
+    _assert_stdout_refused(proc)
+    assert "No space left on device" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "{even_process}", "-n", "3", "--seed", "1"],
+        ["sample", "{even_process}", "-n", "300000", "--seed", "1"],
+        ["--help"],
+    ],
+)
+def test_closed_pipe_on_standard_output_is_usage_error_buffered_or_not(
+    paths, stdout_buffering, argv
+):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_child([a.format(**paths) for a in argv], write)
+    finally:
+        os.close(write)
+    _assert_stdout_refused(proc)
+    assert "Broken pipe" in proc.stderr
+
+
 def test_csv_quotes_words_of_a_multi_character_alphabet(tmp_path):
     up_down = HmmModel(
         ("up", "down"),
