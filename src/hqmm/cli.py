@@ -345,9 +345,31 @@ def _join_negative_floats(argv: list[str]) -> list[str]:
     return joined
 
 
+class _ErrorStream:
+    """Standard error as the commands, argparse and ``main`` write it. The
+    first write that fails closes the stream, and it and every later write
+    are dropped: there is nowhere left to report them, so the exit code stays
+    the command's. Closed, the stream leaves the interpreter's flush at exit
+    nothing to retry."""
+
+    def __init__(self, stream):
+        self._stream = stream
+        self._failed = False
+
+    def write(self, text: str) -> int:
+        if not self._failed:
+            try:
+                self._stream.write(text)
+            except OSError:
+                self._failed = True
+                with contextlib.suppress(OSError):
+                    self._stream.close()
+        return len(text)
+
+
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+    err = _ErrorStream(err if err is not None else sys.stderr)
     argv = _join_negative_floats(sys.argv[1:] if argv is None else argv)
     help_text = io.StringIO()  # argparse's --help, written to out below
     try:

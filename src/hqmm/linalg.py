@@ -29,6 +29,9 @@ logger = logging.getLogger(__name__)
 # is every d <= 11 (d <= 13 for ``transfer_matrix``)
 _BLOCK_BYTES = 1 << 19
 
+# the bits of -0.0 as an int64, which no other float64 has
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -328,16 +331,22 @@ def _certified_fixed_vector(
     and ``M v = target`` gives its fixed vector. Returns ``(v, b)``, or
     ``None`` when the map leaks trace, ``M`` is singular or its inverse is
     too large to settle the count.
+
+    ``unit`` and ``target`` are nonnegative, as every caller's are. A
+    ``matrix`` of at most half a block (``_BLOCK_BYTES``) is bordered in a
+    copy: the copy and ``target unit^T`` fit in one block and take less time
+    than the bookkeeping below. A larger one is bordered in place and put
+    back byte for byte before the return, on every path, so beyond
+    ``matrix`` the certificate holds the output of ``np.linalg.inv`` (and
+    LAPACK's work copies inside it), the positions of the -0.0 entries of
+    ``matrix``, its diagonal and its ``target``-by-``unit`` block. The
+    caller owns ``matrix``, and nothing may read it during the call.
     """
-    n = matrix.shape[0]
-    bordered = matrix.copy()
-    bordered.flat[:: n + 1] -= 1.0
-    if np.max(np.abs(unit @ bordered)) > TOL.completeness:
-        return None
-    bordered += np.outer(target, unit)
-    try:
-        inv = np.linalg.inv(bordered)
-    except np.linalg.LinAlgError:
+    if 2 * matrix.nbytes <= _BLOCK_BYTES:
+        inv = _bordered_inverse(matrix.copy(), unit, target)
+    else:
+        inv = _bordered_inverse_in_place(matrix, unit, target)
+    if inv is None:
         return None
     # v first, so that a real inv can take its magnitudes in place; the
     # product of an inv that is not finite is refused below, unused
@@ -350,6 +359,46 @@ def _certified_fixed_vector(
     if not math.isfinite(bound) or 2.0 * bound * TOL.eigenvalue_one >= 1.0:
         return None
     return v, bound
+
+
+def _bordered_inverse(m, unit, target, support=None) -> np.ndarray | None:
+    """The inverse of ``M = m - I + target unit^T``, with ``m`` bordered in
+    place, or ``None`` when ``unit @ (m - I)`` leaks trace or ``M`` is
+    singular. Given the ``np.ix_`` indices ``support`` of the nonzero rows of
+    ``target`` and columns of ``unit``, the outer product is added there only."""
+    m.flat[:: m.shape[0] + 1] -= 1.0
+    if np.max(np.abs(unit @ m)) > TOL.completeness:
+        return None
+    if support is None:
+        m += np.outer(target, unit)
+    else:
+        rows, cols = support
+        m[support] += np.outer(target[rows], unit[cols])
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _bordered_inverse_in_place(matrix, unit, target) -> np.ndarray | None:
+    """``_bordered_inverse`` of ``matrix`` itself, which it puts back byte for
+    byte. The outer product is added on its support only, but its ``+0.0``
+    entries elsewhere, added as the copy's whole-matrix add does, turn each
+    ``-0.0`` into ``+0.0``; so every ``-0.0`` is made ``+0.0`` first, and
+    ``M`` is the copy's bit for bit."""
+    support = np.ix_(np.flatnonzero(target), np.flatnonzero(unit))
+    block = matrix[support]
+    diagonal = matrix.diagonal().copy()
+    parts = matrix.view(np.float64)  # real and imaginary parts alike
+    # positions, not a mask, so that nothing of n^2 entries outlives the scan
+    negative_zeros = np.flatnonzero(parts.view(np.int64) == _NEGATIVE_ZERO)
+    try:
+        parts.flat[negative_zeros] = 0.0
+        return _bordered_inverse(matrix, unit, target, support)
+    finally:
+        parts.flat[negative_zeros] = -0.0
+        np.fill_diagonal(matrix, diagonal)
+        matrix[support] = block
 
 
 def _fixed_vector(
@@ -371,6 +420,11 @@ def _fixed_vector(
     of 1. One DEBUG record on the ``hqmm.linalg`` logger names the path, its
     inverse-norm bound or fixed-space dimension and the residual
     ``||L v - v||`` of the unit-norm vector.
+
+    The certificate borders a ``matrix`` of more than half a block in place
+    and puts it back, so beyond ``matrix`` it holds one array of its size,
+    the inverse, besides LAPACK's work copies; the fallback's eigensolve and
+    SVD hold their own arrays of that size.
     """
     certified = _certified_fixed_vector(matrix, unit, target)
     if certified is not None:
@@ -421,9 +475,11 @@ def fixed_point(transfer: np.ndarray) -> tuple[np.ndarray, bool]:
     degenerate space is resolved canonically by the orthogonal projection of
     the maximally mixed state onto it, renormalized, with ``unique=False``.
 
-    ``G`` is built a block of rows at a time, so until the solve, whose
-    d^2 x d^2 real arrays come after, it holds one block beyond ``transfer``
-    and ``G`` (see ``hermitian_real_form``).
+    ``G`` is built a block of rows at a time, so until the solve it holds one
+    block beyond ``transfer`` and ``G`` (see ``hermitian_real_form``). From
+    d = 14 on, the solve borders ``G`` in place and puts it back (see
+    ``_certified_fixed_vector``), so beyond them it holds the real d^2 x d^2
+    output of ``np.linalg.inv`` and LAPACK's work copies inside it.
 
     Raises ``ValueError`` when ``transfer`` is not a finite d^2 x d^2
     matrix, when the map does not preserve Hermiticity (see

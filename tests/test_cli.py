@@ -3,6 +3,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import errno
 import io
 import itertools
 import json
@@ -345,13 +346,14 @@ def test_unwritable_output_is_usage_error(paths, tmp_path, argv):
     assert err.startswith("error: cannot write /dev/full: ")
 
 
-def _run_child(argv, stdout):
+def _run_child(argv, stdout, stderr=subprocess.PIPE):
     """``hqmm`` in a child process under ``-X dev -W error``, writing its
-    standard output to the descriptor ``stdout``."""
+    standard output and standard error to the descriptors ``stdout`` and
+    ``stderr``."""
     env = dict(os.environ, PYTHONPATH=str(Path(hqmm.__file__).parents[1]))
     command = [sys.executable, "-X", "dev", "-W", "error", "-m", "hqmm.cli", *argv]
     return subprocess.run(
-        command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60, check=False
+        command, stdout=stdout, stderr=stderr, text=True, env=env, timeout=60, check=False
     )
 
 
@@ -392,9 +394,10 @@ def test_closed_pipe_on_standard_output_is_usage_error(paths, n):
 
 @pytest.fixture(params=["unbuffered", "buffered"])
 def stdout_buffering(request, monkeypatch):
-    """The child's standard output written through at once, or held in
-    Python's buffer until a flush: with the buffer, a failed write that is
-    not closed away is retried at exit and reported a second time."""
+    """The child's standard streams written through at once, or held in
+    Python's buffers until a flush (standard error's at each line end): with
+    a buffer, a failed write that is not closed away is retried at exit and
+    reported a second time, or ends the interpreter with exit code 120."""
     if request.param == "unbuffered":
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     else:
@@ -438,6 +441,67 @@ def test_closed_pipe_on_standard_output_is_usage_error_buffered_or_not(
         os.close(write)
     _assert_stdout_refused(proc)
     assert "Broken pipe" in proc.stderr
+
+
+def _not_stochastic(tmp_path) -> str:
+    """A model file that parses but fails validation: its columns do not sum to 1."""
+    doc = {
+        "kind": "hmm",
+        "alphabet": ["0", "1"],
+        "dimension": 2,
+        "transitions": {"0": [[1.0, 0.0], [0.5, 0.0]], "1": [[0.0, 0.5], [0.0, 0.5]]},
+    }
+    p = tmp_path / "not_stochastic.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dist", "{missing}", "-n", "1"], 2),
+        (["dist", "{even_process}"], 2),
+        (["validate", "{not_stochastic}"], 1),
+        (["steady", "{not_stochastic}"], 1),
+        (["dist", "{even_process}", "-n", "2"], 0),
+    ],
+    ids=["missing-file", "usage", "violations", "model-error", "success"],
+)
+def test_full_standard_error_keeps_the_exit_code_buffered_or_not(
+    paths, tmp_path, stdout_buffering, argv, code
+):
+    """The error line, argparse's usage or the violation lines are lost, but
+    the exit code is the command's: nothing escapes ``cli.main`` (exit 1) and
+    the interpreter's flush at exit has nothing to retry (exit 120). Standard
+    output is what it is with a working standard error."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full, so a write that fails after open is not tried")
+    files = dict(paths, missing=str(tmp_path / "missing.json"), not_stochastic=_not_stochastic(tmp_path))
+    argv = [a.format(**files) for a in argv]
+    with open("/dev/full", "w") as full:
+        proc = _run_child(argv, subprocess.PIPE, stderr=full)
+    assert proc.returncode == code
+    assert proc.stdout == run(argv)[1]
+
+
+class _FullStream(io.StringIO):
+    """A stream whose every write fails as a write to a full disk does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failing_standard_error_is_not_a_standard_output_failure(paths, tmp_path):
+    """``validate``'s violation lines to a failing standard error were
+    reported as a failure of standard output, which was closed for it, and
+    that report then escaped ``cli.main`` as an ``OSError``."""
+    out, err = io.StringIO(), _FullStream()
+    assert main(["validate", _not_stochastic(tmp_path)], out=out, err=err) == 1
+    assert err.closed and not out.closed
+    out, err = io.StringIO(), _FullStream()
+    assert main(["steady", paths["even_process"]], out=out, err=err) == 0
+    assert not err.closed
+    assert out.getvalue() == run(["steady", paths["even_process"]])[1]
 
 
 def test_csv_quotes_words_of_a_multi_character_alphabet(tmp_path):

@@ -632,6 +632,183 @@ def test_real_form_of_a_d16_readout_holds_one_block_beyond_its_output():
     assert peak < transfer.nbytes + real.nbytes + 2 * linalg._BLOCK_BYTES
 
 
+def test_fixed_point_of_a_d16_readout_holds_one_real_array_beyond_the_inverse():
+    """The solve borders the real form (0.5 MiB) in place, so ``fixed_point``
+    traces at most the real form, the output of ``np.linalg.inv`` and one
+    block (the real form's gathers, or the solve's scan for -0.0). Bordering
+    a copy traced the copy and an outer product of the same size as well.
+    LAPACK's own work copies inside ``inv`` are not allocated through NumPy,
+    so tracemalloc does not see them."""
+    model = mps.mps_to_hqmm(random_mps(np.random.default_rng(16), 16, 2))
+    transfer = transfer_matrix(model.operations)
+    real_bytes = transfer.nbytes // 2
+    tracemalloc.start()
+    try:
+        fixed_point(transfer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * real_bytes + linalg._BLOCK_BYTES
+
+
+# A matrix of more than half a block is bordered in place and put back. The
+# reference is the certificate that bordered a copy; a block of 0 bytes
+# borders every matrix in place.
+
+
+def _copying_certified_fixed_vector(matrix, unit, target):
+    """``_certified_fixed_vector`` as it bordered a copy of ``matrix``."""
+    n = matrix.shape[0]
+    bordered = matrix.copy()
+    bordered.flat[:: n + 1] -= 1.0
+    if np.max(np.abs(unit @ bordered)) > TOL.completeness:
+        return None
+    bordered += np.outer(target, unit)
+    try:
+        inv = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        v = inv @ target
+    magnitude = np.abs(inv, out=inv if np.isrealobj(inv) else None)
+    bound = float(min(magnitude.sum(axis=0).max(), magnitude.sum(axis=1).max()))
+    if not math.isfinite(bound) or 2.0 * bound * TOL.eigenvalue_one >= 1.0:
+        return None
+    return v, bound
+
+
+def _certificate_outcome(certify, matrix, unit, target):
+    """The bytes of the bordered matrix that ``np.linalg.inv`` is given, if
+    any, and the result: the bytes of ``v`` and of the bound, ``None``, or
+    the error raised."""
+    inverted = []
+    inv = np.linalg.inv
+
+    def recorded_inv(m):
+        inverted.append(m.tobytes())
+        return inv(m)
+
+    with mock.patch.object(np.linalg, "inv", recorded_inv):
+        try:
+            found = certify(matrix, unit, target)
+        except Exception as e:  # a warning made an error stops both alike
+            return inverted, (type(e), str(e))
+    if found is None:
+        return inverted, None
+    v, bound = found
+    return inverted, (v.dtype, v.tobytes(), np.float64(bound).tobytes())
+
+
+def _assert_certificate_matches_copying_reference(matrix, unit, target):
+    """In a copy (the default block) and in place (a block of 0 bytes),
+    ``_certified_fixed_vector`` inverts the reference's bordered matrix and
+    gives its result, byte for byte, and leaves the bytes of ``matrix`` as
+    they were; returns the reference's result."""
+    before = matrix.tobytes()
+    expected = _certificate_outcome(_copying_certified_fixed_vector, matrix, unit, target)
+    for block in (linalg._BLOCK_BYTES, 0):
+        with mock.patch.object(linalg, "_BLOCK_BYTES", block):
+            assert _certificate_outcome(_certified_fixed_vector, matrix, unit, target) == expected
+        assert matrix.tobytes() == before
+    return expected[1]
+
+
+def _real_form_case(transfer):
+    """The real form, unit and target that ``fixed_point`` certifies."""
+    real = hermitian_real_form(transfer)
+    d = math.isqrt(real.shape[0])
+    unit = np.zeros(real.shape[0])
+    unit[:d] = 1.0
+    return real, unit, unit / d
+
+
+def _sparse_total(rng, n):
+    """A column-stochastic n x n matrix with about half its entries 0.0."""
+    total = rng.random((n, n)) * (rng.random((n, n)) < 0.5) + np.eye(n)
+    return total / total.sum(axis=0)
+
+
+@st.composite
+def certificate_cases(draw):
+    """A matrix, unit and target as the certificate's callers pass them: a
+    generated channel (MPS readout, embedded HMM or cluster readout) as its
+    complex transfer matrix or as its real form, or an HMM's summed
+    transitions, dense or sparse, real (as ``classical.steady_state`` passes
+    them) or complex. Then some of the zero parts of the matrix, real or
+    imaginary, are made -0.0."""
+    kind = draw(st.sampled_from(("channel", "real-form", "hmm", "hmm-complex")))
+    if kind in ("channel", "real-form"):
+        transfer = transfer_matrix(draw(kraus_models()).operations)
+        case = _channel_case(transfer) if kind == "channel" else _real_form_case(transfer)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(1, 8))
+        if draw(st.booleans()):
+            total = _sparse_total(rng, n)
+        else:
+            total = random_hmm(rng, n, draw(st.integers(1, 3))).total()
+        unit = np.ones(n)
+        case = (total, unit, unit / n) if kind == "hmm" else _stochastic_case(total)
+    parts = case[0].view(np.float64).reshape(-1)
+    zeros = np.flatnonzero(parts == 0.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    parts[zeros[rng.random(zeros.size) < share]] = -0.0
+    return case
+
+
+@CERTIFICATE_SETTINGS
+@given(case=certificate_cases())
+def test_certificate_in_place_matches_the_copying_reference(case):
+    _assert_certificate_matches_copying_reference(*case)
+
+
+def _with_entry(case, index, value):
+    matrix = case[0].copy()
+    matrix[index] = value
+    return (matrix, *case[1:])
+
+
+_MPS_CASE = _real_form_case(
+    transfer_matrix(mps.mps_to_hqmm(random_mps(np.random.default_rng(3), 3, 2)).operations)
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _real_form_case(transfer_matrix([np.diag([1.0, 0.5])])),
+        _channel_case(transfer_matrix([np.diag([1.0, 0.5])])),
+        _real_form_case(transfer_matrix([np.eye(3)])),
+        _channel_case(transfer_matrix([np.eye(2)])),
+        _real_form_case(_amplitude_damping(3e-8)),
+        _channel_case(_amplitude_damping(3e-8)),
+        _with_entry(_MPS_CASE, (0, 0), math.nan),
+        _with_entry(_MPS_CASE, (5, 7), math.nan),
+        _with_entry(_MPS_CASE, (0, 1), math.inf),
+        _with_entry(_MPS_CASE, (5, 7), -math.inf),
+    ],
+    ids=[
+        "trace-leak-real",
+        "trace-leak-complex",
+        "singular-real",
+        "singular-complex",
+        "bound-too-large-real",
+        "bound-too-large-complex",
+        "nan-in-support",
+        "nan-off-support",
+        "infinity-in-support",
+        "infinity-off-support",
+    ],
+)
+def test_certificate_in_place_refuses_as_the_copying_reference(case):
+    """Each refusal is ``None``, or for an infinite entry off the support the
+    ``invalid value`` warning of ``unit @ (matrix - I)``; in place, the
+    matrix is put back on that path too."""
+    outcome = _assert_certificate_matches_copying_reference(*case)
+    assert outcome is None or outcome[0] is RuntimeWarning
+
+
 def test_non_finite_transfer_matrix_is_named():
     """A direct call used to return NaN coordinates for a NaN entry."""
     transfer = transfer_matrix([np.eye(3)])

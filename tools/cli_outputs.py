@@ -9,9 +9,12 @@ directory, so that the ``wrote <path>`` lines name a relative path.
 ``tools/cli_outputs.txt`` records the output; to check that a change leaves
 every printed byte as it was, diff against it (the tier-1 test
 ``tests/test_cli.py::test_cli_outputs_tool_prints_the_committed_record``
-does so on Python 3.11, the version the record was made on):
+does so on Python 3.11, the version the record was made on). The record was
+made with one BLAS thread, as the test runs it: the larger readouts' states
+take other low bits with more threads.
 
-    PYTHONPATH=src python tools/cli_outputs.py | diff tools/cli_outputs.txt -
+    OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
+        python tools/cli_outputs.py | diff tools/cli_outputs.txt -
 
 A change that adds commands appends them at the end of ``commands()`` and
 their lines at the end of that file.
@@ -51,6 +54,9 @@ BLOCK_EDGE_LENGTHS = (1, 511, 512, 513, 1024, 1025)
 # more draws past the cap: a model whose states recur now and then, and the
 # largest representation whose kernels are compiled
 LATE_LONG_SAMPLE_MODELS = ("cluster_phi_pi4", "mps-D4")
+# bond dimensions of generated readouts whose stationary solve borders a
+# proper d x d block of the d^2 x d^2 real form
+STEADY_BOND_DIMS = (6, 12)
 # two words of non-zero probability from every start, per model
 NONZERO_WORDS = {
     "even_process": ("011", "01101"),
@@ -488,6 +494,11 @@ def commands(workdir: Path) -> list[list[str]]:
     (path,) = _write_documents(workdir, {"up-down": MULTI_CHARACTER_DOC})
     argvs.append(["dist", path, "-n", "2", "--csv", "up-down.csv"])
     argvs += [["validate", path] for path in _write_documents(workdir, SEPARATOR_DOCS)]
+    rng = np.random.default_rng(20102)
+    for bond_dim in STEADY_BOND_DIMS:
+        path = workdir / f"mps-steady-D{bond_dim}.json"
+        path.write_text(modelfile.serialize_model(_random_mps(rng, bond_dim, 2)))
+        argvs.append(["steady", str(path)])
     return argvs
 
 
